@@ -1,9 +1,9 @@
 //! The committed simulator-core performance baseline (`BENCH_simcore.json`).
 //!
 //! [`simcore_baseline`] times a fixed, deterministic set of hot-path
-//! workloads — the cycle-accurate tile kernel on a drain-heavy and a
-//! steady-state tile, a whole tiled GEMM, the im2col lowering and the
-//! reference GEMM — and reports machine-readable records (bench name,
+//! workloads — the cycle-accurate tile kernels of both dataflows on
+//! drain-heavy, steady-state and full-size tiles, a whole tiled GEMM, the
+//! im2col lowering and the reference GEMM — and reports machine-readable records (bench name,
 //! threads, iterations, ns/iter and, for the simulator benches, simulated
 //! cycles per wall-clock second). The `bench_baseline` binary wraps it;
 //! `scripts/bench_baseline.sh` regenerates the committed
@@ -192,7 +192,28 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
         ns,
     ));
 
-    // 5. A whole tiled GEMM (8x4 = 32 tiles on a 32x32 array, k = 2): the
+    // 5. A full-size output-stationary tile in normal pipeline mode: the
+    // 64x64 array at k = 1 (4,096 block pairs) reducing over N = 64. Its
+    // operands come from their own stream, so the later benches keep
+    // theirs.
+    let mut rng_os64 = SplitMix64::new(64);
+    let a_os64 = Matrix::random(64, 64, &mut rng_os64, -50, 50);
+    let b_os64 = Matrix::random(64, 64, &mut rng_os64, -50, 50);
+    let os64_sim =
+        Simulator::new(ArrayConfig::new(64, 64).with_dataflow(Dataflow::OutputStationary))
+            .map_err(ArrayFlexError::from)?;
+    let cycles = os64_sim
+        .run_tile(&a_os64, &b_os64)
+        .map_err(ArrayFlexError::from)?
+        .stats
+        .total_cycles();
+    let iters = scale(100);
+    let ns = time_batches(iters, || {
+        os64_sim.run_tile(&a_os64, &b_os64).expect("os 64x64 tile");
+    });
+    benches.push(record("simcore/tile_64x64_os_k1", iters, Some(cycles), ns));
+
+    // 6. A whole tiled GEMM (8x4 = 32 tiles on a 32x32 array, k = 2): the
     // workload of the `throughput` experiment, serial.
     let a_gemm = Matrix::random(24, 256, &mut rng, -50, 50);
     let b_gemm = Matrix::random(256, 128, &mut rng, -50, 50);
@@ -214,7 +235,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
         ns,
     ));
 
-    // 6. The im2col lowering of a mid-network 3x3 convolution
+    // 7. The im2col lowering of a mid-network 3x3 convolution
     // (64 -> 64 channels on a 28x28 input: T = 784, N = 576).
     let shape = ConvShape::dense(64, 64, 3, 1, 1, 28);
     let input = Tensor3::random(64, 28, 28, &mut rng, -50, 50);
@@ -225,7 +246,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record("gemm/im2col_conv3x3_64c_28x28", iters, None, ns));
 
-    // 7. The reference GEMM the simulator is verified against.
+    // 8. The reference GEMM the simulator is verified against.
     let a_ref = Matrix::random(96, 96, &mut rng, -50, 50);
     let b_ref = Matrix::random(96, 96, &mut rng, -50, 50);
     let iters = scale(100);
@@ -443,7 +464,7 @@ mod tests {
     fn quick_baseline_runs_and_round_trips_through_json() {
         let report = simcore_baseline(true).unwrap();
         assert!(report.quick);
-        assert_eq!(report.benches.len(), 7);
+        assert_eq!(report.benches.len(), 8);
         validate_report(&report).unwrap();
         assert!(report.bench(DRAIN_HEAVY_FAST).is_some());
         assert!(report.bench("simcore/nope").is_none());

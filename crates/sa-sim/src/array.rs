@@ -59,28 +59,11 @@ use crate::config::ArrayConfig;
 use crate::dataflow::{InputFeeder, OutputCollector};
 use crate::error::SimError;
 use crate::pe::ProcessingElement;
-use crate::soa::{any_set_in, get_bit, set_bit, set_range, words_for, LaneSummary, WORD_BITS};
+use crate::soa::{
+    any_set_in, get_bit, set_bit, set_range, words_for, LaneSummary, StreamPurity, WORD_BITS,
+};
 use crate::stats::RunStats;
 use gemm::Matrix;
-
-/// Whether the operands currently in flight are provably the prefix of one
-/// deterministic feeder schedule (see [`SystolicArray::run_cycles`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StreamPurity {
-    /// The pipelines are empty; any schedule may start at cycle 0.
-    Clean,
-    /// Cycles `0..next` of a feeder stream of length `t` have been fed,
-    /// nothing else.
-    Tracked {
-        /// The stream length the in-flight schedule was generated from.
-        t: u64,
-        /// The next cycle index the schedule expects.
-        next: u64,
-    },
-    /// Arbitrary west inputs were fed; only the generic frontier kernel
-    /// may run until the pipelines are cleared.
-    Poisoned,
-}
 
 /// Cycle-accurate weight-stationary systolic array with configurable
 /// transparent pipelining.
@@ -1104,21 +1087,9 @@ impl SystolicArray {
         // The analytic wavefront kernel applies when the in-flight data is
         // provably this feeder's uninterrupted schedule from cycle 0;
         // otherwise each cycle runs the generic frontier kernel.
-        let analytic = match self.purity {
-            StreamPurity::Clean => first_cycle == 0,
-            StreamPurity::Tracked { t, next } => {
-                t == feeder.stream_length() && first_cycle == next
-            }
-            StreamPurity::Poisoned => false,
-        };
-        self.purity = if analytic {
-            StreamPurity::Tracked {
-                t: feeder.stream_length(),
-                next: end,
-            }
-        } else {
-            StreamPurity::Poisoned
-        };
+        let analytic = self
+            .purity
+            .admit(feeder.stream_length(), first_cycle, end);
         let mut cycle = first_cycle;
         while cycle < end {
             // Bulk dead-cycle skip: the west edge stays idle from here on,

@@ -10,120 +10,270 @@
 //! accumulator; after the reduction stream ends the accumulators drain
 //! through the south edge, one row per cycle per column, bottom-up.
 //!
-//! The pipeline state reuses the shared SoA machinery of `crate::soa`
-//! verbatim: both operand pipelines are pure shift registers stored as
-//! **rings of edge stages** (the stage entering the edge at cycle `c` is
-//! written once; the segment `d` blocks from the edge reads the slot staged
-//! `d` cycles ago), with packed `u64` validity words and one
-//! `LaneSummary` frontier summary per slot. The fast path pairs the two
-//! rings' dense summaries to evaluate only the (row block, column block)
-//! pairs whose operands are both valid; stages with mid-stream holes fall
-//! back to the validity bitsets, and the naive path scans every PE every
-//! cycle — bit-identical either way, exactly like the WS array's
-//! fast/naive contract.
+//! # Operand layout
+//!
+//! Both operand pipelines are pure shift registers, so no operand ever
+//! moves once staged; each is laid out so that what one PE row sees this
+//! cycle is a contiguous slice indexed by array column:
+//!
+//! * `A` is stored **per row**. Each row owns a lane of `2 * ceil(C/k)`
+//!   stage slots of `k` operands: the stage entering the west edge is
+//!   written *k-expanded* (once per column of a block) and *mirrored* (at
+//!   slot `s` and `s + ceil(C/k)`). With the newest stage at slot `head`,
+//!   the stage from `cb` cycles ago sits at slot `head + cb`, so the `C`
+//!   operands starting at `head * k` are exactly what columns `0..C` of
+//!   the row see: column `j` reads the stage from `floor(j/k)` cycles ago.
+//! * `B` is a **ring of edge stages** (`ceil(R/k)` slots of `C` operands):
+//!   row block `rb` reads the stage from `rb` cycles ago.
+//!
+//! Validity is one flag per stored register: per row and stage slot for
+//! `A` (mirrored like the operands, but not k-expanded), per stage and
+//! column for `B`. Invalid operands are stored as zero.
+//!
+//! # Kernels
+//!
+//! Every cycle stages both edges, performs exactly that cycle's
+//! multiply-accumulates, books [`RunStats`] and lets the collector drain
+//! the accumulators due that cycle. Which PEs multiply is decided by one of
+//! two kernels:
+//!
+//! * the **analytic wavefront kernel** of
+//!   [`OutputStationaryArray::run_cycles`]. Under the feeder schedule
+//!   (`A[i][n]` enters row `i` at cycle `n + floor(i/k)`, `B[n][j]` enters
+//!   column `j` at cycle `n + floor(j/k)`), block pair `(rb, cb)` holds a
+//!   valid operand pair at cycle `c` exactly when
+//!   `c - N + 1 <= rb + cb <= c`. So each active row block sweeps its rows
+//!   over one contiguous column range with a fused `acc += a * b` over
+//!   contiguous accumulator, `A`-lane and `B`-stage slices. The kernel
+//!   applies only while the operands in flight are provably that schedule
+//!   from a clean pipeline, which a purity guard tracks: it records the
+//!   stream length and the next expected cycle, `reset_for_tile` makes it
+//!   clean again, and `step` poisons it;
+//! * the **naive scan**, which checks both validity flags of every PE. It
+//!   runs for [`OutputStationaryArray::step`], for `run_cycles` calls the
+//!   guard rejects (a different stream length, a skipped or repeated
+//!   cycle, anything after `step`) and with the fast path disabled.
+//!
+//! Both kernels leave bit-identical accumulators and statistics, which the
+//! differential suites check cycle for cycle against an array-of-structs
+//! reference.
 
 use crate::config::{ArrayConfig, Dataflow};
 use crate::error::SimError;
 use crate::os_dataflow::{OsCollector, OsNorthFeeder, OsWestFeeder};
-use crate::soa::{get_bit, set_bit, set_range, words_for, LaneSummary};
+use crate::soa::StreamPurity;
 use crate::stats::RunStats;
 
-/// One operand shift-register pipeline stored as a ring of edge stages.
-#[derive(Debug, Clone)]
-struct OperandRing {
-    /// Register values, `slot * lanes..(slot + 1) * lanes`; invalid lanes
-    /// are always stored as zero.
-    regs: Vec<i32>,
-    /// Validity bitsets, one word-aligned run of `words` words per slot.
-    valid: Vec<u64>,
-    /// Per-slot frontier summaries, mirroring `valid`.
-    summaries: Vec<LaneSummary>,
-    /// Slot staged this cycle; advances modulo `slots` every cycle.
+/// Ring position and drain state shared by both operand pipelines.
+#[derive(Debug, Clone, Copy)]
+struct StageCursor {
+    /// Slot of the newest stage; the stage from `age` cycles ago sits at
+    /// slot `(head + age) mod slots`.
     head: usize,
     slots: usize,
-    lanes: usize,
-    words: usize,
+    /// Empty stages staged since the last non-empty one, saturating at
+    /// `slots`: at `slots` no valid operand is in flight.
+    empty_run: usize,
 }
 
-impl OperandRing {
-    fn new(slots: usize, lanes: usize) -> Self {
-        let words = words_for(lanes);
+impl StageCursor {
+    fn new(slots: usize) -> Self {
         Self {
-            regs: vec![0; slots * lanes],
-            valid: vec![0; slots * words],
-            summaries: vec![LaneSummary::default(); slots],
             head: 0,
             slots,
-            lanes,
-            words,
+            empty_run: slots,
+        }
+    }
+
+    fn is_drained(&self) -> bool {
+        self.empty_run == self.slots
+    }
+
+    /// Moves the head to the slot the next stage overwrites. Returns
+    /// `false` when an empty stage enters a drained pipeline: every slot
+    /// already holds an empty stage, so there is nothing to write.
+    fn advance(&mut self, empty: bool) -> bool {
+        if empty {
+            if self.is_drained() {
+                return false;
+            }
+            self.empty_run += 1;
+        } else {
+            self.empty_run = 0;
+        }
+        self.head = if self.head == 0 {
+            self.slots - 1
+        } else {
+            self.head - 1
+        };
+        true
+    }
+
+    fn slot(&self, age: usize) -> usize {
+        let slot = self.head + age;
+        if slot >= self.slots {
+            slot - self.slots
+        } else {
+            slot
+        }
+    }
+}
+
+/// The `A` operand pipeline: one register per (row, column block), stored
+/// per row as k-expanded, mirrored lanes (see the module docs).
+#[derive(Debug, Clone)]
+struct RowLanes {
+    /// Operands: per row, `2 * slots` stages of `k` copies each.
+    values: Vec<i32>,
+    /// Validity: per row, `2 * slots` flags, one per stage.
+    valid: Vec<bool>,
+    /// One edge stage, one operand per row: the buffer the west feeder
+    /// stages into before the stage is spread over the row lanes.
+    edge: Vec<i32>,
+    cursor: StageCursor,
+    k: usize,
+}
+
+impl RowLanes {
+    fn new(rows: usize, cols: usize, k: usize) -> Self {
+        let slots = cols.div_ceil(k);
+        Self {
+            values: vec![0; rows * 2 * slots * k],
+            valid: vec![false; rows * 2 * slots],
+            edge: vec![0; rows],
+            cursor: StageCursor::new(slots),
+            k,
         }
     }
 
     fn clear(&mut self) {
-        self.regs.fill(0);
-        self.valid.fill(0);
-        self.summaries.fill(LaneSummary::default());
-        self.head = 0;
+        self.values.fill(0);
+        self.valid.fill(false);
+        self.cursor = StageCursor::new(self.cursor.slots);
     }
 
-    /// The slot holding the edge stage from `age` cycles ago (`age` is the
-    /// segment's distance from the edge, `< slots`).
-    fn slot(&self, age: usize) -> usize {
-        let shifted = self.head + self.slots - age;
-        if shifted >= self.slots {
-            shifted - self.slots
-        } else {
-            shifted
-        }
-    }
-
-    /// Rotates the ring, handing the caller the freed slot's value lane to
-    /// overwrite.
-    fn advance(&mut self) -> &mut [i32] {
-        self.head += 1;
-        if self.head == self.slots {
-            self.head = 0;
-        }
-        &mut self.regs[self.head * self.lanes..(self.head + 1) * self.lanes]
-    }
-
-    /// Commits the freshly staged slot's validity as one dense lane range
-    /// (`None` = the edge was idle) and records its summary.
-    fn commit_dense(&mut self, range: Option<(u32, u32)>) {
-        let slot = self.head;
-        self.valid[slot * self.words..(slot + 1) * self.words].fill(0);
-        self.summaries[slot] = match range {
-            Some((first, last)) => {
-                set_range(
-                    &mut self.valid[slot * self.words..(slot + 1) * self.words],
-                    first as usize,
-                    last as usize,
-                );
-                LaneSummary::dense_range(first, last)
+    /// Writes one stage — row `row` carries `value(row)`, valid when
+    /// `valid(row)` — into the head slot and its mirror. The stage goes in
+    /// copy by copy, so every write is a single store rather than a short
+    /// fill per row.
+    fn write_stage(&mut self, value: impl Fn(usize) -> i32, valid: impl Fn(usize) -> bool) {
+        let (k, slots, head) = (self.k, self.cursor.slots, self.cursor.head);
+        for copy in head * k..(head + 1) * k {
+            for (row, lane) in self.values.chunks_exact_mut(2 * slots * k).enumerate() {
+                lane[copy] = value(row);
+                lane[copy + slots * k] = lane[copy];
             }
-            None => LaneSummary::default(),
-        };
+        }
+        for (row, flags) in self.valid.chunks_exact_mut(2 * slots).enumerate() {
+            flags[head] = valid(row);
+            flags[head + slots] = flags[head];
+        }
     }
 
-    fn values(&self, slot: usize) -> &[i32] {
-        &self.regs[slot * self.lanes..(slot + 1) * self.lanes]
+    /// Stages the west edge of `cycle` from the feeder.
+    fn stage_feeder(&mut self, west: &OsWestFeeder<'_>, cycle: u64) {
+        if !self.cursor.advance(west.active_rows(cycle).is_none()) {
+            return;
+        }
+        let mut edge = std::mem::take(&mut self.edge);
+        let (first, last) = west
+            .stage_values_into(cycle, &mut edge)
+            .map_or((1, 0), |(first, last)| (first as usize, last as usize));
+        self.write_stage(|row| edge[row], |row| (first..=last).contains(&row));
+        self.edge = edge;
     }
 
-    fn validity(&self, slot: usize) -> &[u64] {
-        &self.valid[slot * self.words..(slot + 1) * self.words]
+    /// Stages one west edge given in `Option` form (`None` = no operand).
+    fn stage_options(&mut self, inputs: &[Option<i32>]) {
+        if !self.cursor.advance(inputs.iter().all(Option::is_none)) {
+            return;
+        }
+        self.write_stage(|row| inputs[row].unwrap_or(0), |row| inputs[row].is_some());
     }
 
-    /// `true` when no slot holds a valid operand.
-    fn is_drained(&self) -> bool {
-        self.summaries.iter().all(|s| s.count == 0)
+    /// The operand each column `0..cols` of `row` sees this cycle.
+    fn operands(&self, row: usize, cols: usize) -> &[i32] {
+        let (k, slots) = (self.k, self.cursor.slots);
+        let at = row * 2 * slots * k + self.cursor.head * k;
+        &self.values[at..at + cols]
     }
 
-    /// Drops all slot metadata without moving the head — used by the bulk
-    /// dead-cycle skip, which does not rotate the ring over the skipped
-    /// cycles.
-    fn invalidate(&mut self) {
-        self.valid.fill(0);
-        self.summaries.fill(LaneSummary::default());
+    /// Whether each column block of `row` sees a valid operand this cycle.
+    fn validity(&self, row: usize) -> &[bool] {
+        let slots = self.cursor.slots;
+        let at = row * 2 * slots + self.cursor.head;
+        &self.valid[at..at + slots]
+    }
+}
+
+/// The `B` operand pipeline: one register per (row block, column), stored
+/// as a ring of edge stages.
+#[derive(Debug, Clone)]
+struct StageRing {
+    /// Operands, `slot * lanes..(slot + 1) * lanes` per stage.
+    values: Vec<i32>,
+    /// Validity of `values`, same layout.
+    valid: Vec<bool>,
+    cursor: StageCursor,
+    lanes: usize,
+}
+
+impl StageRing {
+    fn new(slots: usize, lanes: usize) -> Self {
+        Self {
+            values: vec![0; slots * lanes],
+            valid: vec![false; slots * lanes],
+            cursor: StageCursor::new(slots),
+            lanes,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.values.fill(0);
+        self.valid.fill(false);
+        self.cursor = StageCursor::new(self.cursor.slots);
+    }
+
+    /// The value and validity lanes of the head slot.
+    fn head_mut(&mut self) -> (&mut [i32], &mut [bool]) {
+        let at = self.cursor.head * self.lanes;
+        (
+            &mut self.values[at..at + self.lanes],
+            &mut self.valid[at..at + self.lanes],
+        )
+    }
+
+    /// Stages the north edge of `cycle` from the feeder.
+    fn stage_feeder(&mut self, north: &OsNorthFeeder<'_>, cycle: u64) {
+        if !self.cursor.advance(north.active_cols(cycle).is_none()) {
+            return;
+        }
+        let (values, valid) = self.head_mut();
+        valid.fill(false);
+        if let Some((first, last)) = north.stage_values_into(cycle, values) {
+            valid[first as usize..=last as usize].fill(true);
+        }
+    }
+
+    /// Stages one north edge given in `Option` form (`None` = no operand).
+    fn stage_options(&mut self, inputs: &[Option<i32>]) {
+        if !self.cursor.advance(inputs.iter().all(Option::is_none)) {
+            return;
+        }
+        let (values, valid) = self.head_mut();
+        for ((value, valid), input) in values.iter_mut().zip(valid).zip(inputs) {
+            *value = input.unwrap_or(0);
+            *valid = input.is_some();
+        }
+    }
+
+    /// The stage (values and validity) row block `rb` sees this cycle.
+    fn stage(&self, rb: usize) -> (&[i32], &[bool]) {
+        let at = self.cursor.slot(rb) * self.lanes;
+        (
+            &self.values[at..at + self.lanes],
+            &self.valid[at..at + self.lanes],
+        )
     }
 }
 
@@ -153,14 +303,15 @@ impl OperandRing {
 #[derive(Debug, Clone)]
 pub struct OutputStationaryArray {
     config: ArrayConfig,
-    /// `A` operand pipeline: one register per (row, column block), staged
-    /// west, shifting east. `col_blocks` ring slots of `rows` lanes.
-    a_ring: OperandRing,
-    /// `B` operand pipeline: one register per (row block, column), staged
-    /// north, shifting south. `row_blocks` ring slots of `cols` lanes.
-    b_ring: OperandRing,
+    /// `A` operand pipeline, staged west, shifting east.
+    a_lanes: RowLanes,
+    /// `B` operand pipeline, staged north, shifting south.
+    b_ring: StageRing,
     /// Resident accumulators, one per PE, row-major (`row * cols + col`).
     acc: Vec<i64>,
+    /// Whether the operands in flight are one feeder schedule from a clean
+    /// pipeline — the precondition of the analytic wavefront kernel.
+    purity: StreamPurity,
     fast_path: bool,
     stats: RunStats,
 }
@@ -184,11 +335,13 @@ impl OutputStationaryArray {
         }
         let rows = config.rows as usize;
         let cols = config.cols as usize;
+        let k = config.collapse_depth as usize;
         Ok(Self {
             config,
-            a_ring: OperandRing::new(config.col_blocks() as usize, rows),
-            b_ring: OperandRing::new(config.row_blocks() as usize, cols),
+            a_lanes: RowLanes::new(rows, cols, k),
+            b_ring: StageRing::new(config.row_blocks() as usize, cols),
             acc: vec![0; rows * cols],
+            purity: StreamPurity::Clean,
             fast_path: true,
             stats: RunStats::default(),
         })
@@ -215,18 +368,17 @@ impl OutputStationaryArray {
         &self.acc
     }
 
-    /// Returns whether the frontier-summary fast path is enabled (the
+    /// Returns whether the analytic wavefront kernel is enabled (the
     /// default).
     #[must_use]
     pub fn fast_path(&self) -> bool {
         self.fast_path
     }
 
-    /// Enables or disables the fast path. With it enabled, a cycle pairs
-    /// the two rings' dense frontier summaries and evaluates only the
-    /// (row block, column block) pairs with valid operands on both sides;
-    /// disabled, every PE is scanned every cycle. Outputs and [`RunStats`]
-    /// are bit-identical either way (cross-checked in the tests); the knob
+    /// Enables or disables the analytic wavefront kernel of
+    /// [`OutputStationaryArray::run_cycles`]. Disabled, every cycle runs
+    /// the naive scan of every PE. Outputs and [`RunStats`] are
+    /// bit-identical either way (cross-checked in the tests); the knob
     /// exists for that cross-check and for measuring the speedup.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
@@ -239,9 +391,10 @@ impl OutputStationaryArray {
     /// configuration, except that the fast-path flag (a host-side
     /// measurement knob) is preserved.
     pub fn reset_for_tile(&mut self) {
-        self.a_ring.clear();
+        self.a_lanes.clear();
         self.b_ring.clear();
         self.acc.fill(0);
+        self.purity = StreamPurity::Clean;
         self.stats = RunStats::default();
     }
 
@@ -252,6 +405,10 @@ impl OutputStationaryArray {
     /// Nothing is emitted: results accumulate in place and are read back
     /// via [`OutputStationaryArray::accumulators`] or drained on the
     /// collector schedule by [`OutputStationaryArray::run_cycles`].
+    ///
+    /// The cycle runs the naive scan, and the arbitrary operands it stages
+    /// keep later `run_cycles` calls on the naive scan until the next
+    /// [`OutputStationaryArray::reset_for_tile`].
     ///
     /// # Errors
     ///
@@ -274,43 +431,12 @@ impl OutputStationaryArray {
                 reason: format!("expected {cols} north inputs, got {}", north_inputs.len()),
             });
         }
-        Self::stage_options(&mut self.a_ring, west_inputs);
-        Self::stage_options(&mut self.b_ring, north_inputs);
-        let macs = self.compute_cycle();
+        self.purity = StreamPurity::Poisoned;
+        self.a_lanes.stage_options(west_inputs);
+        self.b_ring.stage_options(north_inputs);
+        let macs = self.compute_naive();
         self.commit_cycle_stats(macs);
         Ok(())
-    }
-
-    /// Stages one cycle's edge operands from `Option` form: values (holes
-    /// driven as zero), validity bits and the frontier summary, which is
-    /// sparse when the valid lanes are not contiguous.
-    fn stage_options(ring: &mut OperandRing, inputs: &[Option<i32>]) {
-        let lane_values = ring.advance();
-        let mut first = u32::MAX;
-        let mut last = 0u32;
-        let mut count = 0u32;
-        for (lane, input) in inputs.iter().enumerate() {
-            lane_values[lane] = input.unwrap_or(0);
-            if input.is_some() {
-                first = first.min(lane as u32);
-                last = lane as u32;
-                count += 1;
-            }
-        }
-        let slot = ring.head;
-        let words = ring.words;
-        ring.valid[slot * words..(slot + 1) * words].fill(0);
-        for (lane, input) in inputs.iter().enumerate() {
-            if input.is_some() {
-                set_bit(&mut ring.valid[slot * words..(slot + 1) * words], lane);
-            }
-        }
-        ring.summaries[slot] = LaneSummary {
-            first,
-            last,
-            count,
-            dense: count > 0 && count == last - first + 1,
-        };
     }
 
     /// Advances the array by `cycles` compute clock cycles
@@ -320,13 +446,19 @@ impl OutputStationaryArray {
     ///
     /// Semantically this is `cycles` calls to
     /// [`OutputStationaryArray::step`] with the two feeders' scheduled
-    /// edges, plus the collector draining the due accumulators each cycle;
-    /// as in the WS array, the per-cycle overhead is hoisted: operands are
-    /// staged straight from the streamed matrices as dense ranges, the
-    /// configuration checks run once per call, and trailing **dead
-    /// cycles** — both edges idle, both rings drained, nothing due — fold
-    /// into O(1) statistics bookkeeping via
-    /// [`RunStats::record_dead_cycles`].
+    /// edges, plus the collector draining the due accumulators each cycle.
+    /// The per-cycle overhead is hoisted: operands are staged straight
+    /// from the feeders' schedules, the configuration checks run once per
+    /// call, and trailing **dead cycles** — both edges idle, both
+    /// pipelines drained, nothing due — fold into O(1) statistics
+    /// bookkeeping via [`RunStats::record_dead_cycles`].
+    ///
+    /// When the call continues the feeders' schedule from a clean pipeline
+    /// (cycle 0 after construction or
+    /// [`OutputStationaryArray::reset_for_tile`], or exactly where the
+    /// previous call on a stream of the same length stopped), each cycle
+    /// runs the analytic wavefront kernel; otherwise it runs the naive
+    /// scan.
     ///
     /// # Errors
     ///
@@ -360,19 +492,18 @@ impl OutputStationaryArray {
                 ),
             });
         }
-        if west.stream_length() != north.stream_length()
-            || west.stream_length() != collector.reduction_length()
-        {
+        let n = west.stream_length();
+        if n != north.stream_length() || n != collector.reduction_length() {
             return Err(SimError::DimensionMismatch {
                 reason: format!(
-                    "reduction lengths disagree: west {}, north {}, collector {}",
-                    west.stream_length(),
+                    "reduction lengths disagree: west {n}, north {}, collector {}",
                     north.stream_length(),
                     collector.reduction_length()
                 ),
             });
         }
         let end = first_cycle.saturating_add(cycles);
+        let analytic = self.purity.admit(n, first_cycle, end) && self.fast_path;
         let idle_from = west.idle_from().max(north.idle_from());
         let last_due = collector.last_due_cycle();
         let mut cycle = first_cycle;
@@ -382,154 +513,94 @@ impl OutputStationaryArray {
             // cycle is pure bookkeeping.
             if cycle >= idle_from
                 && last_due.map_or(true, |due| cycle > due)
-                && self.a_ring.is_drained()
-                && self.b_ring.is_drained()
+                && self.a_lanes.cursor.is_drained()
+                && self.b_ring.cursor.is_drained()
             {
-                // The ring heads do not advance over skipped cycles, so
-                // drop the (drained, no longer readable) slot metadata.
-                self.a_ring.invalidate();
-                self.b_ring.invalidate();
                 self.record_dead_cycles(end - cycle);
                 break;
             }
-            let a_range = {
-                let lane = self.a_ring.advance();
-                west.stage_values_into(cycle, lane)
+            self.a_lanes.stage_feeder(west, cycle);
+            self.b_ring.stage_feeder(north, cycle);
+            let macs = if analytic {
+                self.compute_wavefront(n, cycle)
+            } else {
+                self.compute_naive()
             };
-            self.a_ring.commit_dense(a_range);
-            let b_range = {
-                let lane = self.b_ring.advance();
-                north.stage_values_into(cycle, lane)
-            };
-            self.b_ring.commit_dense(b_range);
-            let macs = self.compute_cycle();
             self.commit_cycle_stats(macs);
-            collector.collect_due(cycle, &self.acc)?;
+            if let Err(e) = collector.collect_due(cycle, &self.acc) {
+                self.purity = StreamPurity::Poisoned;
+                return Err(e);
+            }
             cycle += 1;
         }
         Ok(())
     }
 
-    /// Evaluates one committed cycle's multiply-accumulates, returning the
-    /// MAC count.
-    fn compute_cycle(&mut self) -> u64 {
-        if self.fast_path {
-            self.compute_fast()
-        } else {
-            self.compute_naive()
-        }
-    }
-
-    /// Fast path: pairs the rings' frontier summaries per (row block,
-    /// column block). PE `(i, j)` multiplies lane `i` of the `A` slot
-    /// `floor(j/k)` stages from the west edge with lane `j` of the `B` slot
-    /// `floor(i/k)` stages from the north edge, so a block pair is active
-    /// exactly when the `A` slot has valid rows inside the row block *and*
-    /// the `B` slot has valid columns inside the column block — dense
-    /// summaries give those intersections in O(1), sparse ones fall back to
-    /// the bitsets.
-    fn compute_fast(&mut self) -> u64 {
+    /// The analytic wavefront kernel: one cycle of a pure feeder stream of
+    /// length `n`, returning the MAC count.
+    ///
+    /// Block pair `(rb, cb)` is active exactly when
+    /// `cycle - n + 1 <= rb + cb <= cycle`, so each active row block owns
+    /// one contiguous, block-aligned column range, and every row of the
+    /// block runs one fused multiply-accumulate over it: its accumulator
+    /// row, its `A` lane window and the `B` stage of the block.
+    fn compute_wavefront(&mut self, n: u64, cycle: u64) -> u64 {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let k = self.config.collapse_depth as usize;
-        let row_blocks = self.config.row_blocks() as usize;
-        let col_blocks = self.config.col_blocks() as usize;
+        let rb_max = u64::from(self.config.row_blocks()) - 1;
+        let cb_max = u64::from(self.config.col_blocks()) - 1;
+        // The smallest active `rb + cb`.
+        let lo = (cycle + 1).saturating_sub(n);
+        if n == 0 || lo > rb_max + cb_max {
+            return 0;
+        }
         let mut macs = 0u64;
-        for cb in 0..col_blocks {
-            let a_slot = self.a_ring.slot(cb);
-            let sa = self.a_ring.summaries[a_slot];
-            if sa.count == 0 {
-                continue;
-            }
-            let col0 = cb * k;
-            let col1 = (col0 + k).min(cols) - 1;
-            for rb in 0..row_blocks {
-                let b_slot = self.b_ring.slot(rb);
-                let sb = self.b_ring.summaries[b_slot];
-                if sb.count == 0 {
-                    continue;
-                }
-                let row0 = rb * k;
-                let row1 = (row0 + k).min(rows) - 1;
-                if sa.dense && sb.dense {
-                    let r0 = row0.max(sa.first as usize);
-                    let r1 = row1.min(sa.last as usize);
-                    if r0 > r1 {
-                        continue;
-                    }
-                    let c0 = col0.max(sb.first as usize);
-                    let c1 = col1.min(sb.last as usize);
-                    if c0 > c1 {
-                        continue;
-                    }
-                    let a_values = self.a_ring.values(a_slot);
-                    let b_values = self.b_ring.values(b_slot);
-                    for (i, &a_raw) in a_values.iter().enumerate().take(r1 + 1).skip(r0) {
-                        let a = i64::from(a_raw);
-                        let acc_row = &mut self.acc[i * cols + c0..i * cols + c1 + 1];
-                        for (acc, &b) in acc_row.iter_mut().zip(&b_values[c0..=c1]) {
-                            *acc = acc.wrapping_add(a * i64::from(b));
-                        }
-                    }
-                    macs += ((r1 - r0 + 1) * (c1 - c0 + 1)) as u64;
-                } else {
-                    macs += self.eval_block_sparse(a_slot, b_slot, row0, row1, col0, col1);
+        for rb in lo.saturating_sub(cb_max)..=rb_max.min(cycle) {
+            let col0 = lo.saturating_sub(rb) as usize * k;
+            let col1 = ((cb_max.min(cycle - rb) as usize + 1) * k).min(cols);
+            let rb = rb as usize;
+            let (b_stage, b_valid) = self.b_ring.stage(rb);
+            debug_assert!(
+                b_valid[col0..col1].iter().all(|&v| v),
+                "misaligned B wavefront at cycle {cycle}, row block {rb}"
+            );
+            let b = &b_stage[col0..col1];
+            let row1 = ((rb + 1) * k).min(rows);
+            for row in rb * k..row1 {
+                debug_assert!(
+                    self.a_lanes.validity(row)[col0 / k..col1.div_ceil(k)]
+                        .iter()
+                        .all(|&v| v),
+                    "misaligned A wavefront at cycle {cycle}, row {row}"
+                );
+                let a = &self.a_lanes.operands(row, cols)[col0..col1];
+                let acc = &mut self.acc[row * cols + col0..row * cols + col1];
+                for ((acc, &a), &b) in acc.iter_mut().zip(a).zip(b) {
+                    *acc = acc.wrapping_add(i64::from(a) * i64::from(b));
                 }
             }
+            macs += ((row1 - rb * k) * (col1 - col0)) as u64;
         }
         macs
     }
 
-    /// Bitset fallback for a block pair with a hole-bearing stage on
-    /// either side.
-    fn eval_block_sparse(
-        &mut self,
-        a_slot: usize,
-        b_slot: usize,
-        row0: usize,
-        row1: usize,
-        col0: usize,
-        col1: usize,
-    ) -> u64 {
-        let cols = self.config.cols as usize;
-        let mut macs = 0u64;
-        for i in row0..=row1 {
-            if !get_bit(self.a_ring.validity(a_slot), i) {
-                continue;
-            }
-            let a = i64::from(self.a_ring.values(a_slot)[i]);
-            for j in col0..=col1 {
-                if !get_bit(self.b_ring.validity(b_slot), j) {
-                    continue;
-                }
-                let b = i64::from(self.b_ring.values(b_slot)[j]);
-                self.acc[i * cols + j] = self.acc[i * cols + j].wrapping_add(a * b);
-                macs += 1;
-            }
-        }
-        macs
-    }
-
-    /// Naive reference: scans every PE every cycle, checking both operand
-    /// validity bits. Kept as the cross-check twin of the fast path.
+    /// The naive scan: every PE multiplies when both of its operands are
+    /// valid. Returns the MAC count.
     fn compute_naive(&mut self) -> u64 {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let k = self.config.collapse_depth as usize;
         let mut macs = 0u64;
-        for i in 0..rows {
-            let b_slot = self.b_ring.slot(i / k);
-            for j in 0..cols {
-                let a_slot = self.a_ring.slot(j / k);
-                if !get_bit(self.a_ring.validity(a_slot), i)
-                    || !get_bit(self.b_ring.validity(b_slot), j)
-                {
-                    continue;
+        for row in 0..rows {
+            let (a, a_valid) = (self.a_lanes.operands(row, cols), self.a_lanes.validity(row));
+            let (b, b_valid) = self.b_ring.stage(row / k);
+            let acc = &mut self.acc[row * cols..(row + 1) * cols];
+            for col in 0..cols {
+                if a_valid[col / k] && b_valid[col] {
+                    acc[col] = acc[col].wrapping_add(i64::from(a[col]) * i64::from(b[col]));
+                    macs += 1;
                 }
-                let a = i64::from(self.a_ring.values(a_slot)[i]);
-                let b = i64::from(self.b_ring.values(b_slot)[j]);
-                self.acc[i * cols + j] = self.acc[i * cols + j].wrapping_add(a * b);
-                macs += 1;
             }
         }
         macs

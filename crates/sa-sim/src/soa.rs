@@ -1,13 +1,13 @@
-//! Structure-of-arrays primitives shared by every array backend.
+//! Structure-of-arrays primitives of the array backends.
 //!
-//! The weight-stationary core ([`crate::array`]) and the output-stationary
-//! core ([`crate::os_array`]) keep their pipeline state in the same shape:
-//! flat register buffers with packed `u64` validity bitsets (one
+//! The weight-stationary core ([`crate::array`]) keeps its pipeline state
+//! as flat register buffers with packed `u64` validity bitsets (one
 //! word-aligned segment per pipeline stage) and one [`LaneSummary`] frontier
-//! summary per stage. This module holds those primitives so the backends can
-//! never drift apart on the bit-level invariants the differential tests
-//! exercise (word-boundary geometries above 64 lanes, dense-versus-sparse
-//! stage classification).
+//! summary per stage; the bit-level helpers here carry the invariants its
+//! differential tests exercise (word-boundary geometries above 64 lanes,
+//! dense-versus-sparse stage classification). [`StreamPurity`] is shared
+//! with the output-stationary core ([`crate::os_array`]): both arrays run
+//! their analytic wavefront kernel only while it holds.
 
 pub(crate) const WORD_BITS: usize = 64;
 
@@ -88,6 +88,47 @@ impl LaneSummary {
     }
 }
 
+/// Whether the operands currently in flight are provably the prefix of one
+/// deterministic feeder schedule — the precondition of the analytic
+/// wavefront kernels of both arrays' `run_cycles`, whose active-window math
+/// assumes that schedule was followed from cycle 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StreamPurity {
+    /// The pipelines are empty; any schedule may start at cycle 0.
+    Clean,
+    /// Cycles `0..next` of a feeder stream of length `t` have been fed,
+    /// nothing else.
+    Tracked {
+        /// The stream length the in-flight schedule was generated from.
+        t: u64,
+        /// The next cycle index the schedule expects.
+        next: u64,
+    },
+    /// Arbitrary edge inputs were fed; only the generic kernel may run
+    /// until the pipelines are cleared.
+    Poisoned,
+}
+
+impl StreamPurity {
+    /// Admits a run of cycles `first_cycle..end` of a feeder stream of
+    /// length `t`: returns whether the run continues the tracked schedule
+    /// (so the analytic kernel applies) and records the outcome — the run's
+    /// end as the next expected cycle, or poison.
+    pub(crate) fn admit(&mut self, t: u64, first_cycle: u64, end: u64) -> bool {
+        let pure = match *self {
+            Self::Clean => first_cycle == 0,
+            Self::Tracked { t: tracked, next } => tracked == t && first_cycle == next,
+            Self::Poisoned => false,
+        };
+        *self = if pure {
+            Self::Tracked { t, next: end }
+        } else {
+            Self::Poisoned
+        };
+        pure
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,5 +175,20 @@ mod tests {
         assert_eq!((s.first, s.last, s.count), (3, 7, 5));
         assert!(s.dense);
         assert_eq!(LaneSummary::default().count, 0);
+    }
+
+    #[test]
+    fn stream_purity_admits_only_uninterrupted_continuations() {
+        let mut purity = StreamPurity::Clean;
+        assert!(purity.admit(5, 0, 3));
+        assert!(purity.admit(5, 3, 9));
+        // A different stream length poisons, and poison sticks.
+        assert!(!StreamPurity::Tracked { t: 5, next: 9 }.admit(6, 9, 10));
+        let mut skipped = StreamPurity::Tracked { t: 5, next: 9 };
+        assert!(!skipped.admit(5, 10, 12));
+        assert_eq!(skipped, StreamPurity::Poisoned);
+        assert!(!skipped.admit(5, 12, 13));
+        // A clean pipeline only admits a schedule from its first cycle.
+        assert!(!StreamPurity::Clean.admit(5, 1, 2));
     }
 }

@@ -4,13 +4,22 @@
 //! `common::os::LegacyOsArray` is the array-of-structs reference for the
 //! output-stationary dataflow: full-size operand register files with
 //! `Vec<bool>` validity, resident per-PE accumulators, and a per-cycle scan
-//! of every processing element. The tests drive it cycle for cycle against
-//! [`OutputStationaryArray`] (both with and without the block-frontier fast
-//! path) across randomized geometries, collapse depths, reduction lengths
-//! and operand sparsity — including streams with mid-stream holes and
-//! word-boundary geometries wider than 64 lanes — asserting bit-identical
-//! accumulator files and [`RunStats`](sa_sim::RunStats) every cycle. On top
-//! of the reference, every full tile is checked against the
+//! of every processing element. The tests drive it against
+//! [`OutputStationaryArray`] through both entry points, asserting
+//! bit-identical accumulator files and [`RunStats`](sa_sim::RunStats):
+//!
+//! * every cycle of [`OutputStationaryArray::step`] (the naive scan)
+//!   across randomized geometries, collapse depths, reduction lengths and
+//!   operand sparsity — including streams with mid-stream holes and
+//!   geometries wider than 64 lanes;
+//! * after every chunk of [`OutputStationaryArray::run_cycles`] split at
+//!   random points down to single cycles, which pins the analytic
+//!   wavefront kernel cycle range by cycle range rather than by its drained
+//!   output alone — plus the schedules the wavefront kernel must refuse
+//!   (`step` first, a skipped resume cycle, a different stream length, a
+//!   repeated run without a reset), which fall back to the naive scan.
+//!
+//! On top of the reference, every full tile is checked against the
 //! dataflow-independent oracle: [`multiply`] of the same operands, which
 //! both the weight-stationary and output-stationary backends must
 //! reproduce exactly.
@@ -65,14 +74,42 @@ fn north_options(
         .collect()
 }
 
+/// A random `R x N` by `N x C` tile; `zero_fraction` percent of the
+/// operands are zero.
+fn random_tile(
+    config: ArrayConfig,
+    n: usize,
+    seed: u64,
+    zero_fraction: u32,
+) -> (Matrix<i32>, Matrix<i32>) {
+    let mut rng = SplitMix64::new(seed);
+    let mut sparse = |low: i32, high: i32| {
+        let value = rng.next_i32_in(low, high);
+        if rng.next_i32_in(0, 99) < zero_fraction as i32 {
+            0
+        } else {
+            value
+        }
+    };
+    let a = Matrix::from_fn(config.rows as usize, n, |_, _| sparse(-60, 60));
+    let b = Matrix::from_fn(n, config.cols as usize, |_, _| sparse(-60, 60));
+    (a, b)
+}
+
+fn os_config(rows: u32, cols: u32, k: u32) -> ArrayConfig {
+    ArrayConfig::new(rows, cols)
+        .with_collapse_depth(k)
+        .with_dataflow(Dataflow::OutputStationary)
+}
+
 /// Streams one random `R x N` by `N x C` tile through the reference and
-/// both modes of the output-stationary engine, asserting bit-identical
-/// accumulator files and statistics **every cycle**. `zero_fraction`
-/// controls operand sparsity (the fast path must not confuse *zero-valued*
-/// with *invalid* operands); `a_mask` / `b_mask` drop stream indices
-/// wholesale, the mid-stream-hole shape that forces the sparse fallback.
-/// With no holes, the settled accumulators are also checked against the
-/// dataflow-independent oracle `multiply(a, b)`.
+/// [`OutputStationaryArray::step`], asserting bit-identical accumulator
+/// files and statistics **every cycle**. `zero_fraction` controls operand
+/// sparsity (the engine must not confuse *zero-valued* with *invalid*
+/// operands); `a_mask` / `b_mask` drop stream indices wholesale, leaving
+/// holes in the middle of a stream. With no holes, the settled
+/// accumulators are also checked against the dataflow-independent oracle
+/// `multiply(a, b)`.
 #[allow(clippy::too_many_arguments)]
 fn assert_os_equivalent(
     rows: u32,
@@ -84,25 +121,10 @@ fn assert_os_equivalent(
     a_mask: u64,
     b_mask: u64,
 ) {
-    let config = ArrayConfig::new(rows, cols)
-        .with_collapse_depth(k)
-        .with_dataflow(Dataflow::OutputStationary);
-    let mut rng = SplitMix64::new(seed);
-    let sparse = |rng: &mut SplitMix64, low: i32, high: i32| {
-        let value = rng.next_i32_in(low, high);
-        if rng.next_i32_in(0, 99) < zero_fraction as i32 {
-            0
-        } else {
-            value
-        }
-    };
-    let a = Matrix::from_fn(rows as usize, n, |_, _| sparse(&mut rng, -60, 60));
-    let b = Matrix::from_fn(n, cols as usize, |_, _| sparse(&mut rng, -60, 60));
-
+    let config = os_config(rows, cols, k);
+    let (a, b) = random_tile(config, n, seed, zero_fraction);
     let mut reference = LegacyOsArray::new(config);
-    let mut fast = OutputStationaryArray::new(config).unwrap();
-    let mut naive = OutputStationaryArray::new(config).unwrap();
-    naive.set_fast_path(false);
+    let mut engine = OutputStationaryArray::new(config).unwrap();
 
     // Run well past the last scheduled operand so fill, steady state and
     // fully-drained cycles are all compared.
@@ -110,27 +132,16 @@ fn assert_os_equivalent(
         let west = west_options(&a, config, cycle, a_mask);
         let north = north_options(&b, config, cycle, b_mask);
         reference.step(&west, &north);
-        fast.step(&west, &north).unwrap();
-        naive.step(&west, &north).unwrap();
+        engine.step(&west, &north).unwrap();
         assert_eq!(
-            fast.accumulators(),
+            engine.accumulators(),
             reference.accumulators(),
-            "fast path diverged: {rows}x{cols} k={k} n={n} cycle={cycle}"
+            "accumulators diverged: {rows}x{cols} k={k} n={n} cycle={cycle}"
         );
         assert_eq!(
-            naive.accumulators(),
-            reference.accumulators(),
-            "naive scan diverged: {rows}x{cols} k={k} n={n} cycle={cycle}"
-        );
-        assert_eq!(
-            fast.stats(),
+            engine.stats(),
             reference.stats(),
-            "fast stats diverged: {rows}x{cols} k={k} n={n} cycle={cycle}"
-        );
-        assert_eq!(
-            naive.stats(),
-            reference.stats(),
-            "naive stats diverged: {rows}x{cols} k={k} n={n} cycle={cycle}"
+            "stats diverged: {rows}x{cols} k={k} n={n} cycle={cycle}"
         );
     }
 
@@ -148,11 +159,109 @@ fn assert_os_equivalent(
     }
 }
 
+/// The engine and the reference fed identical edges, compared after every
+/// call.
+struct Lockstep {
+    config: ArrayConfig,
+    engine: OutputStationaryArray,
+    reference: LegacyOsArray,
+}
+
+impl Lockstep {
+    fn new(config: ArrayConfig) -> Self {
+        Self {
+            config,
+            engine: OutputStationaryArray::new(config).unwrap(),
+            reference: LegacyOsArray::new(config),
+        }
+    }
+
+    /// Runs cycles `first..first + cycles` of the tile `a x b`:
+    /// [`OutputStationaryArray::run_cycles`] on the engine, the same
+    /// scheduled edges stepped one by one on the reference.
+    fn run(
+        &mut self,
+        (a, b): (&Matrix<i32>, &Matrix<i32>),
+        collector: &mut OsCollector,
+        first: u64,
+        cycles: u64,
+    ) {
+        let west = OsWestFeeder::new(a, self.config).unwrap();
+        let north = OsNorthFeeder::new(b, self.config).unwrap();
+        self.engine
+            .run_cycles(&west, &north, first, cycles, collector)
+            .unwrap();
+        for cycle in first..first + cycles {
+            self.reference.step(
+                &west_options(a, self.config, cycle, 0),
+                &north_options(b, self.config, cycle, 0),
+            );
+        }
+        self.check(&format!("run_cycles {first}..{}", first + cycles));
+    }
+
+    /// Steps the scheduled edges of `cycle` into both models.
+    fn step(&mut self, (a, b): (&Matrix<i32>, &Matrix<i32>), cycle: u64) {
+        let west = west_options(a, self.config, cycle, 0);
+        let north = north_options(b, self.config, cycle, 0);
+        self.engine.step(&west, &north).unwrap();
+        self.reference.step(&west, &north);
+        self.check(&format!("step {cycle}"));
+    }
+
+    /// Runs cycles `first..end` in chunks whose lengths cycle through
+    /// `chunks`.
+    fn run_chunked(
+        &mut self,
+        tile: (&Matrix<i32>, &Matrix<i32>),
+        collector: &mut OsCollector,
+        (first, end): (u64, u64),
+        chunks: &[u64],
+    ) {
+        let mut cycle = first;
+        for &chunk in chunks.iter().cycle() {
+            if cycle >= end {
+                break;
+            }
+            let cycles = chunk.min(end - cycle);
+            self.run(tile, collector, cycle, cycles);
+            cycle += cycles;
+        }
+    }
+
+    fn check(&self, at: &str) {
+        let config = self.config;
+        assert_eq!(
+            self.engine.accumulators(),
+            self.reference.accumulators(),
+            "accumulators diverged: {config} after {at}"
+        );
+        assert_eq!(
+            self.engine.stats(),
+            self.reference.stats(),
+            "stats diverged: {config} after {at}"
+        );
+    }
+}
+
+/// Runs one whole tile (plus `extra` trailing cycles) through `run_cycles`
+/// in chunks, comparing against the reference after every chunk, and
+/// checks the drained output against the GEMM oracle.
+fn assert_chunked_tile(config: ArrayConfig, n: usize, seed: u64, extra: u64, chunks: &[u64]) {
+    let (a, b) = random_tile(config, n, seed, 20);
+    let mut lockstep = Lockstep::new(config);
+    let mut collector = OsCollector::new(config, n as u64);
+    let end = config.os_tile_cycles(n as u64) + extra;
+    lockstep.run_chunked((&a, &b), &mut collector, (0, end), chunks);
+    assert!(collector.is_complete(), "{config} n={n}");
+    assert_eq!(collector.into_output().unwrap(), multiply(&a, &b).unwrap());
+}
+
 #[test]
 fn os_engine_matches_the_reference_on_fixed_geometries() {
-    // Word-boundary geometries the random sweep is unlikely to hit: more
-    // than 64 rows/columns (multi-word ring validity segments) and blocks
-    // that straddle a word boundary.
+    // Geometries the random sweep is unlikely to hit: more than 64
+    // rows/columns, blocks that straddle the 64-lane mark, and ragged
+    // last blocks.
     for (rows, cols, k, n, seed) in [
         (1u32, 1u32, 1u32, 3usize, 1u64),
         (1, 8, 1, 2, 2),
@@ -169,8 +278,8 @@ fn os_engine_matches_the_reference_on_fixed_geometries() {
 
 #[test]
 fn holey_os_streams_match_on_word_boundary_geometries() {
-    // Sparse-fallback coverage: dropped stream indices on either or both
-    // edges, on geometries with multi-word validity segments.
+    // Dropped stream indices on either or both edges, on geometries wider
+    // than 64 lanes.
     for (rows, cols, k, n, seed, a_mask, b_mask) in [
         (65u32, 65u32, 1u32, 4usize, 21u64, 0b1010u64, 0u64),
         (70, 66, 4, 3, 22, 0, 0b0110),
@@ -181,14 +290,101 @@ fn holey_os_streams_match_on_word_boundary_geometries() {
     }
 }
 
+#[test]
+fn os_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
+    // Wide and ragged geometries, each with a reduction shorter than the
+    // block counts (the wavefront never fills the array) and one longer
+    // (a steady state where every block pair is active).
+    let chunks = [1, 1, 3, 1, 7, 2, 1, 13];
+    for (rows, cols, k, ns) in [
+        (65u32, 65u32, 1u32, [3usize, 70]),
+        (70, 66, 4, [5, 20]),
+        (66, 70, 33, [1, 5]),
+        (96, 8, 8, [4, 14]),
+    ] {
+        for (seed, n) in ns.into_iter().enumerate() {
+            assert_chunked_tile(os_config(rows, cols, k), n, seed as u64, 3, &chunks);
+        }
+    }
+}
+
+#[test]
+fn os_run_cycles_after_step_matches_the_reference() {
+    for (rows, cols, k, n) in [(9u32, 7u32, 2u32, 6usize), (65, 65, 1, 3), (8, 96, 8, 5)] {
+        let config = os_config(rows, cols, k);
+        let (a, b) = random_tile(config, n, 31, 20);
+        let mut lockstep = Lockstep::new(config);
+        for cycle in 0..3 {
+            lockstep.step((&a, &b), cycle);
+        }
+        let mut collector = OsCollector::new(config, n as u64);
+        let end = config.os_tile_cycles(n as u64);
+        lockstep.run_chunked((&a, &b), &mut collector, (3, end), &[1, 4]);
+    }
+}
+
+#[test]
+fn os_run_cycles_resumed_at_a_skipped_cycle_matches_the_reference() {
+    for (rows, cols, k, n) in [(9u32, 7u32, 2u32, 6usize), (65, 65, 1, 3), (70, 66, 4, 5)] {
+        let config = os_config(rows, cols, k);
+        let (a, b) = random_tile(config, n, 32, 20);
+        let mut lockstep = Lockstep::new(config);
+        let mut collector = OsCollector::new(config, n as u64);
+        let end = config.os_tile_cycles(n as u64);
+        lockstep.run((&a, &b), &mut collector, 0, 4);
+        // Cycles 4 and 5 are never staged on either model.
+        lockstep.run_chunked((&a, &b), &mut collector, (6, end), &[1, 3]);
+    }
+}
+
+#[test]
+fn os_run_cycles_with_a_different_stream_length_matches_the_reference() {
+    for (rows, cols, k, n, other_n) in [
+        (9u32, 7u32, 2u32, 6usize, 4usize),
+        (65, 65, 1, 3, 5),
+        (96, 8, 8, 4, 2),
+    ] {
+        let config = os_config(rows, cols, k);
+        let (a, b) = random_tile(config, n, 33, 20);
+        let (other_a, other_b) = random_tile(config, other_n, 34, 20);
+        let mut lockstep = Lockstep::new(config);
+        let mut collector = OsCollector::new(config, n as u64);
+        lockstep.run((&a, &b), &mut collector, 0, 5);
+        let mut other_collector = OsCollector::new(config, other_n as u64);
+        let end = config.os_tile_cycles(other_n as u64);
+        lockstep.run_chunked(
+            (&other_a, &other_b),
+            &mut other_collector,
+            (5, end),
+            &[2, 1],
+        );
+    }
+}
+
+#[test]
+fn os_second_run_without_reset_matches_the_reference() {
+    for (rows, cols, k, n) in [(9u32, 7u32, 2u32, 6usize), (66, 70, 33, 5), (70, 66, 4, 5)] {
+        let config = os_config(rows, cols, k);
+        let (a, b) = random_tile(config, n, 35, 20);
+        let (other_a, other_b) = random_tile(config, n, 36, 20);
+        let mut lockstep = Lockstep::new(config);
+        let end = config.os_tile_cycles(n as u64);
+        let mut collector = OsCollector::new(config, n as u64);
+        lockstep.run_chunked((&a, &b), &mut collector, (0, end), &[5]);
+        // A second tile from cycle 0 on top of the first one's state.
+        let mut collector = OsCollector::new(config, n as u64);
+        lockstep.run_chunked((&other_a, &other_b), &mut collector, (0, end), &[1, 6]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The output-stationary engine (fast path and naive scan) is
-    /// cycle-for-cycle identical — accumulators and statistics — to the
-    /// array-of-structs reference across randomized geometries, collapse
-    /// depths, reduction lengths and operand sparsity, and the settled
-    /// accumulators equal the GEMM oracle.
+    /// The output-stationary engine's `step` is cycle-for-cycle identical
+    /// — accumulators and statistics — to the array-of-structs reference
+    /// across randomized geometries, collapse depths, reduction lengths
+    /// and operand sparsity, and the settled accumulators equal the GEMM
+    /// oracle.
     #[test]
     fn os_engine_matches_the_reference(
         rows in 1u32..=12,
@@ -203,8 +399,7 @@ proptest! {
     }
 
     /// Streams with randomly dropped indices — on either edge, forcing
-    /// unpaired operands and the sparse frontier fallback — still match
-    /// the reference cycle for cycle.
+    /// unpaired operands — still match the reference cycle for cycle.
     #[test]
     fn os_engine_matches_the_reference_with_holes(
         rows in 1u32..=12,
@@ -264,6 +459,24 @@ proptest! {
         prop_assert_eq!(engine.stats(), reference.stats());
         prop_assert!(collector.is_complete());
         prop_assert_eq!(collector.into_output().unwrap(), multiply(&a, &b).unwrap());
+    }
+
+    /// `run_cycles` split into random chunks, down to single cycles,
+    /// leaves the same accumulators and statistics as stepping the
+    /// reference through the same edges after every chunk; the drained
+    /// output equals the GEMM oracle.
+    #[test]
+    fn os_run_cycles_matches_the_reference_after_every_chunk(
+        rows in 1u32..=12,
+        cols in 1u32..=12,
+        k in 1u32..=6,
+        n in 1usize..=10,
+        chunks in proptest::collection::vec(1u64..=8, 1..=6),
+        extra in 0u64..=20,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(k <= rows && k <= cols);
+        assert_chunked_tile(os_config(rows, cols, k), n, seed, extra, &chunks);
     }
 
     /// The dataflow-independent oracle: the same GEMM simulated on a

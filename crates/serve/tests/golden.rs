@@ -1,17 +1,19 @@
-//! Golden-file tests: canonical `/v1/plan` and `/v1/sweep` responses are
-//! committed to the repository and must never drift.
+//! Golden-file tests: canonical `/v1/plan`, `/v1/sweep` and
+//! `/v1/simulate` responses are committed to the repository and must never
+//! drift.
 //!
 //! The CI smoke test curls a live server with the same plan request
 //! (`scripts/serve_smoke.sh`) and compares against the same file, so the
 //! goldens pin the over-the-wire contract: the exact bytes of planning
-//! ResNet-34 on a 128x128 array with the paper's default calibration, and
-//! of sweeping one (network x size) pair across both array dataflows.
+//! ResNet-34 on a 128x128 array with the paper's default calibration, of
+//! sweeping one (network x size) pair across both array dataflows, and of
+//! register-level simulations at service-sized shapes on both dataflows.
 //!
 //! Regenerate intentionally with:
 //! `BLESS_GOLDEN=1 cargo test -p arrayflex-serve --test golden`
 
 use arrayflex::sa_sim::Dataflow;
-use arrayflex_serve::api::equivalent_sweep;
+use arrayflex_serve::api::{equivalent_sweep, MAX_SIM_MACS};
 use arrayflex_serve::client;
 use arrayflex_serve::http::{serve, ServerConfig};
 use cnn::DepthwiseMapping;
@@ -22,6 +24,30 @@ const GOLDEN_REQUEST: &str = r#"{"network":"resnet34","rows":128,"cols":128}"#;
 
 /// One (network x size) pair swept across both dataflows.
 const GOLDEN_SWEEP_REQUEST: &str = r#"{"array_sizes":[64],"networks":["mobilenet_v1"],"dataflows":["weight_stationary","output_stationary"]}"#;
+
+/// The `/v1/simulate` matrix: both dataflows x every supported depth on
+/// an 8x8 and a 64x64 array (GEMMs with partial edge tiles), then the
+/// largest GEMM the service accepts on the 64x64 output-stationary array.
+fn simulate_matrix_requests() -> Vec<String> {
+    let mut bodies = Vec::new();
+    for dataflow in Dataflow::ALL {
+        for (edge, t, n, m) in [(8u32, 20u64, 24u64, 13u64), (64, 80, 48, 72)] {
+            for k in 1..=4u32 {
+                let seed = 1000 + bodies.len() as u64;
+                bodies.push(format!(
+                    r#"{{"rows":{edge},"cols":{edge},"k":{k},"t":{t},"n":{n},"m":{m},"seed":{seed},"dataflow":"{}"}}"#,
+                    dataflow.as_str()
+                ));
+            }
+        }
+    }
+    let edge = 128u64;
+    assert_eq!(edge.pow(3), MAX_SIM_MACS);
+    bodies.push(format!(
+        r#"{{"rows":64,"cols":64,"k":2,"t":{edge},"n":{edge},"m":{edge},"seed":7,"dataflow":"output_stationary"}}"#
+    ));
+    bodies
+}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}"))
@@ -78,4 +104,24 @@ fn sweep_response_matches_the_committed_golden_file_and_the_library() {
     );
 
     assert_matches_golden("sweep_mobilenet_64_dataflows.json", &response.body);
+}
+
+#[test]
+fn simulate_matrix_matches_the_committed_golden_file() {
+    let handle = serve(ServerConfig::default()).expect("bind loopback");
+    let mut bodies = Vec::new();
+    for request in simulate_matrix_requests() {
+        let response = client::post_json(handle.addr(), "/v1/simulate", &request).unwrap();
+        assert_eq!(response.status, 200, "{request}");
+        let body = String::from_utf8(response.body).unwrap();
+        assert!(
+            body.contains(r#""cycles_match":true"#)
+                && body.contains(r#""functionally_correct":true"#),
+            "{request} -> {body}"
+        );
+        bodies.push(body);
+    }
+    handle.shutdown();
+    let document = format!("[\n{}\n]\n", bodies.join(",\n"));
+    assert_matches_golden("simulate_matrix.json", document.as_bytes());
 }
