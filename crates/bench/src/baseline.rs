@@ -3,7 +3,8 @@
 //! [`simcore_baseline`] times a fixed, deterministic set of hot-path
 //! workloads — the cycle-accurate tile kernels of both dataflows on
 //! drain-heavy, steady-state and full-size tiles, a whole tiled GEMM, the
-//! im2col lowering and the reference GEMM — and reports machine-readable records (bench name,
+//! im2col lowering, the reference GEMM and the compact JSON rendering of
+//! the `/v1/plan` golden plan — and reports machine-readable records (bench name,
 //! threads, iterations, ns/iter and, for the simulator benches, simulated
 //! cycles per wall-clock second). The `bench_baseline` binary wraps it;
 //! `scripts/bench_baseline.sh` regenerates the committed
@@ -17,12 +18,14 @@
 //! therefore meaningful per-machine (the committed file records the
 //! container the repository is developed in).
 
-use arrayflex::ArrayFlexError;
+use arrayflex::{ArrayFlexError, ArrayFlexModel};
+use cnn::DepthwiseMapping;
 use gemm::im2col::im2col;
 use gemm::rng::SplitMix64;
 use gemm::{multiply, ConvShape, Matrix, Tensor3};
 use sa_sim::{ArrayConfig, Dataflow, Simulator};
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Version of the `BENCH_simcore.json` schema this module emits.
@@ -72,6 +75,9 @@ impl BaselineReport {
 pub const DRAIN_HEAVY_FAST: &str = "simcore/tile_32x32_drain_heavy/fast";
 /// The naive-scan twin of [`DRAIN_HEAVY_FAST`].
 pub const DRAIN_HEAVY_NAIVE: &str = "simcore/tile_32x32_drain_heavy/naive";
+/// The JSON-emission bench: `serde_json::to_string` of the `/v1/plan`
+/// golden plan.
+pub const ENCODE_PLAN: &str = "json/encode_plan_resnet34_128x128";
 
 /// Best-of-three-batches wall-clock nanoseconds per iteration of `f`.
 fn time_batches<F: FnMut()>(iters: u64, mut f: F) -> f64 {
@@ -254,6 +260,16 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
         multiply(&a_ref, &b_ref).expect("reference GEMM");
     });
     benches.push(record("gemm/multiply_96x96x96", iters, None, ns));
+
+    // 9. Compact JSON rendering of the `/v1/plan` golden response: the
+    // ArrayFlex plan of ResNet-34 on a 128x128 array (10,431 bytes).
+    let plan = ArrayFlexModel::new(128, 128)?
+        .plan_arrayflex(&cnn::models::resnet34(), DepthwiseMapping::default())?;
+    let iters = scale(2000);
+    let ns = time_batches(iters, || {
+        black_box(serde_json::to_string(&plan).expect("plans serialize"));
+    });
+    benches.push(record(ENCODE_PLAN, iters, None, ns));
 
     Ok(BaselineReport {
         schema: SCHEMA_VERSION,
@@ -464,7 +480,7 @@ mod tests {
     fn quick_baseline_runs_and_round_trips_through_json() {
         let report = simcore_baseline(true).unwrap();
         assert!(report.quick);
-        assert_eq!(report.benches.len(), 8);
+        assert_eq!(report.benches.len(), 9);
         validate_report(&report).unwrap();
         assert!(report.bench(DRAIN_HEAVY_FAST).is_some());
         assert!(report.bench("simcore/nope").is_none());

@@ -62,6 +62,10 @@ impl Serialize for Dataflow {
     fn to_value(&self) -> Value {
         Value::Str(self.as_str().to_owned())
     }
+
+    fn serialize_into(&self, out: &mut String) {
+        self.as_str().serialize_into(out);
+    }
 }
 
 impl Deserialize for Dataflow {
@@ -301,6 +305,19 @@ mod tests {
             assert_eq!(Dataflow::parse(df.as_str()), Some(df));
             assert_eq!(df.to_value(), Value::Str(df.as_str().to_owned()));
             assert_eq!(Dataflow::from_value(&df.to_value()), Ok(df));
+            // The streamed rendering is the tree's, bare and inside a
+            // derived struct.
+            let mut streamed = String::new();
+            df.serialize_into(&mut streamed);
+            assert_eq!(streamed, format!("\"{}\"", df.as_str()));
+            let mut tree = String::new();
+            df.to_value().serialize_into(&mut tree);
+            assert_eq!(streamed, tree);
+            let config = ArrayConfig::new(8, 4).with_dataflow(df);
+            let (mut streamed, mut tree) = (String::new(), String::new());
+            config.serialize_into(&mut streamed);
+            config.to_value().serialize_into(&mut tree);
+            assert_eq!(streamed, tree);
         }
         assert_eq!(Dataflow::default(), Dataflow::WeightStationary);
         assert!(Dataflow::parse("input_stationary").is_none());

@@ -291,7 +291,7 @@ impl JobStore {
             }),
         });
         lock(&self.jobs).insert(entry.id.clone(), Arc::clone(&entry));
-        self.checkpoint(&entry);
+        checkpoint(&state, &entry);
         self.spawn_runner(state, Arc::clone(&entry));
         Ok(entry)
     }
@@ -356,15 +356,16 @@ impl JobStore {
             .expect("spawn job runner thread");
         lock(&self.handles).push(handle);
     }
+}
 
-    /// Persists one job's current progress atomically (tmp + sync +
-    /// rename, the plan-cache snapshot discipline). A write failure is
-    /// reported and the job keeps running in memory.
-    fn checkpoint(&self, entry: &JobEntry) {
-        let Some(dir) = &self.dir else { return };
-        if let Err(e) = persist(dir, entry) {
-            eprintln!("job {} checkpoint failed: {e}", entry.id);
-        }
+/// Persists one job's current progress atomically (tmp + sync + rename,
+/// the plan-cache snapshot discipline). A write failure is reported on
+/// stderr and counted, and the job keeps running in memory.
+fn checkpoint(state: &AppState, entry: &JobEntry) {
+    let Some(dir) = &state.jobs().dir else { return };
+    if let Err(e) = persist(dir, entry) {
+        eprintln!("job {} checkpoint failed: {e}", entry.id);
+        state.metrics().note_job_checkpoint_failed();
     }
 }
 
@@ -469,7 +470,7 @@ fn run_job(state: &Arc<AppState>, entry: &Arc<JobEntry>) {
             // shutdown left it Running so the checkpoint stays
             // resumable. Either way, stop at this point boundary.
             let terminal = lock(&entry.progress).status != JobStatus::Running;
-            state.jobs().checkpoint(entry);
+            checkpoint(state, entry);
             if terminal {
                 state.metrics().note_cancelled("job");
                 state.metrics().note_job_cancelled();
@@ -486,7 +487,7 @@ fn run_job(state: &Arc<AppState>, entry: &Arc<JobEntry>) {
         match api::sweep_point_fragment(state, &spec, index) {
             Ok(fragment) => {
                 lock(&entry.progress).fragments.push(fragment);
-                state.jobs().checkpoint(entry);
+                checkpoint(state, entry);
             }
             Err(e) => {
                 fail(state, entry, &format!("point {index} failed: {e}"));
@@ -500,7 +501,7 @@ fn run_job(state: &Arc<AppState>, entry: &Arc<JobEntry>) {
             // A DELETE won the race against the final point; the
             // cancellation branch above never ran, so acknowledge here.
             drop(progress);
-            state.jobs().checkpoint(entry);
+            checkpoint(state, entry);
             state.metrics().note_cancelled("job");
             state.metrics().note_job_cancelled();
             state.metrics().note_job_finished(&entry.tenant);
@@ -508,7 +509,7 @@ fn run_job(state: &Arc<AppState>, entry: &Arc<JobEntry>) {
         }
         progress.status = JobStatus::Completed;
     }
-    state.jobs().checkpoint(entry);
+    checkpoint(state, entry);
     state.metrics().note_job_completed();
     state.metrics().note_job_finished(&entry.tenant);
 }
@@ -520,7 +521,7 @@ fn fail(state: &Arc<AppState>, entry: &Arc<JobEntry>, message: &str) {
         progress.status = JobStatus::Failed;
         progress.error = message.to_owned();
     }
-    state.jobs().checkpoint(entry);
+    checkpoint(state, entry);
     state.metrics().note_job_failed();
     state.metrics().note_job_finished(&entry.tenant);
 }
@@ -672,6 +673,32 @@ mod tests {
         .unwrap();
         assert!(load_checkpoint(&dir.join("over.json")).is_err());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoints_stream_the_tree_bytes() {
+        const ALPHABET: [char; 10] = ['a', '{', '"', ':', '\\', '\n', '\u{1}', '/', 'é', '😀'];
+        let mut rng = gemm::rng::SplitMix64::new(14);
+        let text = |rng: &mut gemm::rng::SplitMix64| -> String {
+            (0..rng.next_u64() % 16)
+                .map(|_| ALPHABET[(rng.next_u64() % ALPHABET.len() as u64) as usize])
+                .collect()
+        };
+        for _ in 0..256 {
+            let checkpoint = Checkpoint {
+                id: text(&mut rng),
+                tenant: text(&mut rng),
+                status: text(&mut rng),
+                total: rng.next_u64() as usize,
+                request: text(&mut rng),
+                fragments: (0..rng.next_u64() % 5).map(|_| text(&mut rng)).collect(),
+                error: text(&mut rng),
+            };
+            assert_eq!(
+                serde_json::to_string(&checkpoint).unwrap(),
+                serde_json::to_string(&checkpoint.to_value()).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub struct Metrics {
     jobs_completed: AtomicU64,
     jobs_cancelled: AtomicU64,
     jobs_failed: AtomicU64,
+    jobs_checkpoint_failed: AtomicU64,
 }
 
 /// Locks a metrics mutex, recovering the data if a panicking thread
@@ -375,6 +376,18 @@ impl Metrics {
         self.jobs_failed.load(Ordering::Relaxed)
     }
 
+    /// Records one job checkpoint that could not be written (the job keeps
+    /// running in memory).
+    pub fn note_job_checkpoint_failed(&self) {
+        self.jobs_checkpoint_failed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Job checkpoint writes that failed so far.
+    #[must_use]
+    pub fn jobs_checkpoint_failed(&self) -> u64 {
+        self.jobs_checkpoint_failed.load(Ordering::Relaxed)
+    }
+
     /// Renders every metric in the Prometheus text exposition format.
     #[must_use]
     pub fn render_prometheus(&self, cache: &PlanCache) -> String {
@@ -582,6 +595,11 @@ impl Metrics {
                 "Jobs that stopped on an execution error.",
                 self.jobs_failed.load(Ordering::Relaxed),
             ),
+            (
+                "jobs_checkpoint_failed_total",
+                "Job checkpoint writes that failed; the job keeps running in memory.",
+                self.jobs_checkpoint_failed.load(Ordering::Relaxed),
+            ),
         ] {
             let _ = writeln!(out, "# HELP arrayflex_serve_{name} {help}");
             let _ = writeln!(out, "# TYPE arrayflex_serve_{name} counter");
@@ -697,11 +715,13 @@ mod tests {
         metrics.note_job_completed();
         metrics.note_job_cancelled();
         metrics.note_job_failed();
+        metrics.note_job_checkpoint_failed();
         assert_eq!(metrics.jobs_submitted(), 1);
         assert_eq!(metrics.jobs_resumed(), 1);
         assert_eq!(metrics.jobs_completed(), 1);
         assert_eq!(metrics.jobs_cancelled(), 1);
         assert_eq!(metrics.jobs_failed(), 1);
+        assert_eq!(metrics.jobs_checkpoint_failed(), 1);
         let cache = PlanCache::new(4);
         let text = metrics.render_prometheus(&cache);
         assert!(text.contains("arrayflex_serve_open_connections 1"));
@@ -723,6 +743,7 @@ mod tests {
         assert!(text.contains("arrayflex_serve_jobs_completed_total 1"));
         assert!(text.contains("arrayflex_serve_jobs_cancelled_total 1"));
         assert!(text.contains("arrayflex_serve_jobs_failed_total 1"));
+        assert!(text.contains("arrayflex_serve_jobs_checkpoint_failed_total 1"));
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //! ResNet-34 on a 128x128 array with the paper's default calibration, of
 //! sweeping one (network x size) pair across both array dataflows, and of
 //! register-level simulations at service-sized shapes on both dataflows.
+//! `plan_digests.json` widens the plan contract to every named network,
+//! design and mapping on two geometries, as one length and digest per
+//! body.
 //!
 //! Regenerate intentionally with:
 //! `BLESS_GOLDEN=1 cargo test -p arrayflex-serve --test golden`
 
 use arrayflex::sa_sim::Dataflow;
-use arrayflex_serve::api::{equivalent_sweep, MAX_SIM_MACS};
+use arrayflex_serve::api::{equivalent_sweep, MAX_SIM_MACS, NAMED_NETWORKS};
 use arrayflex_serve::client;
 use arrayflex_serve::http::{serve, ServerConfig};
 use cnn::DepthwiseMapping;
@@ -104,6 +107,55 @@ fn sweep_response_matches_the_committed_golden_file_and_the_library() {
     );
 
     assert_matches_golden("sweep_mobilenet_64_dataflows.json", &response.body);
+}
+
+/// 64-bit FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The `/v1/plan` digest matrix: every named network × every design ×
+/// both depthwise mappings, on a square and a skewed array.
+fn plan_digest_requests() -> Vec<String> {
+    let mut bodies = Vec::new();
+    for (rows, cols) in [(128u32, 128u32), (37, 200)] {
+        for network in NAMED_NETWORKS {
+            for design in [r#""arrayflex""#, r#""conventional""#, r#"{"fixed":2}"#] {
+                for mapping in ["BlockDiagonal", "PerGroup"] {
+                    bodies.push(format!(
+                        r#"{{"network":"{network}","rows":{rows},"cols":{cols},"design":{design},"mapping":"{mapping}"}}"#
+                    ));
+                }
+            }
+        }
+    }
+    bodies
+}
+
+/// Pins the length and FNV-1a digest of 72 `/v1/plan` bodies. The document
+/// is assembled with `format!` alone, so it does not depend on the JSON
+/// writer it checks.
+#[test]
+fn plan_digest_matrix_matches_the_committed_golden_file() {
+    let handle = serve(ServerConfig::default()).expect("bind loopback");
+    let mut rows = Vec::new();
+    for request in plan_digest_requests() {
+        let response = client::post_json(handle.addr(), "/v1/plan", &request).unwrap();
+        assert_eq!(response.status, 200, "{request}");
+        rows.push(format!(
+            r#"{{"request":{request},"bytes":{},"fnv1a":"{:016x}"}}"#,
+            response.body.len(),
+            fnv1a(&response.body)
+        ));
+    }
+    handle.shutdown();
+    let document = format!("[\n{}\n]\n", rows.join(",\n"));
+    assert_matches_golden("plan_digests.json", document.as_bytes());
 }
 
 #[test]

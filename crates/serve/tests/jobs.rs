@@ -1,7 +1,8 @@
 //! Integration tests of the async jobs API over real sockets: the
 //! submit / poll / result round trip (byte-identical to the synchronous
-//! sweep), restart on the same job directory, per-tenant token-bucket
-//! admission, and disconnect propagation into the worker queue.
+//! sweep), restart on the same job directory, counted checkpoint write
+//! failures, per-tenant token-bucket admission, and disconnect
+//! propagation into the worker queue.
 
 use arrayflex_serve::client::{self, read_response, ClientResponse, PersistentClient};
 use arrayflex_serve::http::{serve, ServerConfig};
@@ -143,6 +144,42 @@ fn a_job_round_trips_over_http_and_survives_a_restart() {
     let missing = client::get(restarted.addr(), "/v1/jobs/feedfacedeadbeef").unwrap();
     assert_eq!(missing.status, 404);
     restarted.shutdown();
+}
+
+#[test]
+fn failed_checkpoint_writes_are_counted_and_the_job_finishes_in_memory() {
+    let dir = TempJobDir::new("lost-dir");
+    let handle = serve(ServerConfig {
+        job_dir: Some(dir.0.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    // The server created the directory at startup; take it away so every
+    // checkpoint write fails.
+    std::fs::remove_dir_all(&dir.0).unwrap();
+    let reference = client::post_json(handle.addr(), "/v1/sweep", JOB_BODY).unwrap();
+    assert_eq!(reference.status, 200);
+
+    let submitted = client::post_json(handle.addr(), "/v1/jobs", JOB_BODY).unwrap();
+    assert_eq!(submitted.status, 202, "{:?}", submitted.text());
+    let doc: serde::Value = serde_json::from_str(submitted.text().unwrap()).unwrap();
+    let id = field_str(&doc, "id");
+    await_completed(handle.addr(), &id);
+    let result = client::get(handle.addr(), &format!("/v1/jobs/{id}/result")).unwrap();
+    assert_eq!(result.status, 200);
+    assert_eq!(result.body, reference.body);
+
+    let metrics = client::get(handle.addr(), "/metrics").unwrap();
+    let text = metrics.text().unwrap();
+    let failed: u64 = text
+        .lines()
+        .find_map(|line| line.strip_prefix("arrayflex_serve_jobs_checkpoint_failed_total "))
+        .expect("checkpoint failure counter exported")
+        .parse()
+        .unwrap();
+    assert!(failed >= 1, "{text}");
+    assert!(!dir.0.exists(), "no checkpoint may recreate the directory");
+    handle.shutdown();
 }
 
 #[test]
