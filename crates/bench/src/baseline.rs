@@ -219,7 +219,24 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record("simcore/tile_64x64_os_k1", iters, Some(cycles), ns));
 
-    // 6. A whole tiled GEMM (8x4 = 32 tiles on a 32x32 array, k = 2): the
+    // 6. Its weight-stationary twin: T = 64 rows of A streamed through the
+    // 64x64 array at k = 1, again from an operand stream of its own.
+    let mut rng_ws64 = SplitMix64::new(65);
+    let a_ws64 = Matrix::random(64, 64, &mut rng_ws64, -50, 50);
+    let b_ws64 = Matrix::random(64, 64, &mut rng_ws64, -50, 50);
+    let ws64_sim = Simulator::new(ArrayConfig::new(64, 64)).map_err(ArrayFlexError::from)?;
+    let cycles = ws64_sim
+        .run_tile(&a_ws64, &b_ws64)
+        .map_err(ArrayFlexError::from)?
+        .stats
+        .total_cycles();
+    let iters = scale(100);
+    let ns = time_batches(iters, || {
+        ws64_sim.run_tile(&a_ws64, &b_ws64).expect("ws 64x64 tile");
+    });
+    benches.push(record("simcore/tile_64x64_ws_k1", iters, Some(cycles), ns));
+
+    // 7. A whole tiled GEMM (8x4 = 32 tiles on a 32x32 array, k = 2): the
     // workload of the `throughput` experiment, serial.
     let a_gemm = Matrix::random(24, 256, &mut rng, -50, 50);
     let b_gemm = Matrix::random(256, 128, &mut rng, -50, 50);
@@ -241,7 +258,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
         ns,
     ));
 
-    // 7. The im2col lowering of a mid-network 3x3 convolution
+    // 8. The im2col lowering of a mid-network 3x3 convolution
     // (64 -> 64 channels on a 28x28 input: T = 784, N = 576).
     let shape = ConvShape::dense(64, 64, 3, 1, 1, 28);
     let input = Tensor3::random(64, 28, 28, &mut rng, -50, 50);
@@ -252,7 +269,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record("gemm/im2col_conv3x3_64c_28x28", iters, None, ns));
 
-    // 8. The reference GEMM the simulator is verified against.
+    // 9. The reference GEMM the simulator is verified against.
     let a_ref = Matrix::random(96, 96, &mut rng, -50, 50);
     let b_ref = Matrix::random(96, 96, &mut rng, -50, 50);
     let iters = scale(100);
@@ -261,7 +278,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record("gemm/multiply_96x96x96", iters, None, ns));
 
-    // 9. Compact JSON rendering of the `/v1/plan` golden response: the
+    // 10. Compact JSON rendering of the `/v1/plan` golden response: the
     // ArrayFlex plan of ResNet-34 on a 128x128 array (10,431 bytes).
     let plan = ArrayFlexModel::new(128, 128)?
         .plan_arrayflex(&cnn::models::resnet34(), DepthwiseMapping::default())?;
@@ -480,7 +497,7 @@ mod tests {
     fn quick_baseline_runs_and_round_trips_through_json() {
         let report = simcore_baseline(true).unwrap();
         assert!(report.quick);
-        assert_eq!(report.benches.len(), 9);
+        assert_eq!(report.benches.len(), 10);
         validate_report(&report).unwrap();
         assert!(report.bench(DRAIN_HEAVY_FAST).is_some());
         assert!(report.bench("simcore/nope").is_none());

@@ -6,6 +6,9 @@
 //! * [`matrix`] — dense row-major matrices and the reference GEMM with
 //!   64-bit accumulation (the golden model every simulation is checked
 //!   against);
+//! * [`lanes`] — the multiply-accumulate lane kernels the reference GEMM
+//!   and the simulator's array kernels run on, with a run-time choice
+//!   between an AVX2 and a scalar body;
 //! * [`problem`] — GEMM dimensions in the paper's `(M, N, T)` notation;
 //! * [`tiling`] — decomposition of large GEMMs into array-sized tiles
 //!   (Fig. 1(c), Equations 2 and 4);
@@ -36,12 +39,15 @@
 //! # Ok::<(), gemm::GemmError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied everywhere except `lanes`, whose AVX2 dispatch calls
+// `#[target_feature]` functions after run-time detection.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cancel;
 pub mod error;
 pub mod im2col;
+pub mod lanes;
 pub mod matrix;
 pub mod parallel;
 pub mod problem;

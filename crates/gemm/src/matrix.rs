@@ -8,6 +8,7 @@
 //! is checked against.
 
 use crate::error::GemmError;
+use crate::lanes;
 use crate::rng::SplitMix64;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -311,8 +312,9 @@ pub fn multiply(a: &Matrix<i32>, b: &Matrix<i32>) -> Result<Matrix<i64>, GemmErr
 /// enough, so repeated multiplications — reference checks inside
 /// simulation loops, per-tile kernels — do not allocate per call.
 ///
-/// The inner loops run row-major over both `B` and the output, accumulating
-/// each output row through a mutable row slice.
+/// Each output row accumulates `A[t][n] * B[n]` over the rows of `B` with
+/// [`lanes::mac_scaled`], wrapping on overflow exactly as the simulated
+/// arrays do.
 ///
 /// # Errors
 ///
@@ -349,18 +351,14 @@ pub fn multiply_into(
             if a_tn == 0 {
                 continue;
             }
-            let a_tn = i64::from(a_tn);
-            let b_row = b.row(n);
-            for (acc, &b_nm) in out_row.iter_mut().zip(b_row) {
-                *acc += a_tn * i64::from(b_nm);
-            }
+            lanes::mac_scaled(out_row, b.row(n), a_tn);
         }
     }
     Ok(())
 }
 
-/// Adds `delta` into `acc` element-wise (used to accumulate tile partial
-/// products into the full output).
+/// Adds `delta` into `acc` element-wise, wrapping on overflow (used to
+/// accumulate tile partial products into the full output).
 ///
 /// # Errors
 ///
@@ -372,10 +370,8 @@ pub fn accumulate(acc: &mut Matrix<i64>, delta: &Matrix<i64>) -> Result<(), Gemm
             right_rows: delta.rows(),
         });
     }
-    for r in 0..acc.rows() {
-        for c in 0..acc.cols() {
-            acc[(r, c)] += delta[(r, c)];
-        }
+    for (acc, &delta) in acc.data.iter_mut().zip(&delta.data) {
+        *acc = acc.wrapping_add(delta);
     }
     Ok(())
 }
@@ -520,6 +516,20 @@ mod tests {
         let b = Matrix::from_vec(2, 1, vec![2, 2]).unwrap();
         let x = multiply(&a, &b).unwrap();
         assert_eq!(x[(0, 0)], 2 * (i64::from(i32::MAX)) * 2);
+    }
+
+    #[test]
+    fn extreme_operands_wrap_like_the_array_adders() {
+        // Four products i32::MIN^2 = 2^62 sum to 2^64, which wraps to 0;
+        // four products i32::MIN * i32::MAX = 2^31 - 2^62 sum to
+        // 2^33 - 2^64, which wraps to 2^33.
+        let a = Matrix::from_vec(2, 4, vec![i32::MIN; 8]).unwrap();
+        let b = Matrix::from_vec(4, 2, [i32::MIN, i32::MAX].repeat(4)).unwrap();
+        let x = multiply(&a, &b).unwrap();
+        assert_eq!(x.as_slice(), &[0, 1 << 33, 0, 1 << 33]);
+        let mut acc = Matrix::from_vec(1, 2, vec![i64::MAX, i64::MIN]).unwrap();
+        accumulate(&mut acc, &Matrix::from_vec(1, 2, vec![1i64, -1]).unwrap()).unwrap();
+        assert_eq!(acc.as_slice(), &[i64::MIN, i64::MAX]);
     }
 
     #[test]

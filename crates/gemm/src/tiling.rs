@@ -73,14 +73,16 @@ impl Tile {
     /// Accumulates the valid region of this tile's `T x C` partial product
     /// into the full output (the output-accumulator step below the array).
     ///
-    /// Integer addition is exact and commutative, so accumulating tiles in
-    /// any order produces identical results — the property the
-    /// tile-parallel simulator relies on.
+    /// The accumulation wraps, as the array's adders do. Wrapping addition
+    /// is associative and commutative, so accumulating tiles in any order
+    /// produces identical results — the property the tile-parallel
+    /// simulator relies on.
     pub fn accumulate_partial(&self, out: &mut Matrix<i64>, partial: &Matrix<i64>) {
+        let m_range = self.m_range.start as usize..self.m_range.end as usize;
         for t in 0..out.rows() {
-            for (offset, m) in (self.m_range.start as usize..self.m_range.end as usize).enumerate()
-            {
-                out[(t, m)] += partial[(t, offset)];
+            let src = &partial.row(t)[..m_range.len()];
+            for (acc, &delta) in out.row_mut(t)[m_range.clone()].iter_mut().zip(src) {
+                *acc = acc.wrapping_add(delta);
             }
         }
     }

@@ -15,36 +15,37 @@
 //! Only the registers that physically exist are stored: with collapsing
 //! depth `k`, the horizontal (operand) pipeline has one register per
 //! (row, column block) and the vertical (partial-sum) pipeline one per
-//! (row block, column). Register values live in flat column-block-major /
-//! row-block-major buffers, validity in packed `u64` bitset words with one
-//! word-aligned segment per block, and the stationary weights in both a
-//! column-major buffer (walked by the naive per-column carry-save chain)
-//! and a row-major buffer (walked by the fast path's panel kernel).
+//! (row block, column). The horizontal pipeline is a pure shift register,
+//! so no operand moves once staged: it is stored per row in k-expanded,
+//! mirrored lanes (`soa::RowLanes`, shared with the output-stationary `A`
+//! pipeline), so the operands one PE row sees in a cycle are one
+//! contiguous slice indexed by array column, and column block `cb` reads
+//! the stage from `cb` cycles ago. Partial sums live in a flat
+//! row-block-major buffer with packed `u64` validity bitsets (one
+//! word-aligned segment per row block), and the stationary weights in both
+//! a column-major buffer (walked by the naive per-column carry-save chain)
+//! and a row-major buffer (walked by the panel kernels).
 //!
 //! # Wavefront frontier tracking
 //!
-//! The horizontal pipeline is a pure shift register, so no operand data
-//! ever moves: each cycle's west edge is staged once into a **ring slot**
-//! and segment `cb` reads the slot staged `cb` cycles ago. On top of the
-//! ring the fast path maintains an incremental **frontier**: one
-//! `LaneSummary` per slot (the contiguous range of valid operand rows
-//! that edge stage carried) and a conservative `[lo, hi]` **band** of
-//! column blocks that may hold any valid operand at all, updated in O(1)
-//! per cycle (the band advances one block east with the data and
-//! re-anchors at the west edge whenever the edge receives data). A cycle
-//! then
+//! On top of the lanes the fast path maintains an incremental
+//! **frontier**: one `LaneSummary` per stage slot (the contiguous range of
+//! valid operand rows that edge stage carried) and a conservative
+//! `[lo, hi]` **band** of column blocks that may hold any valid operand at
+//! all, updated in O(1) per cycle (the band advances one block east with
+//! the data and re-anchors at the west edge whenever the edge receives
+//! data). A cycle then
 //!
 //! * iterates **only the band's segments** (everything outside the band
-//!   is provably invalid — no per-cycle validity-word scan),
+//!   is provably invalid — no per-cycle validity scan),
 //! * evaluates only the row blocks each summary says are active, as
 //!   branch-free **panels** over the block's columns (contiguous row-major
-//!   weights, flat `i64` partial-sum lanes — LLVM autovectorizes the inner
-//!   loop), seeding each panel directly from the previous row block's
-//!   registers instead of bulk-forwarding the whole vertical register
-//!   file, and
-//! * falls back to the validity **bitsets** (which are maintained
-//!   regardless and cross-checked in the tests) for any segment whose
-//!   valid rows are not contiguous — west streams with mid-stream holes.
+//!   weights, flat `i64` partial-sum lanes, one
+//!   [`gemm::lanes::mac_scaled`] per block row), seeding each panel
+//!   directly from the previous row block's registers instead of
+//!   bulk-forwarding the whole vertical register file, and
+//! * falls back to the stage's validity bits for any segment whose valid
+//!   rows are not contiguous — west streams with mid-stream holes.
 //!
 //! A [`SystolicArray::step_into`] cycle performs **no heap allocation**.
 //! [`SystolicArray::run_cycles`] is the macro-cycle entry point: it
@@ -60,10 +61,10 @@ use crate::dataflow::{InputFeeder, OutputCollector};
 use crate::error::SimError;
 use crate::pe::ProcessingElement;
 use crate::soa::{
-    any_set_in, get_bit, set_bit, set_range, words_for, LaneSummary, StreamPurity, WORD_BITS,
+    get_bit, set_bit, set_range, words_for, LaneSummary, RowLanes, StreamPurity, WORD_BITS,
 };
 use crate::stats::RunStats;
-use gemm::Matrix;
+use gemm::{lanes, Matrix};
 
 /// Cycle-accurate weight-stationary systolic array with configurable
 /// transparent pipelining.
@@ -94,25 +95,15 @@ pub struct SystolicArray {
     /// panel kernel reads one contiguous lane of weights per block row.
     weights_rm: Vec<i32>,
     /// Horizontal (operand) pipeline registers, one per (row, column
-    /// block), stored as a **ring of edge stages**: the pipeline is a pure
-    /// shift register, so instead of physically moving every segment one
-    /// column block east per cycle, the staged west edge of cycle `c` is
-    /// written once into ring slot `c mod col_blocks` and segment `cb`
-    /// simply *reads* the slot staged `cb` cycles ago
-    /// ([`SystolicArray::segment_slot`]). Slot `s` occupies
-    /// `s * rows..(s + 1) * rows`, holding one operand per row with
-    /// invalid operands always stored as zero — which is what keeps
-    /// skipped and panel-evaluated carry-save chains exact.
-    h_regs: Vec<i32>,
-    /// Validity of `h_regs`: one word-aligned run of `hw` words per ring
-    /// slot, bit `row` within the slot.
-    h_valid: Vec<u64>,
-    /// Per-slot frontier summaries, mirroring `h_valid`.
+    /// block), with their validity: the staged west edge of cycle `c` is
+    /// written once and segment `cb` *reads* the stage from `cb` cycles
+    /// ago, so no operand moves. Invalid operands are always stored as
+    /// zero — which is what keeps skipped and panel-evaluated carry-save
+    /// chains exact.
+    h_lanes: RowLanes,
+    /// Per-stage frontier summaries, indexed like the stage slots of
+    /// `h_lanes` (`h_lanes.cursor.slot(cb)` for segment `cb`).
     summaries: Vec<LaneSummary>,
-    /// Ring slot holding the current cycle's segment 0 (the most recent
-    /// edge stage); advances by one, modulo the column-block count, every
-    /// cycle.
-    ring_head: usize,
     /// Conservative `[lo, hi]` hull (inclusive, in column blocks) of the
     /// segments that may hold any valid operand; `None` when the whole
     /// horizontal pipeline is drained. Every segment outside the band is
@@ -157,8 +148,6 @@ pub struct SystolicArray {
     /// active-window math assumes the deterministic schedule was followed
     /// from cycle 0.
     purity: StreamPurity,
-    /// Words per horizontal validity segment: `ceil(rows / 64)`.
-    hw: usize,
     /// Words per vertical validity segment: `ceil(cols / 64)`.
     vw: usize,
     weights_loaded: bool,
@@ -178,16 +167,13 @@ impl SystolicArray {
         let cols = config.cols as usize;
         let row_blocks = config.row_blocks() as usize;
         let col_blocks = config.col_blocks() as usize;
-        let hw = words_for(rows);
         let vw = words_for(cols);
         Ok(Self {
             config,
             weights: vec![0; rows * cols],
             weights_rm: vec![0; rows * cols],
-            h_regs: vec![0; col_blocks * rows],
-            h_valid: vec![0; col_blocks * hw],
+            h_lanes: RowLanes::new(rows, cols, config.collapse_depth as usize),
             summaries: vec![LaneSummary::default(); col_blocks],
-            ring_head: 0,
             band: None,
             v_regs: vec![0; row_blocks * cols],
             v_next: vec![0; row_blocks * cols],
@@ -201,7 +187,6 @@ impl SystolicArray {
             produced_any: false,
             produced_sparse: false,
             purity: StreamPurity::Clean,
-            hw,
             vw,
             weights_loaded: false,
             fast_path: true,
@@ -301,26 +286,28 @@ impl SystolicArray {
     }
 
     fn clear_pipelines(&mut self) {
-        self.h_regs.fill(0);
-        self.h_valid.fill(0);
+        self.h_lanes.clear();
         self.summaries.fill(LaneSummary::default());
-        self.ring_head = 0;
         self.band = None;
         self.v_regs.fill(0);
         self.v_valid.fill(0);
         self.purity = StreamPurity::Clean;
     }
 
-    /// The ring slot holding the operands segment `cb` sees this cycle:
-    /// the edge stage from `cb` cycles ago.
-    fn segment_slot(&self, cb: usize) -> usize {
-        let col_blocks = self.config.col_blocks() as usize;
-        let shifted = self.ring_head + col_blocks - cb;
-        if shifted >= col_blocks {
-            shifted - col_blocks
-        } else {
-            shifted
-        }
+    /// The frontier summary of the stage segment `cb` sees this cycle.
+    fn summary(&self, cb: usize) -> LaneSummary {
+        self.summaries[self.h_lanes.cursor.slot(cb)]
+    }
+
+    /// Whether `row` of segment `cb` holds a valid operand this cycle.
+    fn operand_valid(&self, row: usize, cb: usize) -> bool {
+        self.h_lanes.is_valid(row, cb)
+    }
+
+    /// Whether row block `rb` (> 0) receives a valid partial sum at `col`
+    /// this cycle: the register row block `rb - 1` committed last cycle.
+    fn incoming_valid(&self, rb: usize, col: usize) -> bool {
+        get_bit(&self.v_valid[(rb - 1) * self.vw..rb * self.vw], col)
     }
 
     fn is_block_last_row(&self, row: usize) -> bool {
@@ -484,10 +471,10 @@ impl SystolicArray {
     fn cycle_fast(&mut self, edge: EdgeSource<'_>) -> u64 {
         // 1 + 2. Advance the horizontal pipeline and stage the west edge:
         //    the pipeline is a pure shift register, so "every segment
-        //    moves one column block east" is implemented as rotating the
-        //    ring head and rewriting the freed slot (values, validity
-        //    words and summary) wholesale with the new edge stage, invalid
-        //    rows driven as zero. No register data moves at all.
+        //    moves one column block east" is implemented as moving the
+        //    lanes' stage head and writing the new edge stage (values,
+        //    validity and summary) into the freed slot, invalid rows
+        //    driven as zero. No register data moves at all.
         let summary = self.stage_edge(edge);
         self.update_band(summary.count > 0);
 
@@ -503,15 +490,14 @@ impl SystolicArray {
         let mut macs = 0u64;
         if let Some((lo, hi)) = self.band {
             for cb in lo as usize..=hi as usize {
-                let slot = self.segment_slot(cb);
-                let s = self.summaries[slot];
+                let s = self.summary(cb);
                 if s.count == 0 {
                     continue;
                 }
                 macs += if s.dense {
-                    self.eval_segment_panels(cb, slot, s.first as usize, s.last as usize)
+                    self.eval_segment_panels(cb, s.first as usize, s.last as usize)
                 } else {
-                    self.eval_segment_sparse(cb, slot)
+                    self.eval_segment_sparse(cb)
                 };
             }
         }
@@ -522,52 +508,31 @@ impl SystolicArray {
         macs
     }
 
-    /// Rotates the ring and stages the west edge of one cycle into the
-    /// freed slot: values (invalid rows driven as zero), validity words
-    /// and the frontier summary. Returns the staged summary.
+    /// Stages the west edge of one cycle into the horizontal pipeline:
+    /// values (invalid rows driven as zero), validity and the frontier
+    /// summary. Returns the staged summary.
     fn stage_edge(&mut self, edge: EdgeSource<'_>) -> LaneSummary {
-        let rows = self.config.rows as usize;
-        let col_blocks = self.config.col_blocks() as usize;
-        let hw = self.hw;
-        self.ring_head += 1;
-        if self.ring_head == col_blocks {
-            self.ring_head = 0;
-        }
-        let slot = self.ring_head;
-        let seg_valid = &mut self.h_valid[slot * hw..(slot + 1) * hw];
-        seg_valid.fill(0);
-        let seg_values = &mut self.h_regs[slot * rows..(slot + 1) * rows];
-        let summary = match edge {
-            EdgeSource::West(west_inputs) => {
-                let mut first = u32::MAX;
-                let mut last = 0u32;
-                let mut count = 0u32;
-                for (row, west) in west_inputs.iter().enumerate() {
-                    seg_values[row] = west.unwrap_or(0);
-                    if west.is_some() {
-                        set_bit(seg_valid, row);
-                        first = first.min(row as u32);
-                        last = row as u32;
-                        count += 1;
-                    }
-                }
-                LaneSummary {
-                    first,
-                    last,
-                    count,
-                    dense: count > 0 && count == last - first + 1,
-                }
-            }
-            EdgeSource::Feeder(feeder, cycle) => match feeder.stage_values_into(cycle, seg_values)
-            {
-                Some((first, last)) => {
-                    set_range(seg_valid, first as usize, last as usize);
+        let (summary, staged) = match edge {
+            EdgeSource::West(west_inputs) => (
+                LaneSummary::of_options(west_inputs),
+                self.h_lanes.stage_options(west_inputs),
+            ),
+            EdgeSource::Feeder(feeder, cycle) => {
+                let active = feeder.active_rows(cycle);
+                let staged = self.h_lanes.stage_feeder(active.is_none(), |values| {
+                    feeder.stage_values_into(cycle, values)
+                });
+                let summary = active.map_or_else(LaneSummary::default, |(first, last)| {
                     LaneSummary::dense_range(first, last)
-                }
-                None => LaneSummary::default(),
-            },
+                });
+                (summary, staged)
+            }
         };
-        self.summaries[slot] = summary;
+        // An idle edge entering a drained pipeline writes nothing: every
+        // slot already holds an empty stage and an empty summary.
+        if staged {
+            self.summaries[self.h_lanes.cursor.head] = summary;
+        }
         summary
     }
 
@@ -582,11 +547,11 @@ impl SystolicArray {
     /// the block's rows completely. That lets the cycle iterate **per row
     /// block** over its contiguous active column range — one contiguous
     /// `i64` partial-sum lane in `v_next` seeded from the previous row
-    /// block's lane, one contiguous row-major weight lane per block row,
-    /// one validity range-set per row block — instead of per column block
-    /// with per-block bookkeeping. Operands still come from the staged
-    /// ring (the canonical register state), so the edge staging and
-    /// frontier metadata stay exactly as in the generic kernel.
+    /// block's lane, then one [`lanes::mac`] per block row over it, the
+    /// row's contiguous row-major weight lane and its operand lane, and one
+    /// validity range-set per row block — instead of per column block with
+    /// per-block bookkeeping. The edge staging and frontier metadata stay
+    /// exactly as in the generic kernel.
     ///
     /// Returns the MAC count of the cycle.
     fn cycle_dense_wavefront(&mut self, feeder: &InputFeeder<'_>, cycle: u64) -> u64 {
@@ -626,53 +591,27 @@ impl SystolicArray {
             macs += ((r1 - r0) * (col_hi - col_lo + 1)) as u64;
             // Within one wavefront the validity of the incoming partial
             // sum always matches the validity of this block's operands.
-            #[cfg(debug_assertions)]
-            if rb > 0 {
-                let incoming = &self.v_valid[(rb - 1) * self.vw..rb * self.vw];
-                debug_assert!(
-                    (col_lo..=col_hi).all(|col| get_bit(incoming, col)),
-                    "misaligned wavefront at row block {rb}"
-                );
-            }
-            let dst = rb * cols + col_lo;
-            let width = col_hi - col_lo + 1;
+            debug_assert!(
+                rb == 0 || (col_lo..=col_hi).all(|col| self.incoming_valid(rb, col)),
+                "misaligned wavefront at row block {rb}"
+            );
+            let panel = &mut self.v_next[rb * cols + col_lo..=rb * cols + col_hi];
             if rb == 0 {
-                self.v_next[dst..dst + width].fill(0);
+                panel.fill(0);
             } else {
-                let src = (rb - 1) * cols + col_lo;
-                self.v_next[dst..dst + width].copy_from_slice(&self.v_regs[src..src + width]);
+                let src = (rb - 1) * cols;
+                panel.copy_from_slice(&self.v_regs[src + col_lo..=src + col_hi]);
             }
-            // Ring slot of `cb_lo`; one slot older (minus one, wrapping)
-            // per column block further east.
-            let slot_first = self.segment_slot(cb_lo);
-            let panel = &mut self.v_next[dst..dst + width];
-            if k == 1 {
-                // One row per block, one column per block: a single fused
-                // lane over the whole active column range.
-                let row = rb;
-                let w_row = &self.weights_rm[row * cols + col_lo..row * cols + col_hi + 1];
-                let mut slot = slot_first;
-                for (acc, &w) in panel.iter_mut().zip(w_row) {
-                    let op = i64::from(self.h_regs[slot * rows + row]);
-                    slot = if slot == 0 { col_blocks - 1 } else { slot - 1 };
-                    *acc = acc.wrapping_add(i64::from(w) * op);
-                }
-            } else {
-                for row in r0..r1 {
-                    let w_row = &self.weights_rm[row * cols + col_lo..row * cols + col_hi + 1];
-                    let mut slot = slot_first;
-                    // `col_lo` is block-aligned, so the `k`-sized chunks
-                    // of the panel and weight lanes line up with the
-                    // column blocks (the last chunk may be the array's
-                    // partial east-edge block).
-                    for (lane, w_lane) in panel.chunks_mut(k).zip(w_row.chunks(k)) {
-                        let op = i64::from(self.h_regs[slot * rows + row]);
-                        slot = if slot == 0 { col_blocks - 1 } else { slot - 1 };
-                        for (acc, &w) in lane.iter_mut().zip(w_lane) {
-                            *acc = acc.wrapping_add(i64::from(w) * op);
-                        }
-                    }
-                }
+            for row in r0..r1 {
+                debug_assert!(
+                    (cb_lo..=cb_hi).all(|cb| self.h_lanes.is_valid(row, cb)),
+                    "misaligned operand wavefront at cycle {cycle}, row {row}"
+                );
+                lanes::mac(
+                    panel,
+                    &self.weights_rm[row * cols + col_lo..=row * cols + col_hi],
+                    &self.h_lanes.operands(row, cols)[col_lo..=col_hi],
+                );
             }
             set_range(
                 &mut self.v_valid_next[rb * self.vw..(rb + 1) * self.vw],
@@ -720,15 +659,14 @@ impl SystolicArray {
         let k = self.config.collapse_depth as usize;
         let row_blocks = self.config.row_blocks() as usize;
         let col_blocks = self.config.col_blocks() as usize;
-        let hw = self.hw;
 
-        // 1. Advance the horizontal pipeline (ring rotation, see
-        //    `cycle_fast`): the operand visible to (row, column block cb)
-        //    this cycle is the edge stage from `cb` cycles ago, and that
-        //    staged operand is exactly what the block's register latches
-        //    at the end of the cycle. The frontier metadata is maintained
-        //    here too, so the fast path can be toggled between tiles
-        //    without losing track of the wavefront.
+        // 1. Advance the horizontal pipeline (see `cycle_fast`): the
+        //    operand visible to (row, column block cb) this cycle is the
+        //    edge stage from `cb` cycles ago, and that staged operand is
+        //    exactly what the block's register latches at the end of the
+        //    cycle. The frontier metadata is maintained here too, so the
+        //    fast path can be toggled between tiles without losing track
+        //    of the wavefront.
         let summary = self.stage_edge(EdgeSource::West(west_inputs));
         self.update_band(summary.count > 0);
 
@@ -749,24 +687,16 @@ impl SystolicArray {
         south_outputs.fill(None);
         let mut macs = 0u64;
         for cb in 0..col_blocks {
-            let slot = self.segment_slot(cb);
             let col_first = cb * k;
             let width = (col_first + k).min(cols) - col_first;
             for rb in 0..row_blocks {
                 let first_row = rb * k;
                 let last_row = ((rb + 1) * k).min(rows) - 1;
-                let seg = &self.h_valid[slot * hw..(slot + 1) * hw];
-                let block_valid = any_set_in(seg, first_row, last_row);
-                if block_valid {
-                    macs += u64::try_from(
-                        (first_row..=last_row)
-                            .filter(|&row| get_bit(seg, row))
-                            .count()
-                            * width,
-                    )
-                    .expect("MAC count fits u64");
-                }
-                self.eval_block(rb, cb, slot, block_valid, Some(south_outputs));
+                let valid_rows = (first_row..=last_row)
+                    .filter(|&row| self.operand_valid(row, cb))
+                    .count();
+                macs += (valid_rows * width) as u64;
+                self.eval_block(rb, cb, valid_rows > 0, Some(south_outputs));
             }
         }
 
@@ -779,24 +709,14 @@ impl SystolicArray {
     /// row block, the block's columns form one contiguous panel of `i64`
     /// partial-sum lanes in `v_next`, seeded from the previous row block's
     /// registers and accumulated row by row over contiguous row-major
-    /// weights. The loop body is branch-free (invalid rows inside the
-    /// block multiply operands stored as zero), so LLVM autovectorizes the
-    /// lane loop. A carry-save chain resolved at the block's last row is
-    /// numerically a wrapping sum of its inputs, so the panel result is
-    /// bit-identical to [`SystolicArray::eval_block`].
+    /// weights with one [`lanes::mac_scaled`] per block row. The lane
+    /// kernel is branch-free (invalid rows inside the block multiply
+    /// operands stored as zero). A carry-save chain resolved at the block's
+    /// last row is numerically a wrapping sum of its inputs, so the panel
+    /// result is bit-identical to [`SystolicArray::eval_block`].
     ///
     /// Returns the MAC count contributed by the segment.
-    // `row` indexes three buffers with different strides (operands,
-    // column-major and row-major weights); an iterator over any one of
-    // them would obscure the others.
-    #[allow(clippy::needless_range_loop)]
-    fn eval_segment_panels(
-        &mut self,
-        cb: usize,
-        slot: usize,
-        first_row: usize,
-        last_row: usize,
-    ) -> u64 {
+    fn eval_segment_panels(&mut self, cb: usize, first_row: usize, last_row: usize) -> u64 {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let k = self.config.collapse_depth as usize;
@@ -810,16 +730,12 @@ impl SystolicArray {
 
         // Within one wavefront the validity of the incoming partial sum
         // always matches the validity of this block's operands.
-        #[cfg(debug_assertions)]
-        for rb in rb_first.max(1)..=rb_last {
-            let incoming = &self.v_valid[(rb - 1) * self.vw..rb * self.vw];
-            debug_assert!(
-                (col_first..=col_last).all(|col| get_bit(incoming, col)),
-                "misaligned wavefront at column block {cb}, row block {rb}"
-            );
-        }
+        debug_assert!(
+            (rb_first.max(1)..=rb_last)
+                .all(|rb| (col_first..=col_last).all(|col| self.incoming_valid(rb, col))),
+            "misaligned wavefront at column block {cb}"
+        );
 
-        let operands = &self.h_regs[slot * rows..slot * rows + rows];
         if width == 1 {
             // Single-column panel (k = 1, or the array's last partial
             // column block): scalar accumulation over the contiguous
@@ -837,8 +753,9 @@ impl SystolicArray {
                 } else {
                     self.v_regs[(rb - 1) * cols + col]
                 };
-                for row in r0..r1 {
-                    acc = acc.wrapping_add(i64::from(w_col[row]) * i64::from(operands[row]));
+                for (row, &w) in (r0..r1).zip(&w_col[r0..r1]) {
+                    let op = self.h_lanes.operand(row, cb);
+                    acc = acc.wrapping_add(i64::from(w) * i64::from(op));
                 }
                 self.v_next[rb * cols + col] = acc;
                 self.v_valid_next[rb * self.vw + word] |= bit;
@@ -850,22 +767,19 @@ impl SystolicArray {
                 // Every valid operand of this (row, column-block) feeds
                 // one MAC per column of the block.
                 macs += (last_row.min(r1 - 1) - first_row.max(r0) + 1) as u64 * width as u64;
-                let dst = rb * cols + col_first;
+                let panel = &mut self.v_next[rb * cols + col_first..=rb * cols + col_last];
                 if rb == 0 {
-                    self.v_next[dst..dst + width].fill(0);
+                    panel.fill(0);
                 } else {
-                    let src = (rb - 1) * cols + col_first;
-                    self.v_next[dst..dst + width]
-                        .copy_from_slice(&self.v_regs[src..src + width]);
+                    let src = (rb - 1) * cols;
+                    panel.copy_from_slice(&self.v_regs[src + col_first..=src + col_last]);
                 }
-                let panel = &mut self.v_next[dst..dst + width];
                 for row in r0..r1 {
-                    let op = i64::from(operands[row]);
-                    let w_row =
-                        &self.weights_rm[row * cols + col_first..row * cols + col_first + width];
-                    for (acc, &w) in panel.iter_mut().zip(w_row) {
-                        *acc = acc.wrapping_add(i64::from(w) * op);
-                    }
+                    lanes::mac_scaled(
+                        panel,
+                        &self.weights_rm[row * cols + col_first..=row * cols + col_last],
+                        self.h_lanes.operand(row, cb),
+                    );
                 }
                 set_range(
                     &mut self.v_valid_next[rb * self.vw..(rb + 1) * self.vw],
@@ -880,40 +794,34 @@ impl SystolicArray {
         macs
     }
 
-    /// Bitset fallback for a segment whose valid rows are not contiguous
-    /// (a west stream with mid-stream holes): gathers the active row
-    /// blocks by iterating the set bits of the segment's validity words
-    /// and evaluates each through the scalar carry-save chain.
+    /// Fallback for a segment whose valid rows are not contiguous (a west
+    /// stream with mid-stream holes): gathers the active row blocks from
+    /// the segment's validity bits and evaluates each through the scalar
+    /// carry-save chain.
     ///
     /// Returns the MAC count contributed by the segment.
-    fn eval_segment_sparse(&mut self, cb: usize, slot: usize) -> u64 {
+    fn eval_segment_sparse(&mut self, cb: usize) -> u64 {
+        let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let k = self.config.collapse_depth as usize;
         let row_blocks = self.config.row_blocks() as usize;
-        let hw = self.hw;
         let col_first = cb * k;
         let width = (col_first + k).min(cols) - col_first;
         let mut active = std::mem::take(&mut self.block_scratch);
         active.clear();
-        let seg = &self.h_valid[slot * hw..(slot + 1) * hw];
-        for (word_index, &bits) in seg.iter().enumerate() {
-            let mut word = bits;
-            while word != 0 {
-                let row = word_index * WORD_BITS + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let rb = (row / k) as u32;
-                // Rows arrive in ascending order, so one comparison
-                // against the last entry groups them per block.
-                match active.last_mut() {
-                    Some((last_rb, count)) if *last_rb == rb => *count += 1,
-                    _ => active.push((rb, 1)),
-                }
+        for row in (0..rows).filter(|&row| self.operand_valid(row, cb)) {
+            let rb = (row / k) as u32;
+            // Rows arrive in ascending order, so one comparison against
+            // the last entry groups them per block.
+            match active.last_mut() {
+                Some((last_rb, count)) if *last_rb == rb => *count += 1,
+                _ => active.push((rb, 1)),
             }
         }
         let mut macs = 0u64;
         for &(rb, valid_rows) in &active {
             macs += u64::from(valid_rows) * width as u64;
-            self.eval_block(rb as usize, cb, slot, true, None);
+            self.eval_block(rb as usize, cb, true, None);
             if rb as usize == row_blocks - 1 {
                 self.produced_sparse = true;
                 self.note_produced(col_first as u32, (col_first + width) as u32 - 1);
@@ -936,7 +844,6 @@ impl SystolicArray {
         &mut self,
         rb: usize,
         cb: usize,
-        slot: usize,
         block_valid: bool,
         mut south_outputs: Option<&mut [Option<i64>]>,
     ) {
@@ -948,7 +855,6 @@ impl SystolicArray {
         let last_row = ((rb + 1) * k).min(rows) - 1;
         let col_first = cb * k;
         let col_last = (col_first + k).min(cols) - 1;
-        let operands = &self.h_regs[slot * rows..slot * rows + rows];
         for col in col_first..=col_last {
             let incoming = if rb == 0 {
                 0i64
@@ -957,22 +863,17 @@ impl SystolicArray {
             };
             // Within one wavefront the validity of the incoming partial
             // sum always matches the validity of this block's operands.
-            #[cfg(debug_assertions)]
-            {
-                let incoming_valid =
-                    rb > 0 && get_bit(&self.v_valid[(rb - 1) * self.vw..rb * self.vw], col);
-                debug_assert!(
-                    rb == 0 || incoming_valid == block_valid,
-                    "misaligned wavefront at column {col}, row block {rb}"
-                );
-            }
+            debug_assert!(
+                rb == 0 || self.incoming_valid(rb, col) == block_valid,
+                "misaligned wavefront at column {col}, row block {rb}"
+            );
             let weights = &self.weights[col * rows..col * rows + rows];
             let mut acc = CarrySaveValue::from_binary(incoming);
             for row in first_row..=last_row {
                 // The multiplier and carry-save stage operate every cycle;
                 // an invalid operand is driven as zero so the partial sum
                 // is unaffected.
-                acc = acc.add(i64::from(weights[row]) * i64::from(operands[row]));
+                acc = acc.add(i64::from(weights[row]) * i64::from(self.h_lanes.operand(row, cb)));
             }
             let resolved = acc.resolve();
             self.v_next[rb * cols + col] = resolved;
@@ -1099,12 +1000,8 @@ impl SystolicArray {
                 && cycle >= idle_from
                 && last_due.map_or(true, |due| cycle > due)
             {
-                // The ring head does not advance over skipped cycles, so
-                // drop the (drained, no longer readable) slot metadata —
-                // a later naive full scan reads every slot and must see
-                // them invalid.
-                self.h_valid.fill(0);
-                self.summaries.fill(LaneSummary::default());
+                // A drained pipeline holds an empty stage in every slot,
+                // so skipping the stage writes leaves nothing stale.
                 self.record_dead_cycles(end - cycle);
                 break;
             }
@@ -1173,8 +1070,7 @@ impl SystolicArray {
             return blocks;
         };
         for cb in lo..=hi {
-            let slot = self.segment_slot(cb as usize);
-            let s = self.summaries[slot];
+            let s = self.summary(cb as usize);
             if s.count == 0 {
                 continue;
             }
@@ -1183,39 +1079,35 @@ impl SystolicArray {
                     blocks.push((rb, cb));
                 }
             } else {
-                let seg = &self.h_valid[slot * self.hw..(slot + 1) * self.hw];
-                let mut last_rb = u32::MAX;
-                for row in 0..self.config.rows {
-                    if get_bit(seg, row as usize) && row / k != last_rb {
-                        last_rb = row / k;
-                        blocks.push((last_rb, cb));
-                    }
-                }
+                self.push_valid_blocks(cb, &mut blocks);
             }
         }
         blocks
     }
 
+    /// Appends `(row block, cb)` for every row block holding a valid
+    /// operand in segment `cb`, read from the segment's validity bits.
+    fn push_valid_blocks(&self, cb: u32, blocks: &mut Vec<(u32, u32)>) {
+        let k = self.config.collapse_depth;
+        let mut last_rb = u32::MAX;
+        for row in 0..self.config.rows {
+            if self.operand_valid(row as usize, cb as usize) && row / k != last_rb {
+                last_rb = row / k;
+                blocks.push((last_rb, cb));
+            }
+        }
+    }
+
     /// The active (row block, column block) pairs according to a full scan
-    /// of the operand-validity bitsets, sorted by (column block, row
-    /// block) — the reference for
-    /// [`SystolicArray::frontier_active_blocks`]. Exposed for the
-    /// equivalence tests; not part of the stable API.
+    /// of the operand-validity bits, sorted by (column block, row block)
+    /// — the reference for [`SystolicArray::frontier_active_blocks`].
+    /// Exposed for the equivalence tests; not part of the stable API.
     #[doc(hidden)]
     #[must_use]
     pub fn scan_active_blocks(&self) -> Vec<(u32, u32)> {
-        let k = self.config.collapse_depth;
         let mut blocks = Vec::new();
         for cb in 0..self.config.col_blocks() {
-            let slot = self.segment_slot(cb as usize);
-            let seg = &self.h_valid[slot * self.hw..(slot + 1) * self.hw];
-            let mut last_rb = u32::MAX;
-            for row in 0..self.config.rows {
-                if get_bit(seg, row as usize) && row / k != last_rb {
-                    last_rb = row / k;
-                    blocks.push((last_rb, cb));
-                }
-            }
+            self.push_valid_blocks(cb, &mut blocks);
         }
         blocks
     }

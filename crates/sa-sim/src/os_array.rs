@@ -16,19 +16,14 @@
 //! moves once staged; each is laid out so that what one PE row sees this
 //! cycle is a contiguous slice indexed by array column:
 //!
-//! * `A` is stored **per row**. Each row owns a lane of `2 * ceil(C/k)`
-//!   stage slots of `k` operands: the stage entering the west edge is
-//!   written *k-expanded* (once per column of a block) and *mirrored* (at
-//!   slot `s` and `s + ceil(C/k)`). With the newest stage at slot `head`,
-//!   the stage from `cb` cycles ago sits at slot `head + cb`, so the `C`
-//!   operands starting at `head * k` are exactly what columns `0..C` of
-//!   the row see: column `j` reads the stage from `floor(j/k)` cycles ago.
+//! * `A` is stored **per row** in k-expanded, mirrored lanes
+//!   (`soa::RowLanes`, shared with the weight-stationary operand pipeline):
+//!   the `C` operands a row's columns see are one contiguous slice.
 //! * `B` is a **ring of edge stages** (`ceil(R/k)` slots of `C` operands):
 //!   row block `rb` reads the stage from `rb` cycles ago.
 //!
-//! Validity is one flag per stored register: per row and stage slot for
-//! `A` (mirrored like the operands, but not k-expanded), per stage and
-//! column for `B`. Invalid operands are stored as zero.
+//! Validity is one bitset per stage for `A` (bit = row) and one flag per
+//! stage and column for `B`. Invalid operands are stored as zero.
 //!
 //! # Kernels
 //!
@@ -43,16 +38,17 @@
 //!   column `j` at cycle `n + floor(j/k)`), block pair `(rb, cb)` holds a
 //!   valid operand pair at cycle `c` exactly when
 //!   `c - N + 1 <= rb + cb <= c`. So each active row block sweeps its rows
-//!   over one contiguous column range with a fused `acc += a * b` over
-//!   contiguous accumulator, `A`-lane and `B`-stage slices. The kernel
-//!   applies only while the operands in flight are provably that schedule
-//!   from a clean pipeline, which a purity guard tracks: it records the
-//!   stream length and the next expected cycle, `reset_for_tile` makes it
-//!   clean again, and `step` poisons it;
-//! * the **naive scan**, which checks both validity flags of every PE. It
-//!   runs for [`OutputStationaryArray::step`], for `run_cycles` calls the
-//!   guard rejects (a different stream length, a skipped or repeated
-//!   cycle, anything after `step`) and with the fast path disabled.
+//!   over one contiguous column range with one [`lanes::mac`]
+//!   (`acc += a * b`) over contiguous accumulator, `A`-lane and `B`-stage
+//!   slices. The kernel applies only while the operands in flight are
+//!   provably that schedule from a clean pipeline, which a purity guard
+//!   tracks: it records the stream length and the next expected cycle,
+//!   `reset_for_tile` makes it clean again, and `step` poisons it;
+//! * the **naive scan**, which checks both operands' validity at every
+//!   PE. It runs for [`OutputStationaryArray::step`], for `run_cycles`
+//!   calls the guard rejects (a different stream length, a skipped or
+//!   repeated cycle, anything after `step`) and with the fast path
+//!   disabled.
 //!
 //! Both kernels leave bit-identical accumulators and statistics, which the
 //! differential suites check cycle for cycle against an array-of-structs
@@ -61,150 +57,9 @@
 use crate::config::{ArrayConfig, Dataflow};
 use crate::error::SimError;
 use crate::os_dataflow::{OsCollector, OsNorthFeeder, OsWestFeeder};
-use crate::soa::StreamPurity;
+use crate::soa::{RowLanes, StageCursor, StreamPurity};
 use crate::stats::RunStats;
-
-/// Ring position and drain state shared by both operand pipelines.
-#[derive(Debug, Clone, Copy)]
-struct StageCursor {
-    /// Slot of the newest stage; the stage from `age` cycles ago sits at
-    /// slot `(head + age) mod slots`.
-    head: usize,
-    slots: usize,
-    /// Empty stages staged since the last non-empty one, saturating at
-    /// `slots`: at `slots` no valid operand is in flight.
-    empty_run: usize,
-}
-
-impl StageCursor {
-    fn new(slots: usize) -> Self {
-        Self {
-            head: 0,
-            slots,
-            empty_run: slots,
-        }
-    }
-
-    fn is_drained(&self) -> bool {
-        self.empty_run == self.slots
-    }
-
-    /// Moves the head to the slot the next stage overwrites. Returns
-    /// `false` when an empty stage enters a drained pipeline: every slot
-    /// already holds an empty stage, so there is nothing to write.
-    fn advance(&mut self, empty: bool) -> bool {
-        if empty {
-            if self.is_drained() {
-                return false;
-            }
-            self.empty_run += 1;
-        } else {
-            self.empty_run = 0;
-        }
-        self.head = if self.head == 0 {
-            self.slots - 1
-        } else {
-            self.head - 1
-        };
-        true
-    }
-
-    fn slot(&self, age: usize) -> usize {
-        let slot = self.head + age;
-        if slot >= self.slots {
-            slot - self.slots
-        } else {
-            slot
-        }
-    }
-}
-
-/// The `A` operand pipeline: one register per (row, column block), stored
-/// per row as k-expanded, mirrored lanes (see the module docs).
-#[derive(Debug, Clone)]
-struct RowLanes {
-    /// Operands: per row, `2 * slots` stages of `k` copies each.
-    values: Vec<i32>,
-    /// Validity: per row, `2 * slots` flags, one per stage.
-    valid: Vec<bool>,
-    /// One edge stage, one operand per row: the buffer the west feeder
-    /// stages into before the stage is spread over the row lanes.
-    edge: Vec<i32>,
-    cursor: StageCursor,
-    k: usize,
-}
-
-impl RowLanes {
-    fn new(rows: usize, cols: usize, k: usize) -> Self {
-        let slots = cols.div_ceil(k);
-        Self {
-            values: vec![0; rows * 2 * slots * k],
-            valid: vec![false; rows * 2 * slots],
-            edge: vec![0; rows],
-            cursor: StageCursor::new(slots),
-            k,
-        }
-    }
-
-    fn clear(&mut self) {
-        self.values.fill(0);
-        self.valid.fill(false);
-        self.cursor = StageCursor::new(self.cursor.slots);
-    }
-
-    /// Writes one stage — row `row` carries `value(row)`, valid when
-    /// `valid(row)` — into the head slot and its mirror. The stage goes in
-    /// copy by copy, so every write is a single store rather than a short
-    /// fill per row.
-    fn write_stage(&mut self, value: impl Fn(usize) -> i32, valid: impl Fn(usize) -> bool) {
-        let (k, slots, head) = (self.k, self.cursor.slots, self.cursor.head);
-        for copy in head * k..(head + 1) * k {
-            for (row, lane) in self.values.chunks_exact_mut(2 * slots * k).enumerate() {
-                lane[copy] = value(row);
-                lane[copy + slots * k] = lane[copy];
-            }
-        }
-        for (row, flags) in self.valid.chunks_exact_mut(2 * slots).enumerate() {
-            flags[head] = valid(row);
-            flags[head + slots] = flags[head];
-        }
-    }
-
-    /// Stages the west edge of `cycle` from the feeder.
-    fn stage_feeder(&mut self, west: &OsWestFeeder<'_>, cycle: u64) {
-        if !self.cursor.advance(west.active_rows(cycle).is_none()) {
-            return;
-        }
-        let mut edge = std::mem::take(&mut self.edge);
-        let (first, last) = west
-            .stage_values_into(cycle, &mut edge)
-            .map_or((1, 0), |(first, last)| (first as usize, last as usize));
-        self.write_stage(|row| edge[row], |row| (first..=last).contains(&row));
-        self.edge = edge;
-    }
-
-    /// Stages one west edge given in `Option` form (`None` = no operand).
-    fn stage_options(&mut self, inputs: &[Option<i32>]) {
-        if !self.cursor.advance(inputs.iter().all(Option::is_none)) {
-            return;
-        }
-        self.write_stage(|row| inputs[row].unwrap_or(0), |row| inputs[row].is_some());
-    }
-
-    /// The operand each column `0..cols` of `row` sees this cycle.
-    fn operands(&self, row: usize, cols: usize) -> &[i32] {
-        let (k, slots) = (self.k, self.cursor.slots);
-        let at = row * 2 * slots * k + self.cursor.head * k;
-        &self.values[at..at + cols]
-    }
-
-    /// Whether each column block of `row` sees a valid operand this cycle.
-    fn validity(&self, row: usize) -> &[bool] {
-        let slots = self.cursor.slots;
-        let at = row * 2 * slots + self.cursor.head;
-        &self.valid[at..at + slots]
-    }
-}
+use gemm::lanes;
 
 /// The `B` operand pipeline: one register per (row block, column), stored
 /// as a ring of edge stages.
@@ -519,7 +374,10 @@ impl OutputStationaryArray {
                 self.record_dead_cycles(end - cycle);
                 break;
             }
-            self.a_lanes.stage_feeder(west, cycle);
+            self.a_lanes
+                .stage_feeder(west.active_rows(cycle).is_none(), |edge| {
+                    west.stage_values_into(cycle, edge)
+                });
             self.b_ring.stage_feeder(north, cycle);
             let macs = if analytic {
                 self.compute_wavefront(n, cycle)
@@ -569,16 +427,14 @@ impl OutputStationaryArray {
             let row1 = ((rb + 1) * k).min(rows);
             for row in rb * k..row1 {
                 debug_assert!(
-                    self.a_lanes.validity(row)[col0 / k..col1.div_ceil(k)]
-                        .iter()
-                        .all(|&v| v),
+                    (col0 / k..col1.div_ceil(k)).all(|cb| self.a_lanes.is_valid(row, cb)),
                     "misaligned A wavefront at cycle {cycle}, row {row}"
                 );
-                let a = &self.a_lanes.operands(row, cols)[col0..col1];
-                let acc = &mut self.acc[row * cols + col0..row * cols + col1];
-                for ((acc, &a), &b) in acc.iter_mut().zip(a).zip(b) {
-                    *acc = acc.wrapping_add(i64::from(a) * i64::from(b));
-                }
+                lanes::mac(
+                    &mut self.acc[row * cols + col0..row * cols + col1],
+                    &self.a_lanes.operands(row, cols)[col0..col1],
+                    b,
+                );
             }
             macs += ((row1 - rb * k) * (col1 - col0)) as u64;
         }
@@ -593,11 +449,11 @@ impl OutputStationaryArray {
         let k = self.config.collapse_depth as usize;
         let mut macs = 0u64;
         for row in 0..rows {
-            let (a, a_valid) = (self.a_lanes.operands(row, cols), self.a_lanes.validity(row));
+            let a = self.a_lanes.operands(row, cols);
             let (b, b_valid) = self.b_ring.stage(row / k);
             let acc = &mut self.acc[row * cols..(row + 1) * cols];
             for col in 0..cols {
-                if a_valid[col / k] && b_valid[col] {
+                if b_valid[col] && self.a_lanes.is_valid(row, col / k) {
                     acc[col] = acc[col].wrapping_add(i64::from(a[col]) * i64::from(b[col]));
                     macs += 1;
                 }

@@ -723,6 +723,39 @@ mod tests {
     }
 
     #[test]
+    fn extreme_operands_give_one_product_on_every_path() {
+        // i32::MIN/i32::MAX operands overflow i64 within a tile's reduction
+        // and across tiles; the arrays' adders wrap, so every reference
+        // path must wrap identically instead of panicking.
+        let extremes = [i32::MIN, i32::MAX, i32::MIN, -1, i32::MAX];
+        let a = Matrix::from_fn(5, 12, |t, n| extremes[(t + 2 * n) % 5]);
+        let b = Matrix::from_fn(12, 6, |n, m| extremes[(3 * n + m) % 5]);
+        let expected = multiply(&a, &b).unwrap();
+        // On a 4x4 array: three WS reduction tiles per output column band.
+        assert_eq!(gemm::tiled_multiply(&a, &b, 4, 4).unwrap(), expected);
+        let partials: Vec<Matrix<i64>> = (0..3)
+            .map(|tile| {
+                let a_part = a.padded_block(0, tile * 4, 5, 4);
+                let b_part = b.padded_block(tile * 4, 0, 4, 6);
+                multiply(&a_part, &b_part).unwrap()
+            })
+            .collect();
+        assert_eq!(gemm::tiling::sum_partials(&partials).unwrap(), expected);
+        for dataflow in [Dataflow::WeightStationary, Dataflow::OutputStationary] {
+            for k in [1, 2] {
+                let config = ArrayConfig::new(4, 4)
+                    .with_collapse_depth(k)
+                    .with_dataflow(dataflow);
+                for threads in [1, 2] {
+                    let sim = Simulator::new(config).unwrap().threads(threads);
+                    let result = sim.run_gemm(&a, &b).unwrap();
+                    assert_eq!(result.output, expected, "{config}, {threads} threads");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn single_tile_matches_reference_in_normal_mode() {
         let (a, b) = random_pair(6, 4, 4, 1);
         let sim = Simulator::new(ArrayConfig::new(4, 4)).unwrap();

@@ -1,13 +1,19 @@
 //! Structure-of-arrays primitives of the array backends.
 //!
-//! The weight-stationary core ([`crate::array`]) keeps its pipeline state
-//! as flat register buffers with packed `u64` validity bitsets (one
-//! word-aligned segment per pipeline stage) and one [`LaneSummary`] frontier
-//! summary per stage; the bit-level helpers here carry the invariants its
-//! differential tests exercise (word-boundary geometries above 64 lanes,
-//! dense-versus-sparse stage classification). [`StreamPurity`] is shared
-//! with the output-stationary core ([`crate::os_array`]): both arrays run
-//! their analytic wavefront kernel only while it holds.
+//! Both array cores keep their pipeline state as flat register buffers.
+//! Shared here:
+//!
+//! * [`RowLanes`], the west-to-east operand pipeline both arrays have (one
+//!   register per (row, column block)), stored per row so that what one PE
+//!   row sees in a cycle is a contiguous slice indexed by array column, and
+//!   the [`StageCursor`] ring position it (and the output-stationary `B`
+//!   pipeline) advances;
+//! * [`StreamPurity`]: both arrays run their analytic wavefront kernel only
+//!   while it holds;
+//! * the packed `u64` bitset helpers of the weight-stationary partial-sum
+//!   validity, which carry the word-boundary invariants its differential
+//!   tests exercise (geometries above 64 lanes), and the [`LaneSummary`]
+//!   frontier summary of one edge stage.
 
 pub(crate) const WORD_BITS: usize = 64;
 
@@ -41,20 +47,6 @@ pub(crate) fn set_range(words: &mut [u64], start: usize, last: usize) {
     words[last_word] |= high_mask;
 }
 
-/// Returns `true` if any bit in `start..=last` (inclusive) is set.
-pub(crate) fn any_set_in(words: &[u64], start: usize, last: usize) -> bool {
-    let (first_word, first_bit) = (start / WORD_BITS, start % WORD_BITS);
-    let (last_word, last_bit) = (last / WORD_BITS, last % WORD_BITS);
-    let low_mask = u64::MAX << first_bit;
-    let high_mask = u64::MAX >> (WORD_BITS - 1 - last_bit);
-    if first_word == last_word {
-        return words[first_word] & low_mask & high_mask != 0;
-    }
-    words[first_word] & low_mask != 0
-        || words[first_word + 1..last_word].iter().any(|&w| w != 0)
-        || words[last_word] & high_mask != 0
-}
-
 /// Operand-validity summary of one pipeline stage: which lanes of the stage
 /// hold a valid operand this cycle.
 ///
@@ -85,6 +77,207 @@ impl LaneSummary {
             count: last - first + 1,
             dense: true,
         }
+    }
+
+    /// The summary of one edge stage given in `Option` form.
+    pub(crate) fn of_options(inputs: &[Option<i32>]) -> Self {
+        let mut first = u32::MAX;
+        let mut last = 0u32;
+        let mut count = 0u32;
+        for (lane, input) in inputs.iter().enumerate() {
+            if input.is_some() {
+                first = first.min(lane as u32);
+                last = lane as u32;
+                count += 1;
+            }
+        }
+        Self {
+            first,
+            last,
+            count,
+            dense: count > 0 && count == last - first + 1,
+        }
+    }
+}
+
+/// Ring position and drain state of one operand pipeline whose stages are
+/// stored in `slots` ring slots.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageCursor {
+    /// Slot of the newest stage; the stage from `age` cycles ago sits at
+    /// slot `(head + age) mod slots`.
+    pub(crate) head: usize,
+    pub(crate) slots: usize,
+    /// Empty stages staged since the last non-empty one, saturating at
+    /// `slots`: at `slots` no valid operand is in flight.
+    empty_run: usize,
+}
+
+impl StageCursor {
+    pub(crate) fn new(slots: usize) -> Self {
+        Self {
+            head: 0,
+            slots,
+            empty_run: slots,
+        }
+    }
+
+    pub(crate) fn is_drained(&self) -> bool {
+        self.empty_run == self.slots
+    }
+
+    /// Moves the head to the slot the next stage overwrites. Returns
+    /// `false` when an empty stage enters a drained pipeline: every slot
+    /// already holds an empty stage, so there is nothing to write.
+    pub(crate) fn advance(&mut self, empty: bool) -> bool {
+        if empty {
+            if self.is_drained() {
+                return false;
+            }
+            self.empty_run += 1;
+        } else {
+            self.empty_run = 0;
+        }
+        self.head = if self.head == 0 {
+            self.slots - 1
+        } else {
+            self.head - 1
+        };
+        true
+    }
+
+    pub(crate) fn slot(&self, age: usize) -> usize {
+        let slot = self.head + age;
+        if slot >= self.slots {
+            slot - self.slots
+        } else {
+            slot
+        }
+    }
+}
+
+/// The west-to-east operand pipeline of an `R x C` array in collapse mode
+/// `k`: one register per (row, column block), `ceil(C/k)` stages in
+/// flight.
+///
+/// The pipeline is a pure shift register, so no operand moves once staged.
+/// Each row owns a lane of `2 * ceil(C/k)` stage slots of `k` operands: the
+/// stage entering the west edge is written *k-expanded* (once per column of
+/// a block) and *mirrored* (at slot `s` and `s + ceil(C/k)`). With the
+/// newest stage at slot `head`, the stage from `cb` cycles ago sits at slot
+/// `head + cb`, so the `C` operands starting at `head * k` are exactly what
+/// columns `0..C` of the row see: column `j` reads the stage from
+/// `floor(j/k)` cycles ago. Validity is one bitset per stage slot (bit
+/// `row`, `ceil(R/64)` words), neither mirrored nor k-expanded, so staging
+/// it costs a few word writes. Invalid operands are stored as zero.
+#[derive(Debug, Clone)]
+pub(crate) struct RowLanes {
+    /// Operands: per row, `2 * slots` stages of `k` copies each.
+    values: Vec<i32>,
+    /// Validity: per stage slot, `words` words, bit `row`.
+    valid: Vec<u64>,
+    words: usize,
+    /// One edge stage, one operand per row: the buffer a feeder stages
+    /// into before the stage is spread over the row lanes.
+    edge: Vec<i32>,
+    pub(crate) cursor: StageCursor,
+    k: usize,
+}
+
+impl RowLanes {
+    pub(crate) fn new(rows: usize, cols: usize, k: usize) -> Self {
+        let slots = cols.div_ceil(k);
+        let words = words_for(rows);
+        Self {
+            values: vec![0; rows * 2 * slots * k],
+            valid: vec![0; slots * words],
+            words,
+            edge: vec![0; rows],
+            cursor: StageCursor::new(slots),
+            k,
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.values.fill(0);
+        self.valid.fill(0);
+        self.cursor = StageCursor::new(self.cursor.slots);
+    }
+
+    /// Writes the operands of one stage — row `row` carries `value(row)` —
+    /// into the head slot and its mirror, and returns the head slot's
+    /// validity words, cleared. The stage goes in copy by copy, so every
+    /// write is a single store rather than a short fill per row.
+    fn write_stage(&mut self, value: impl Fn(usize) -> i32) -> &mut [u64] {
+        let (k, slots, head) = (self.k, self.cursor.slots, self.cursor.head);
+        for copy in head * k..(head + 1) * k {
+            for (row, lane) in self.values.chunks_exact_mut(2 * slots * k).enumerate() {
+                lane[copy] = value(row);
+                lane[copy + slots * k] = lane[copy];
+            }
+        }
+        let valid = &mut self.valid[head * self.words..(head + 1) * self.words];
+        valid.fill(0);
+        valid
+    }
+
+    /// Stages one edge of a feeder schedule. `idle` says whether the edge
+    /// carries no operand this cycle; `stage` writes the edge's operands
+    /// (one per row, idle rows as zero) and returns the valid row range.
+    /// Returns whether a stage was written: an idle edge entering a drained
+    /// pipeline writes nothing.
+    pub(crate) fn stage_feeder(
+        &mut self,
+        idle: bool,
+        stage: impl FnOnce(&mut [i32]) -> Option<(u32, u32)>,
+    ) -> bool {
+        if !self.cursor.advance(idle) {
+            return false;
+        }
+        let mut edge = std::mem::take(&mut self.edge);
+        let active = stage(&mut edge);
+        let valid = self.write_stage(|row| edge[row]);
+        if let Some((first, last)) = active {
+            set_range(valid, first as usize, last as usize);
+        }
+        self.edge = edge;
+        true
+    }
+
+    /// Stages one edge given in `Option` form (`None` = no operand).
+    /// Returns whether a stage was written, as [`RowLanes::stage_feeder`].
+    pub(crate) fn stage_options(&mut self, inputs: &[Option<i32>]) -> bool {
+        if !self.cursor.advance(inputs.iter().all(Option::is_none)) {
+            return false;
+        }
+        let valid = self.write_stage(|row| inputs[row].unwrap_or(0));
+        for (row, input) in inputs.iter().enumerate() {
+            if input.is_some() {
+                set_bit(valid, row);
+            }
+        }
+        true
+    }
+
+    /// The operands columns `0..cols` of `row` see this cycle.
+    pub(crate) fn operands(&self, row: usize, cols: usize) -> &[i32] {
+        let (k, slots) = (self.k, self.cursor.slots);
+        let at = row * 2 * slots * k + self.cursor.head * k;
+        &self.values[at..at + cols]
+    }
+
+    /// The single operand column block `cb` of `row` sees this cycle: the
+    /// stage from `cb` cycles ago.
+    pub(crate) fn operand(&self, row: usize, cb: usize) -> i32 {
+        let (k, slots) = (self.k, self.cursor.slots);
+        self.values[row * 2 * slots * k + (self.cursor.head + cb) * k]
+    }
+
+    /// Whether the operand column block `cb` of `row` sees this cycle is
+    /// valid.
+    pub(crate) fn is_valid(&self, row: usize, cb: usize) -> bool {
+        let slot = self.cursor.slot(cb);
+        get_bit(&self.valid[slot * self.words..(slot + 1) * self.words], row)
     }
 }
 
@@ -134,25 +327,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bitset_range_queries_cover_word_boundaries() {
-        // 130 bits span three words; probe single-word, word-crossing and
-        // multi-word ranges.
-        let mut words = vec![0u64; 3];
-        assert!(!any_set_in(&words, 0, 129));
-        set_bit(&mut words, 64);
-        assert!(any_set_in(&words, 0, 129));
-        assert!(any_set_in(&words, 64, 64));
-        assert!(any_set_in(&words, 60, 70));
-        assert!(!any_set_in(&words, 0, 63));
-        assert!(!any_set_in(&words, 65, 129));
-        set_bit(&mut words, 129);
-        assert!(any_set_in(&words, 65, 129));
-        assert!(any_set_in(&words, 129, 129));
-        assert!(!any_set_in(&words, 65, 128));
-        assert!(get_bit(&words, 64) && get_bit(&words, 129) && !get_bit(&words, 0));
-    }
-
-    #[test]
     fn bitset_range_sets_cover_word_boundaries() {
         let mut words = vec![0u64; 3];
         set_range(&mut words, 3, 3);
@@ -175,6 +349,56 @@ mod tests {
         assert_eq!((s.first, s.last, s.count), (3, 7, 5));
         assert!(s.dense);
         assert_eq!(LaneSummary::default().count, 0);
+        assert_eq!(
+            LaneSummary::of_options(&[None, Some(0), Some(4), None]),
+            LaneSummary::dense_range(1, 2)
+        );
+        let holey = LaneSummary::of_options(&[Some(1), None, Some(2)]);
+        assert_eq!((holey.first, holey.last, holey.count), (0, 2, 2));
+        assert!(!holey.dense);
+        assert_eq!(LaneSummary::of_options(&[None, None]).count, 0);
+    }
+
+    #[test]
+    fn row_lanes_show_each_column_the_stage_of_its_block_age() {
+        // 2 rows, 5 columns, k = 2: three column blocks, the last one
+        // partial. Stage s carries 10 * s + row.
+        let mut lanes = RowLanes::new(2, 5, 2);
+        for s in 1..=3 {
+            assert!(lanes.stage_feeder(false, |edge| {
+                edge[0] = 10 * s;
+                edge[1] = 10 * s + 1;
+                Some((0, 1))
+            }));
+        }
+        // Columns 0-1 see the newest stage, 2-3 the one before, 4 the
+        // oldest.
+        assert_eq!(lanes.operands(0, 5), &[30, 30, 20, 20, 10]);
+        assert_eq!(lanes.operands(1, 5), &[31, 31, 21, 21, 11]);
+        assert_eq!(
+            (0..3).map(|cb| lanes.operand(1, cb)).collect::<Vec<_>>(),
+            [31, 21, 11]
+        );
+        assert!((0..3).all(|cb| lanes.is_valid(0, cb)));
+        // A stage with row 0 idle: zero and invalid there, valid on row 1.
+        assert!(lanes.stage_options(&[None, Some(7)]));
+        assert_eq!(lanes.operands(0, 5), &[0, 0, 30, 30, 20]);
+        assert_eq!(
+            (0..3).map(|cb| lanes.is_valid(0, cb)).collect::<Vec<_>>(),
+            [false, true, true]
+        );
+        assert!((0..3).all(|cb| lanes.is_valid(1, cb)));
+        // Three idle stages drain the pipeline; a fourth writes nothing.
+        for _ in 0..3 {
+            assert!(lanes.stage_feeder(true, |edge| {
+                edge.fill(0);
+                None
+            }));
+        }
+        assert!(lanes.cursor.is_drained());
+        assert!(!lanes.stage_options(&[None, None]));
+        assert_eq!(lanes.operands(1, 5), &[0; 5]);
+        assert!((0..3).all(|cb| !lanes.is_valid(1, cb)));
     }
 
     #[test]

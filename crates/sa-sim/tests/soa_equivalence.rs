@@ -9,12 +9,14 @@
 //! today's [`SystolicArray`] (both with and without the inactive-block fast
 //! path) across randomized geometries, collapse depths, stream lengths and
 //! operand sparsity, and assert bit-identical south outputs and
-//! [`RunStats`]. The output-stationary backend has the analogous suite in
-//! `dataflow_equivalence.rs`, against the same module's
-//! `common::os::LegacyOsArray`.
+//! [`RunStats`] — through `step_into` every cycle, and through `run_cycles`
+//! split into chunks down to single cycles, which pins the analytic
+//! wavefront kernel cycle range by cycle range. The output-stationary
+//! backend has the analogous suite in `dataflow_equivalence.rs`, against
+//! the same module's `common::os::LegacyOsArray`.
 
 use gemm::rng::SplitMix64;
-use gemm::Matrix;
+use gemm::{multiply, Matrix};
 use proptest::prelude::*;
 use sa_sim::{ArrayConfig, InputFeeder, OutputCollector, RunStats, SystolicArray};
 
@@ -88,6 +90,68 @@ fn soa_core_matches_the_legacy_scan_on_fixed_geometries() {
         (8, 96, 8, 5, 8),
     ] {
         assert_equivalent(rows, cols, k, t, seed, 30);
+    }
+}
+
+/// Runs one whole tile (plus 3 trailing cycles) through
+/// [`SystolicArray::run_cycles`] in chunks whose lengths cycle through
+/// `chunks`, stepping the legacy reference over the same cycles and
+/// comparing [`RunStats`] after every chunk; the collected output is
+/// compared with the reference's and with the GEMM oracle at the end.
+fn assert_chunked_ws_tile(rows: u32, cols: u32, k: u32, t: usize, seed: u64, chunks: &[u64]) {
+    let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
+    let mut rng = SplitMix64::new(seed);
+    let weights = Matrix::random(rows as usize, cols as usize, &mut rng, -60, 60);
+    let a = Matrix::random(t, rows as usize, &mut rng, -60, 60);
+    let feeder = InputFeeder::new(&a, config).unwrap();
+    let mut engine = SystolicArray::new(config).unwrap();
+    let mut reference = legacy::LegacyArray::new(config);
+    engine.load_weights(&weights).unwrap();
+    reference.load_weights(&weights);
+    let mut collector = OutputCollector::new(config, t);
+    let mut reference_collector = OutputCollector::new(config, t);
+    let end = config.compute_cycles(t as u64) + 3;
+    let mut cycle = 0;
+    for &chunk in chunks.iter().cycle() {
+        if cycle >= end {
+            break;
+        }
+        let cycles = chunk.min(end - cycle);
+        engine
+            .run_cycles(&feeder, cycle, cycles, &mut collector)
+            .unwrap();
+        for c in cycle..cycle + cycles {
+            let south = reference.step(&feeder.west_inputs(c));
+            reference_collector.collect(c, &south).unwrap();
+        }
+        cycle += cycles;
+        assert_eq!(
+            engine.stats(),
+            reference.stats(),
+            "stats diverged: {config} t={t} after cycle {cycle}"
+        );
+    }
+    let expected = reference_collector.into_output().unwrap();
+    assert_eq!(expected, multiply(&a, &weights).unwrap(), "{config} t={t}");
+    assert_eq!(collector.into_output().unwrap(), expected, "{config} t={t}");
+}
+
+#[test]
+fn ws_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
+    // Wide and ragged geometries, each with a stream shorter than the
+    // block counts (the wavefront never fills the array) and one longer
+    // (a steady state where every block is active).
+    let chunks = [1, 1, 3, 1, 7, 2, 1, 13];
+    for (rows, cols, k, ts) in [
+        (65u32, 65u32, 1u32, [3usize, 70]),
+        (70, 66, 4, [5, 20]),
+        (66, 70, 33, [1, 5]),
+        (96, 8, 8, [4, 14]),
+        (8, 96, 8, [5, 14]),
+    ] {
+        for (seed, t) in ts.into_iter().enumerate() {
+            assert_chunked_ws_tile(rows, cols, k, t, seed as u64, &chunks);
+        }
     }
 }
 

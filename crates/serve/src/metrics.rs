@@ -11,6 +11,11 @@
 //!   `arrayflex_serve_plan_cache_{entries,bytes,hit_rate}` and the
 //!   per-shard `arrayflex_serve_plan_cache_shard_*_total{shard}` family —
 //!   read from the plan cache at scrape time.
+//!
+//! Beside the serving-layer counters and gauges, one info sample,
+//! `arrayflex_serve_sim_lane_kernel_info{kernel}`, names the
+//! multiply-accumulate body ([`gemm::lanes::kernel`]) the simulator runs
+//! on this host.
 
 use arrayflex::{CacheShardStats, PlanCache};
 use std::collections::BTreeMap;
@@ -508,6 +513,13 @@ impl Metrics {
             "arrayflex_serve_sim_batched_requests_total {}",
             self.sim_batched_requests.load(Ordering::Relaxed)
         );
+        out.push_str("# HELP arrayflex_serve_sim_lane_kernel_info Multiply-accumulate lane kernel the simulator runs on this host (avx2 or scalar).\n");
+        out.push_str("# TYPE arrayflex_serve_sim_lane_kernel_info gauge\n");
+        let _ = writeln!(
+            out,
+            "arrayflex_serve_sim_lane_kernel_info{{kernel=\"{}\"}} 1",
+            gemm::lanes::kernel()
+        );
         out.push_str("# HELP arrayflex_serve_shed_total Requests shed by admission control (503 without computation), by route.\n");
         out.push_str("# TYPE arrayflex_serve_shed_total counter\n");
         for (route, count) in lock_counters(&self.sheds).iter() {
@@ -785,6 +797,18 @@ mod tests {
         assert!(text.contains("arrayflex_serve_stale_served_total 0"));
         assert!(text.contains("arrayflex_serve_accept_backoff_total 0"));
         assert!(text.contains("arrayflex_serve_snapshot_rejected_total 0"));
+        // Exactly one lane-kernel sample, naming the dispatched body.
+        let kernels: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("arrayflex_serve_sim_lane_kernel_info"))
+            .collect();
+        assert_eq!(
+            kernels,
+            [format!(
+                "arrayflex_serve_sim_lane_kernel_info{{kernel=\"{}\"}} 1",
+                gemm::lanes::kernel()
+            )]
+        );
         for route in COALESCE_ROUTES {
             assert!(text.contains(&format!(
                 "arrayflex_serve_coalesced_requests_total{{route=\"{route}\"}} 0"
