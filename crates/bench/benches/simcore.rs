@@ -1,9 +1,10 @@
 //! Criterion bench of the structure-of-arrays simulator core: the
 //! allocation-free `step_into` against the allocating `step` compatibility
-//! wrapper, the multi-cycle `run_cycles` entry point against the repeated
-//! per-cycle loop, the frontier-banded panel kernel against the naive
-//! `eval_block` scan, tile reuse through `reset_for_tile` against fresh
-//! construction, and the pooled against the unpooled whole-GEMM path.
+//! wrapper, the multi-cycle `run_cycles` entry point (the wavefront kernel)
+//! against the repeated per-cycle loop (the naive scan), the wavefront
+//! panel kernel on a steady-state tile, tile reuse through
+//! `reset_for_tile` against fresh construction, and the pooled against the
+//! unpooled whole-GEMM path.
 //! These are the micro-level counterparts of the committed
 //! `BENCH_simcore.json` baseline (see `scripts/bench_baseline.sh`).
 
@@ -89,18 +90,14 @@ fn bench_run_cycles(c: &mut Criterion) {
 }
 
 fn bench_panel_kernel(c: &mut Criterion) {
-    // Steady-state tile (most cycles carry a full wavefront): the panel
-    // kernel of the fast path against the per-column carry-save chain of
-    // the naive `eval_block` scan.
+    // Steady-state tile (most cycles carry a full wavefront): the panels
+    // of the wavefront kernel rather than its fill/drain bookkeeping.
     let config = ArrayConfig::new(16, 16).with_collapse_depth(2);
     let (a, b) = operands(64, 16, 16);
     let sim = Simulator::new(config).unwrap();
 
     c.bench_function("simcore/steady_tile_panel_kernel", |bench| {
         bench.iter(|| sim.run_tile(&a, &b).unwrap())
-    });
-    c.bench_function("simcore/steady_tile_eval_block_naive", |bench| {
-        bench.iter(|| sim.run_tile_naive(&a, &b).unwrap())
     });
 }
 

@@ -1,6 +1,7 @@
 //! Criterion bench comparing the serial and parallel execution paths of the
-//! evaluation sweep and the cycle-accurate simulator, plus the fast-path
-//! cycle kernel against the naive full-array scan.
+//! evaluation sweep and the cycle-accurate simulator, plus the wavefront
+//! cycle kernel on one drain-heavy tile (its naive-scan counterpart is
+//! `simcore/run_cycles_as_repeated_step_into`).
 //!
 //! On a machine with 4 or more cores the `parallel` variants should beat
 //! their `serial` counterparts by >= 1.5x wall-clock; on a single core they
@@ -44,9 +45,6 @@ fn bench_cycle_kernel(c: &mut Criterion) {
     let a = Matrix::random(4, 64, &mut rng, -50, 50);
     let b = Matrix::random(64, 64, &mut rng, -50, 50);
     let sim = Simulator::new(ArrayConfig::new(64, 64)).unwrap();
-    c.bench_function("throughput/tile_naive_scan", |bch| {
-        bch.iter(|| sim.run_tile_naive(&a, &b).unwrap())
-    });
     c.bench_function("throughput/tile_fast_path", |bch| {
         bch.iter(|| sim.run_tile(&a, &b).unwrap())
     });

@@ -23,7 +23,10 @@ use cnn::DepthwiseMapping;
 use gemm::im2col::im2col;
 use gemm::rng::SplitMix64;
 use gemm::{multiply, ConvShape, Matrix, Tensor3};
-use sa_sim::{ArrayConfig, Dataflow, Simulator};
+use sa_sim::{
+    ArrayConfig, Dataflow, InputFeeder, OutputCollector, SimError, Simulator, SystolicArray,
+    TileResult,
+};
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
 use std::time::Instant;
@@ -71,9 +74,11 @@ impl BaselineReport {
 }
 
 /// The stable name of the acceptance bench: one drain-heavy tile
-/// (`T = 4`) on a 32x32 array with the fast path enabled.
+/// (`T = 4`) on a 32x32 array through `Simulator::run_tile`, i.e. the
+/// analytic wavefront kernel.
 pub const DRAIN_HEAVY_FAST: &str = "simcore/tile_32x32_drain_heavy/fast";
-/// The naive-scan twin of [`DRAIN_HEAVY_FAST`].
+/// The naive-scan twin of [`DRAIN_HEAVY_FAST`]: the same tile through
+/// [`naive_scan_tile`].
 pub const DRAIN_HEAVY_NAIVE: &str = "simcore/tile_32x32_drain_heavy/naive";
 /// The JSON-emission bench: `serde_json::to_string` of the `/v1/plan`
 /// golden plan.
@@ -93,6 +98,42 @@ fn time_batches<F: FnMut()>(iters: u64, mut f: F) -> f64 {
         best = best.min(ns);
     }
     best
+}
+
+/// Runs one weight-stationary tile (`A_sub` is `T x R`, `B_sub` is
+/// `R x C`) as the literal per-cycle loop — `step_into` plus `collect`
+/// every cycle — on a caller-owned array, reset for the tile. This is the
+/// loop `SystolicArray::run_cycles` runs for a stream its wavefront guard
+/// rejects, so timing it against `Simulator::run_tile` measures the naive
+/// scan against the wavefront kernel on identical hardware.
+///
+/// # Errors
+///
+/// Returns dimension errors if the operands do not match the array.
+pub fn naive_scan_tile(
+    array: &mut SystolicArray,
+    a_sub: &Matrix<i32>,
+    b_sub: &Matrix<i32>,
+) -> Result<TileResult, SimError> {
+    let config = array.config();
+    array.reset_for_tile();
+    array.load_weights(b_sub)?;
+    let feeder = InputFeeder::new(a_sub, config)?;
+    let t = a_sub.rows();
+    let mut collector = OutputCollector::new(config, t);
+    let mut west = vec![None; config.rows as usize];
+    let mut south = vec![None; config.cols as usize];
+    for cycle in 0..config.compute_cycles(t as u64) {
+        feeder.west_inputs_into(cycle, &mut west);
+        array.step_into(&west, &mut south)?;
+        collector.collect(cycle, &south)?;
+    }
+    let mut stats = array.stats();
+    stats.tiles = 1;
+    Ok(TileResult {
+        output: collector.into_output()?,
+        stats,
+    })
 }
 
 fn record(name: &str, iters: u64, cycles_per_iter: Option<u64>, ns_per_iter: f64) -> BenchRecord {
@@ -118,25 +159,26 @@ fn record(name: &str, iters: u64, cycles_per_iter: Option<u64>, ns_per_iter: f64
 ///
 /// # Panics
 ///
-/// Panics if the fast-path tile diverges from the naive scan — the
-/// baseline never times a wrong computation.
+/// Panics if the wavefront kernel's tile diverges from the naive scan's —
+/// the baseline never times a wrong computation.
 pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     let scale = |iters: u64| if quick { (iters / 50).max(2) } else { iters };
     let mut benches = Vec::new();
 
     // 1 + 2. The acceptance bench: a drain-heavy tile (T = 4) on a 32x32
-    // array in normal pipeline mode, fast path vs. naive scan.
+    // array in normal pipeline mode, wavefront kernel vs. naive scan.
     let mut rng = SplitMix64::new(90);
     let a_drain = Matrix::random(4, 32, &mut rng, -50, 50);
     let b_drain = Matrix::random(32, 32, &mut rng, -50, 50);
-    let drain_sim = Simulator::new(ArrayConfig::new(32, 32)).map_err(ArrayFlexError::from)?;
+    let drain_config = ArrayConfig::new(32, 32);
+    let drain_sim = Simulator::new(drain_config).map_err(ArrayFlexError::from)?;
+    let mut drain_array = SystolicArray::new(drain_config).map_err(ArrayFlexError::from)?;
     let fast = drain_sim
         .run_tile(&a_drain, &b_drain)
         .map_err(ArrayFlexError::from)?;
-    let naive = drain_sim
-        .run_tile_naive(&a_drain, &b_drain)
-        .map_err(ArrayFlexError::from)?;
-    assert_eq!(fast, naive, "fast path diverged from the naive scan");
+    let naive =
+        naive_scan_tile(&mut drain_array, &a_drain, &b_drain).map_err(ArrayFlexError::from)?;
+    assert_eq!(fast, naive, "wavefront kernel diverged from the naive scan");
     let cycles = fast.stats.total_cycles();
     let iters = scale(400);
     let ns = time_batches(iters, || {
@@ -145,9 +187,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     benches.push(record(DRAIN_HEAVY_FAST, iters, Some(cycles), ns));
     let iters = scale(200);
     let ns = time_batches(iters, || {
-        drain_sim
-            .run_tile_naive(&a_drain, &b_drain)
-            .expect("naive drain tile");
+        naive_scan_tile(&mut drain_array, &a_drain, &b_drain).expect("naive drain tile");
     });
     benches.push(record(DRAIN_HEAVY_NAIVE, iters, Some(cycles), ns));
 

@@ -1,6 +1,6 @@
 //! Measures the parallel execution engine against serial execution: the
 //! DATE'23 evaluation sweep, a tile-parallel cycle-accurate GEMM and the
-//! fast-path cycle kernel (the speedup table of `EXPERIMENTS.md`).
+//! wavefront cycle kernel (the speedup table of `EXPERIMENTS.md`).
 //!
 //! Pass `--threads N` to pin the worker count (default: all cores) and
 //! `--json` for machine-readable output.

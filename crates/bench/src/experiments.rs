@@ -13,7 +13,7 @@ use cnn::models::{convnext_tiny, paper_evaluation_networks, resnet34};
 use cnn::DepthwiseMapping;
 use gemm::{GemmDims, Matrix, WorkloadGenerator, DimBounds};
 use hw_model::{AreaModel, ClockPlan, DatapathDelays, Design};
-use sa_sim::{ArrayConfig, Simulator};
+use sa_sim::{ArrayConfig, Simulator, SystolicArray};
 use serde::Serialize;
 
 /// The array size used by Fig. 5 of the paper (divisible by k = 1..4).
@@ -1131,7 +1131,7 @@ pub fn ablation_objective_text(rows: &[ObjectiveRow]) -> String {
 pub struct ThroughputRow {
     /// Workload label.
     pub workload: String,
-    /// Execution-mode label (`serial`, `N threads`, `naive scan`, ...).
+    /// Execution-mode label (`serial`, `N threads`, `step_into scan`, ...).
     pub mode: String,
     /// Worker threads used (1 for serial modes).
     pub threads: usize,
@@ -1186,14 +1186,14 @@ fn throughput_pair(
 ///    fanned out over `threads` workers);
 /// 2. a tiled cycle-accurate GEMM (`Simulator::run_gemm`, serial tiles vs.
 ///    tile-parallel);
-/// 3. one simulated tile with the naive full-array scan vs. the
-///    inactive-block fast-path kernel (single-threaded in both modes).
+/// 3. one simulated tile with the per-cycle `step_into` scan vs. the
+///    analytic wavefront kernel (single-threaded in both modes).
 ///
 /// `threads == 0` auto-detects the hardware parallelism. Every mode's
 /// result is asserted bit-identical to its serial/naive reference before
 /// timing, so the table can never report a speedup of a wrong computation.
 /// Speedups for workloads 1 and 2 scale with the core count of the host
-/// (they are ~1.0 on a single-core machine); the fast-path speedup of
+/// (they are ~1.0 on a single-core machine); the wavefront speedup of
 /// workload 3 is machine-independent.
 ///
 /// # Errors
@@ -1202,8 +1202,8 @@ fn throughput_pair(
 ///
 /// # Panics
 ///
-/// Panics if a parallel or fast-path result diverges from its serial
-/// reference, which would indicate a determinism bug.
+/// Panics if a parallel or wavefront result diverges from its serial or
+/// naive-scan reference, which would indicate a determinism bug.
 pub fn throughput(threads: usize) -> Result<Vec<ThroughputRow>, ArrayFlexError> {
     let threads = if threads == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -1263,32 +1263,36 @@ pub fn throughput(threads: usize) -> Result<Vec<ThroughputRow>, ArrayFlexError> 
         parallel_ms,
     ));
 
-    // 3. The fast-path cycle kernel vs. the naive per-cycle scan on one
-    //    drain-heavy tile (small T relative to the array).
+    // 3. The per-cycle `step_into` scan (on one reused array) vs. the
+    //    wavefront kernel `run_tile` takes, on one drain-heavy tile (small
+    //    T relative to the array).
     let a_tile = Matrix::random(4, 64, &mut rng, -50, 50);
     let b_tile = Matrix::random(64, 64, &mut rng, -50, 50);
-    let tile_sim =
-        Simulator::new(ArrayConfig::new(64, 64)).map_err(ArrayFlexError::from)?;
-    let fast = tile_sim
+    let tile_config = ArrayConfig::new(64, 64);
+    let tile_sim = Simulator::new(tile_config).map_err(ArrayFlexError::from)?;
+    let mut tile_array = SystolicArray::new(tile_config).map_err(ArrayFlexError::from)?;
+    let wavefront = tile_sim
         .run_tile(&a_tile, &b_tile)
         .map_err(ArrayFlexError::from)?;
-    let naive = tile_sim
-        .run_tile_naive(&a_tile, &b_tile)
+    let naive = crate::baseline::naive_scan_tile(&mut tile_array, &a_tile, &b_tile)
         .map_err(ArrayFlexError::from)?;
-    assert_eq!(fast, naive, "fast-path kernel diverged from the naive scan");
+    assert_eq!(
+        wavefront, naive,
+        "wavefront kernel diverged from the naive scan"
+    );
     let naive_ms = best_of_three(|| {
-        tile_sim.run_tile_naive(&a_tile, &b_tile).expect("naive tile");
+        crate::baseline::naive_scan_tile(&mut tile_array, &a_tile, &b_tile).expect("naive tile");
     });
-    let fast_ms = best_of_three(|| {
-        tile_sim.run_tile(&a_tile, &b_tile).expect("fast-path tile");
+    let wavefront_ms = best_of_three(|| {
+        tile_sim.run_tile(&a_tile, &b_tile).expect("wavefront tile");
     });
     rows.extend(throughput_pair(
         "single-tile cycle kernel",
-        "naive scan",
-        "fast path",
+        "step_into scan",
+        "wavefront kernel",
         1,
         naive_ms,
-        fast_ms,
+        wavefront_ms,
     ));
     Ok(rows)
 }
@@ -1380,8 +1384,8 @@ mod tests {
 
     #[test]
     fn throughput_rows_cover_every_workload_and_verify_results() {
-        // throughput() itself asserts parallel == serial and fast == naive
-        // before timing; here we check the table's shape.
+        // throughput() itself asserts parallel == serial and wavefront ==
+        // naive scan before timing; here we check the table's shape.
         let rows = throughput(2).unwrap();
         assert_eq!(rows.len(), 6);
         for pair in rows.chunks_exact(2) {
@@ -1392,7 +1396,7 @@ mod tests {
         }
         assert_eq!(rows[1].threads, 2);
         let text = throughput_text(&rows);
-        assert!(text.contains("fast path"));
+        assert!(text.contains("wavefront kernel"));
         assert!(text.contains("DATE'23 evaluation sweep"));
     }
 

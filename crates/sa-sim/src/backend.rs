@@ -1,14 +1,12 @@
-//! The dataflow-generic array backend abstraction.
+//! The dataflow-generic tile engine.
 //!
-//! [`ArrayBackend`] is the surface the tile loops of
+//! [`TileEngine`] is the unit the tile loops of
 //! [`Simulator`](crate::Simulator) and the [`ArrayPool`](crate::ArrayPool)
-//! program against: lifecycle (reset, fast-path knob, statistics) plus
-//! [`ArrayBackend::execute_tile`], which runs one array-sized tile end to
-//! end on the backend's own feeder/collector schedules. The two concrete
-//! backends are the weight-stationary [`SystolicArray`] and the
-//! output-stationary [`OutputStationaryArray`]; [`TileEngine`] is the
-//! enum that lets one pool hold both and dispatches by the
-//! [`Dataflow`] recorded in the [`ArrayConfig`].
+//! work with: an array of either dataflow — the weight-stationary
+//! [`SystolicArray`] or the output-stationary [`OutputStationaryArray`] —
+//! chosen by the [`Dataflow`] recorded in the [`ArrayConfig`], plus
+//! [`TileEngine::execute_tile`], which runs one array-sized tile end to end
+//! on that dataflow's own feeder/collector schedules.
 //!
 //! The **tile operand contract** is per-dataflow, because each dataflow
 //! maps different GEMM dimensions onto the PE grid:
@@ -31,125 +29,6 @@ use crate::os_dataflow::{OsCollector, OsNorthFeeder, OsWestFeeder};
 use crate::sim::TileResult;
 use crate::stats::RunStats;
 use gemm::Matrix;
-
-/// What every array backend offers the dataflow-generic tile loops:
-/// lifecycle management plus whole-tile execution on the backend's own
-/// input/output schedules.
-pub trait ArrayBackend {
-    /// The array configuration (including its [`Dataflow`]).
-    fn config(&self) -> ArrayConfig;
-
-    /// Statistics accumulated since construction or the last
-    /// [`ArrayBackend::reset_for_tile`].
-    fn stats(&self) -> RunStats;
-
-    /// Whether the backend's fast-path kernel is enabled.
-    fn fast_path(&self) -> bool;
-
-    /// Enables or disables the fast-path kernel; outputs and [`RunStats`]
-    /// are bit-identical either way.
-    fn set_fast_path(&mut self, enabled: bool);
-
-    /// Prepares the backend for a fresh tile without reallocating.
-    fn reset_for_tile(&mut self);
-
-    /// Runs one array-sized tile end to end (`A_sub x B_sub`, shapes per
-    /// the dataflow's operand contract — see the module docs) and returns
-    /// the tile output with its statistics (`tiles == 1`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DimensionMismatch`] if the operands do not fit
-    /// the dataflow's tile contract for this array.
-    fn execute_tile(&mut self, a_sub: &Matrix<i32>, b_sub: &Matrix<i32>)
-        -> Result<TileResult, SimError>;
-}
-
-impl ArrayBackend for SystolicArray {
-    fn config(&self) -> ArrayConfig {
-        SystolicArray::config(self)
-    }
-
-    fn stats(&self) -> RunStats {
-        SystolicArray::stats(self)
-    }
-
-    fn fast_path(&self) -> bool {
-        SystolicArray::fast_path(self)
-    }
-
-    fn set_fast_path(&mut self, enabled: bool) {
-        SystolicArray::set_fast_path(self, enabled);
-    }
-
-    fn reset_for_tile(&mut self) {
-        SystolicArray::reset_for_tile(self);
-    }
-
-    /// The weight-stationary tile flow: preload `B_sub` as the stationary
-    /// weights, stream `A_sub` west-to-east on the feeder schedule and
-    /// collect the south edge.
-    fn execute_tile(
-        &mut self,
-        a_sub: &Matrix<i32>,
-        b_sub: &Matrix<i32>,
-    ) -> Result<TileResult, SimError> {
-        let config = SystolicArray::config(self);
-        SystolicArray::reset_for_tile(self);
-        self.load_weights(b_sub)?;
-        let feeder = InputFeeder::new(a_sub, config)?;
-        let t = a_sub.rows();
-        let mut collector = OutputCollector::new(config, t);
-        self.run_cycles(&feeder, 0, config.compute_cycles(t as u64), &mut collector)?;
-        let output = collector.into_output()?;
-        let mut stats = SystolicArray::stats(self);
-        stats.tiles = 1;
-        Ok(TileResult { output, stats })
-    }
-}
-
-impl ArrayBackend for OutputStationaryArray {
-    fn config(&self) -> ArrayConfig {
-        OutputStationaryArray::config(self)
-    }
-
-    fn stats(&self) -> RunStats {
-        OutputStationaryArray::stats(self)
-    }
-
-    fn fast_path(&self) -> bool {
-        OutputStationaryArray::fast_path(self)
-    }
-
-    fn set_fast_path(&mut self, enabled: bool) {
-        OutputStationaryArray::set_fast_path(self, enabled);
-    }
-
-    fn reset_for_tile(&mut self) {
-        OutputStationaryArray::reset_for_tile(self);
-    }
-
-    /// The output-stationary tile flow: stream `A_sub` west and `B_sub`
-    /// north on the skewed feeder schedules, accumulate in place and drain
-    /// the resident accumulators on the collector schedule.
-    fn execute_tile(
-        &mut self,
-        a_sub: &Matrix<i32>,
-        b_sub: &Matrix<i32>,
-    ) -> Result<TileResult, SimError> {
-        let config = OutputStationaryArray::config(self);
-        OutputStationaryArray::reset_for_tile(self);
-        let west = OsWestFeeder::new(a_sub, config)?;
-        let north = OsNorthFeeder::new(b_sub, config)?;
-        let n = west.stream_length();
-        let mut collector = OsCollector::new(config, n);
-        self.run_cycles(&west, &north, 0, config.os_tile_cycles(n), &mut collector)?;
-        let output = collector.into_output()?;
-        let mut stats = OutputStationaryArray::stats(self);
-        stats.tiles = 1;
-        Ok(TileResult { output, stats })
-    }
-}
 
 /// A concrete array backend of either dataflow — the unit the
 /// [`ArrayPool`](crate::ArrayPool) checks out and in.
@@ -188,91 +67,92 @@ impl TileEngine {
         }
     }
 
-    fn backend(&self) -> &dyn ArrayBackend {
-        match self {
-            Self::Ws(array) => array.as_ref(),
-            Self::Os(array) => array.as_ref(),
-        }
-    }
-
-    fn backend_mut(&mut self) -> &mut dyn ArrayBackend {
-        match self {
-            Self::Ws(array) => array.as_mut(),
-            Self::Os(array) => array.as_mut(),
-        }
-    }
-
     /// The array configuration (including its [`Dataflow`]).
     #[must_use]
     pub fn config(&self) -> ArrayConfig {
-        self.backend().config()
+        match self {
+            Self::Ws(array) => array.config(),
+            Self::Os(array) => array.config(),
+        }
     }
 
     /// Statistics accumulated since the last reset.
     #[must_use]
     pub fn stats(&self) -> RunStats {
-        self.backend().stats()
-    }
-
-    /// Whether the engine's fast-path kernel is enabled.
-    #[must_use]
-    pub fn fast_path(&self) -> bool {
-        self.backend().fast_path()
-    }
-
-    /// Enables or disables the engine's fast-path kernel.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.backend_mut().set_fast_path(enabled);
+        match self {
+            Self::Ws(array) => array.stats(),
+            Self::Os(array) => array.stats(),
+        }
     }
 
     /// Prepares the engine for a fresh tile without reallocating.
     pub fn reset_for_tile(&mut self) {
-        self.backend_mut().reset_for_tile();
+        match self {
+            Self::Ws(array) => array.reset_for_tile(),
+            Self::Os(array) => array.reset_for_tile(),
+        }
     }
 
-    /// Runs one array-sized tile end to end — see
-    /// [`ArrayBackend::execute_tile`].
+    /// Runs one array-sized tile end to end (`A_sub x B_sub`, shapes per
+    /// the dataflow's operand contract — see the module docs) and returns
+    /// the tile output with its statistics (`tiles == 1`).
     ///
     /// # Errors
     ///
-    /// Same as [`ArrayBackend::execute_tile`].
+    /// Returns [`SimError::DimensionMismatch`] if the operands do not fit
+    /// the dataflow's tile contract for this array.
     pub fn execute_tile(
         &mut self,
         a_sub: &Matrix<i32>,
         b_sub: &Matrix<i32>,
     ) -> Result<TileResult, SimError> {
-        self.backend_mut().execute_tile(a_sub, b_sub)
+        match self {
+            Self::Ws(array) => execute_ws_tile(array, a_sub, b_sub),
+            Self::Os(array) => execute_os_tile(array, a_sub, b_sub),
+        }
     }
 }
 
-impl ArrayBackend for TileEngine {
-    fn config(&self) -> ArrayConfig {
-        TileEngine::config(self)
-    }
+/// The weight-stationary tile flow: preload `B_sub` as the stationary
+/// weights, stream `A_sub` west-to-east on the feeder schedule and collect
+/// the south edge.
+fn execute_ws_tile(
+    array: &mut SystolicArray,
+    a_sub: &Matrix<i32>,
+    b_sub: &Matrix<i32>,
+) -> Result<TileResult, SimError> {
+    let config = array.config();
+    array.reset_for_tile();
+    array.load_weights(b_sub)?;
+    let feeder = InputFeeder::new(a_sub, config)?;
+    let t = a_sub.rows();
+    let mut collector = OutputCollector::new(config, t);
+    array.run_cycles(&feeder, 0, config.compute_cycles(t as u64), &mut collector)?;
+    let output = collector.into_output()?;
+    let mut stats = array.stats();
+    stats.tiles = 1;
+    Ok(TileResult { output, stats })
+}
 
-    fn stats(&self) -> RunStats {
-        TileEngine::stats(self)
-    }
-
-    fn fast_path(&self) -> bool {
-        TileEngine::fast_path(self)
-    }
-
-    fn set_fast_path(&mut self, enabled: bool) {
-        TileEngine::set_fast_path(self, enabled);
-    }
-
-    fn reset_for_tile(&mut self) {
-        TileEngine::reset_for_tile(self);
-    }
-
-    fn execute_tile(
-        &mut self,
-        a_sub: &Matrix<i32>,
-        b_sub: &Matrix<i32>,
-    ) -> Result<TileResult, SimError> {
-        TileEngine::execute_tile(self, a_sub, b_sub)
-    }
+/// The output-stationary tile flow: stream `A_sub` west and `B_sub` north
+/// on the skewed feeder schedules, accumulate in place and drain the
+/// resident accumulators on the collector schedule.
+fn execute_os_tile(
+    array: &mut OutputStationaryArray,
+    a_sub: &Matrix<i32>,
+    b_sub: &Matrix<i32>,
+) -> Result<TileResult, SimError> {
+    let config = array.config();
+    array.reset_for_tile();
+    let west = OsWestFeeder::new(a_sub, config)?;
+    let north = OsNorthFeeder::new(b_sub, config)?;
+    let n = west.stream_length();
+    let mut collector = OsCollector::new(config, n);
+    array.run_cycles(&west, &north, 0, config.os_tile_cycles(n), &mut collector)?;
+    let output = collector.into_output()?;
+    let mut stats = array.stats();
+    stats.tiles = 1;
+    Ok(TileResult { output, stats })
 }
 
 impl From<SystolicArray> for TileEngine {
@@ -330,9 +210,6 @@ mod tests {
         let config = ArrayConfig::new(4, 4)
             .with_dataflow(Dataflow::OutputStationary);
         let mut engine = TileEngine::new(config).unwrap();
-        assert!(engine.fast_path());
-        engine.set_fast_path(false);
-        assert!(!engine.fast_path());
         engine.reset_for_tile();
         assert_eq!(engine.stats(), RunStats::default());
         // The From conversions wrap raw engines for pool checkin.

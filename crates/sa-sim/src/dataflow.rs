@@ -60,8 +60,8 @@ impl<'a> InputFeeder<'a> {
     /// Row `n` carries `A[t][n]` with `t = cycle - floor(n / k)`, so the
     /// rows with `0 <= t < T` are exactly
     /// `k * (cycle - T + 1) ..= k * (cycle + 1) - 1` clamped to the array
-    /// — always dense, which is what lets the fast path skip the validity
-    /// word scan for feeder-driven streams.
+    /// — always dense, which is what lets the wavefront kernel stage the
+    /// edge's validity as one range.
     #[must_use]
     pub fn active_rows(&self, cycle: u64) -> Option<(u32, u32)> {
         let k = u64::from(self.config.collapse_depth);

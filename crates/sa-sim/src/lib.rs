@@ -14,6 +14,12 @@
 //!   bit-exactly, and
 //! * reports the register clock/gating activity that feeds the power model.
 //!
+//! Each array model has two kernels: the analytic wavefront kernel every
+//! simulated tile runs, and a per-cycle naive scan that serves manual
+//! stepping ([`SystolicArray::step_into`], [`trace_tile`]) and any operand
+//! stream the wavefront kernel cannot prove follows its feeder schedule.
+//! The two are bit-identical in outputs and [`RunStats`].
+//!
 //! # Modules
 //!
 //! * [`config`] — array geometry, pipeline and [`Dataflow`] configuration;
@@ -24,8 +30,8 @@
 //!   schedules;
 //! * [`os_array`] / [`os_dataflow`] — the output-stationary array model
 //!   and its schedules;
-//! * [`backend`] — the dataflow-generic [`ArrayBackend`] trait and the
-//!   pooled [`TileEngine`];
+//! * [`backend`] — the pooled [`TileEngine`], an array of either dataflow
+//!   that runs one tile end to end;
 //! * [`sim`] — whole-GEMM simulation with tiling, verification and
 //!   statistics;
 //! * [`stats`] — run statistics.
@@ -70,7 +76,7 @@ pub mod stats;
 pub mod trace;
 
 pub use array::SystolicArray;
-pub use backend::{ArrayBackend, TileEngine};
+pub use backend::TileEngine;
 pub use carry_save::CarrySaveValue;
 pub use config::{ArrayConfig, Dataflow};
 pub use dataflow::{InputFeeder, OutputCollector};

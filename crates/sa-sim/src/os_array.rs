@@ -45,10 +45,9 @@
 //!   tracks: it records the stream length and the next expected cycle,
 //!   `reset_for_tile` makes it clean again, and `step` poisons it;
 //! * the **naive scan**, which checks both operands' validity at every
-//!   PE. It runs for [`OutputStationaryArray::step`], for `run_cycles`
+//!   PE. It runs for [`OutputStationaryArray::step`] and for `run_cycles`
 //!   calls the guard rejects (a different stream length, a skipped or
-//!   repeated cycle, anything after `step`) and with the fast path
-//!   disabled.
+//!   repeated cycle, anything after `step`).
 //!
 //! Both kernels leave bit-identical accumulators and statistics, which the
 //! differential suites check cycle for cycle against an array-of-structs
@@ -167,7 +166,6 @@ pub struct OutputStationaryArray {
     /// Whether the operands in flight are one feeder schedule from a clean
     /// pipeline — the precondition of the analytic wavefront kernel.
     purity: StreamPurity,
-    fast_path: bool,
     stats: RunStats,
 }
 
@@ -197,7 +195,6 @@ impl OutputStationaryArray {
             b_ring: StageRing::new(config.row_blocks() as usize, cols),
             acc: vec![0; rows * cols],
             purity: StreamPurity::Clean,
-            fast_path: true,
             stats: RunStats::default(),
         })
     }
@@ -223,28 +220,11 @@ impl OutputStationaryArray {
         &self.acc
     }
 
-    /// Returns whether the analytic wavefront kernel is enabled (the
-    /// default).
-    #[must_use]
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
-    }
-
-    /// Enables or disables the analytic wavefront kernel of
-    /// [`OutputStationaryArray::run_cycles`]. Disabled, every cycle runs
-    /// the naive scan of every PE. Outputs and [`RunStats`] are
-    /// bit-identical either way (cross-checked in the tests); the knob
-    /// exists for that cross-check and for measuring the speedup.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-    }
-
     /// Prepares the array for a fresh tile **without reallocating**: clears
     /// both operand pipelines, the accumulators and the statistics. After
     /// `reset_for_tile` the array behaves exactly like a freshly
     /// constructed [`OutputStationaryArray::new`] of the same
-    /// configuration, except that the fast-path flag (a host-side
-    /// measurement knob) is preserved.
+    /// configuration.
     pub fn reset_for_tile(&mut self) {
         self.a_lanes.clear();
         self.b_ring.clear();
@@ -358,7 +338,7 @@ impl OutputStationaryArray {
             });
         }
         let end = first_cycle.saturating_add(cycles);
-        let analytic = self.purity.admit(n, first_cycle, end) && self.fast_path;
+        let analytic = self.purity.admit(n, first_cycle, end);
         let idle_from = west.idle_from().max(north.idle_from());
         let last_due = collector.last_due_cycle();
         let mut cycle = first_cycle;
@@ -508,14 +488,8 @@ mod tests {
             .with_dataflow(Dataflow::OutputStationary)
     }
 
-    fn run_tile(
-        config: ArrayConfig,
-        a: &Matrix<i32>,
-        b: &Matrix<i32>,
-        fast: bool,
-    ) -> (Matrix<i64>, RunStats) {
+    fn run_tile(config: ArrayConfig, a: &Matrix<i32>, b: &Matrix<i32>) -> (Matrix<i64>, RunStats) {
         let mut array = OutputStationaryArray::new(config).unwrap();
-        array.set_fast_path(fast);
         let west = OsWestFeeder::new(a, config).unwrap();
         let north = OsNorthFeeder::new(b, config).unwrap();
         let n = west.stream_length();
@@ -540,29 +514,11 @@ mod tests {
             let a = Matrix::random(rows as usize, n, &mut rng, -9, 9);
             let b = Matrix::random(n, cols as usize, &mut rng, -9, 9);
             let config = os_config(rows, cols, k);
-            let (out, stats) = run_tile(config, &a, &b, true);
+            let (out, stats) = run_tile(config, &a, &b);
             assert_eq!(out, multiply(&a, &b).unwrap(), "{rows}x{cols} k={k} n={n}");
             assert_eq!(stats.total_cycles(), config.os_tile_cycles(n as u64));
             assert_eq!(stats.load_cycles, 0);
             assert_eq!(stats.macs, n as u64 * u64::from(rows) * u64::from(cols));
-        }
-    }
-
-    #[test]
-    fn fast_path_is_bit_identical_to_the_naive_scan() {
-        use gemm::rng::SplitMix64;
-        for (rows, cols, k, n, seed) in [
-            (4u32, 4u32, 2u32, 6usize, 21u64),
-            (8, 8, 4, 3, 22),
-            (7, 5, 3, 9, 23),
-        ] {
-            let mut rng = SplitMix64::new(seed);
-            let a = Matrix::random(rows as usize, n, &mut rng, -40, 40);
-            let b = Matrix::random(n, cols as usize, &mut rng, -40, 40);
-            let config = os_config(rows, cols, k);
-            let fast = run_tile(config, &a, &b, true);
-            let naive = run_tile(config, &a, &b, false);
-            assert_eq!(fast, naive, "{rows}x{cols} k={k} n={n}");
         }
     }
 

@@ -140,13 +140,11 @@ impl ArrayPool {
     /// [`OutputStationaryArray`](crate::OutputStationaryArray)) convert
     /// into [`TileEngine`] on the way in.
     ///
-    /// Besides the backend's `reset_for_tile`, the checkin clears every
-    /// piece of residual host-side state a previous user may have left on
-    /// the array — today that is the fast-path flag, which
-    /// `reset_for_tile` deliberately preserves for its own caller — so the
-    /// next checkout always observes factory defaults. When the pool was
-    /// built with [`ArrayPool::for_config`], a checkin of a mismatched
-    /// configuration is debug-asserted.
+    /// The checkin's `reset_for_tile` clears the pipelines and statistics
+    /// a previous user left on the array, so the next checkout observes
+    /// factory defaults. When the pool was built with
+    /// [`ArrayPool::for_config`], a checkin of a mismatched configuration
+    /// is debug-asserted.
     pub fn release(&self, array: impl Into<TileEngine>) {
         let mut array = array.into();
         if let Some(pinned) = self.pinned {
@@ -162,7 +160,6 @@ impl ArrayPool {
             }
         }
         array.reset_for_tile();
-        array.set_fast_path(true);
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if slots.len() < self.max_slots {
             slots.push(array);
@@ -321,33 +318,6 @@ impl Simulator {
     /// an internal schedule violation (which would indicate a simulator
     /// bug).
     pub fn run_tile(&self, a_sub: &Matrix<i32>, b_sub: &Matrix<i32>) -> Result<TileResult, SimError> {
-        self.run_tile_pooled(a_sub, b_sub, true)
-    }
-
-    /// Simulates one tile with the frontier-banded fast path disabled,
-    /// i.e. with the naive per-cycle scan that evaluates every PE every
-    /// cycle.
-    ///
-    /// Exists for cross-checking and for measuring the fast path's speedup;
-    /// its results are bit-identical to [`Simulator::run_tile`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run_tile`].
-    pub fn run_tile_naive(
-        &self,
-        a_sub: &Matrix<i32>,
-        b_sub: &Matrix<i32>,
-    ) -> Result<TileResult, SimError> {
-        self.run_tile_pooled(a_sub, b_sub, false)
-    }
-
-    fn run_tile_pooled(
-        &self,
-        a_sub: &Matrix<i32>,
-        b_sub: &Matrix<i32>,
-        fast_path: bool,
-    ) -> Result<TileResult, SimError> {
         // A handful of retained arrays covers repeated-tile callers
         // (benchmarks, tests, service handlers) while keeping the
         // per-thread memory residency small for callers that sweep many
@@ -357,28 +327,10 @@ impl Simulator {
         }
         TILE_POOL.with(|pool| {
             let mut engine = pool.acquire(self.config)?;
-            let result = self.run_tile_with(&mut engine, a_sub, b_sub, fast_path);
+            let result = engine.execute_tile(a_sub, b_sub);
             pool.release(engine);
             result
         })
-    }
-
-    /// The tile kernel every path funnels through: sets the fast-path knob
-    /// and delegates to the engine's dataflow-specific
-    /// [`execute_tile`](crate::ArrayBackend::execute_tile), which resets
-    /// the array, runs the tile on its own feeder/collector schedules and
-    /// returns output plus statistics. The caller's engine is reused
-    /// across tiles, so the per-cycle hot loop performs no heap
-    /// allocation.
-    fn run_tile_with(
-        &self,
-        engine: &mut TileEngine,
-        a_sub: &Matrix<i32>,
-        b_sub: &Matrix<i32>,
-        fast_path: bool,
-    ) -> Result<TileResult, SimError> {
-        engine.set_fast_path(fast_path);
-        engine.execute_tile(a_sub, b_sub)
     }
 
     /// Simulates a complete GEMM `A (T x N)` times `B (N x M)`, tiling it
@@ -469,7 +421,7 @@ impl Simulator {
             self.config.rows,
             self.config.cols,
             |_, a_sub, b_sub| {
-                let tile = self.run_tile_with(&mut engine, a_sub, b_sub, true)?;
+                let tile = engine.execute_tile(a_sub, b_sub)?;
                 stats += tile.stats;
                 Ok(tile.output)
             },
@@ -559,7 +511,7 @@ impl Simulator {
         let mut output = Matrix::<i64>::zeros(a.rows(), b.cols());
         for &(ti, mi) in &grid {
             let (a_sub, b_sub) = self.os_tile_operands(a, b, ti, mi);
-            let tile = self.run_tile_with(&mut engine, &a_sub, &b_sub, true)?;
+            let tile = engine.execute_tile(&a_sub, &b_sub)?;
             stats += tile.stats;
             self.os_place_tile(&mut output, &tile.output, ti, mi);
         }
@@ -600,7 +552,7 @@ impl Simulator {
             let (a_sub, b_sub) =
                 tile.padded_operands(a, b, self.config.rows, self.config.cols);
             let mut engine = pool.acquire(self.config)?;
-            let result = self.run_tile_with(&mut engine, &a_sub, &b_sub, true);
+            let result = engine.execute_tile(&a_sub, &b_sub);
             pool.release(engine);
             result.map(|result| (tile, result))
         })?;
@@ -633,7 +585,7 @@ impl Simulator {
         let results = executor.try_run_cancellable(grid, token, |(ti, mi)| {
             let (a_sub, b_sub) = self.os_tile_operands(a, b, ti, mi);
             let mut engine = pool.acquire(self.config)?;
-            let result = self.run_tile_with(&mut engine, &a_sub, &b_sub, true);
+            let result = engine.execute_tile(&a_sub, &b_sub);
             pool.release(engine);
             result.map(|result| (ti, mi, result))
         })?;
@@ -834,9 +786,10 @@ mod tests {
 
     #[test]
     fn fast_path_tile_is_bit_identical_to_the_naive_scan() {
-        // The fast-path kernel skips fully-drained/inactive pipeline blocks;
-        // its outputs and RunStats (cycles, MAC counts, register events)
-        // must match the naive per-cycle scan of the whole array exactly.
+        // `run_tile` takes the analytic wavefront kernel, which evaluates
+        // only the active blocks; its outputs and RunStats (cycles, MAC
+        // counts, register events) must match `trace_tile`, which steps
+        // the naive scan of the whole array every cycle, exactly.
         for (rows, cols, k, t, seed) in [
             (4u32, 4u32, 1u32, 6usize, 11u64),
             (8, 8, 2, 3, 12),
@@ -847,12 +800,11 @@ mod tests {
             let mut rng = SplitMix64::new(seed);
             let a = Matrix::random(t, rows as usize, &mut rng, -40, 40);
             let b = Matrix::random(rows as usize, cols as usize, &mut rng, -40, 40);
-            let sim =
-                Simulator::new(ArrayConfig::new(rows, cols).with_collapse_depth(k)).unwrap();
-            let fast = sim.run_tile(&a, &b).unwrap();
-            let naive = sim.run_tile_naive(&a, &b).unwrap();
-            assert_eq!(fast.output, naive.output, "{rows}x{cols} k={k} t={t}");
-            assert_eq!(fast.stats, naive.stats, "{rows}x{cols} k={k} t={t}");
+            let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
+            let fast = Simulator::new(config).unwrap().run_tile(&a, &b).unwrap();
+            let (output, stats, _) = crate::trace_tile(config, &a, &b).unwrap();
+            assert_eq!(fast.output, output, "{rows}x{cols} k={k} t={t}");
+            assert_eq!(fast.stats, stats, "{rows}x{cols} k={k} t={t}");
         }
     }
 
@@ -1003,12 +955,13 @@ mod tests {
         let pool = ArrayPool::new();
         let config = ArrayConfig::new(4, 4).with_collapse_depth(2);
         let mut array = SystolicArray::new(config).unwrap();
-        // Leave the measurement knob in its non-default position ...
-        array.set_fast_path(false);
+        // Check the array in dirty: weights loaded, one cycle stepped ...
+        array.load_weights(&Matrix::<i32>::zeros(4, 4)).unwrap();
+        array.step(&[Some(1), Some(2), None, None]).unwrap();
+        assert_ne!(array.stats(), RunStats::default());
         pool.release(array);
         // ... and the next checkout observes factory defaults again.
         let reused = pool.acquire(config).unwrap();
-        assert!(reused.fast_path());
         assert_eq!(reused.stats(), RunStats::default());
     }
 

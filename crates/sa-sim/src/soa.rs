@@ -12,10 +12,9 @@
 //!   while it holds;
 //! * the packed `u64` bitset helpers of the weight-stationary partial-sum
 //!   validity, which carry the word-boundary invariants its differential
-//!   tests exercise (geometries above 64 lanes), and the [`LaneSummary`]
-//!   frontier summary of one edge stage.
+//!   tests exercise (geometries above 64 lanes).
 
-pub(crate) const WORD_BITS: usize = 64;
+const WORD_BITS: usize = 64;
 
 /// Number of `u64` words needed for `bits` bitset bits.
 pub(crate) const fn words_for(bits: usize) -> usize {
@@ -45,59 +44,6 @@ pub(crate) fn set_range(words: &mut [u64], start: usize, last: usize) {
         *word = u64::MAX;
     }
     words[last_word] |= high_mask;
-}
-
-/// Operand-validity summary of one pipeline stage: which lanes of the stage
-/// hold a valid operand this cycle.
-///
-/// `count == 0` means the stage is empty (the other fields are then
-/// meaningless); `dense` means the valid lanes are exactly the contiguous
-/// range `first..=last`, which is always the case for feeder-scheduled
-/// streams and lets the fast paths derive the active blocks in O(1) instead
-/// of scanning validity words. Streams with mid-stream holes make a summary
-/// sparse (`dense == false`), which routes that stage through the bitset
-/// fallback.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LaneSummary {
-    /// First valid lane (when `count > 0`).
-    pub(crate) first: u32,
-    /// Last valid lane (when `count > 0`).
-    pub(crate) last: u32,
-    /// Number of valid lanes; `0` means the stage is empty.
-    pub(crate) count: u32,
-    /// `true` when the valid lanes are exactly `first..=last`.
-    pub(crate) dense: bool,
-}
-
-impl LaneSummary {
-    pub(crate) fn dense_range(first: u32, last: u32) -> Self {
-        Self {
-            first,
-            last,
-            count: last - first + 1,
-            dense: true,
-        }
-    }
-
-    /// The summary of one edge stage given in `Option` form.
-    pub(crate) fn of_options(inputs: &[Option<i32>]) -> Self {
-        let mut first = u32::MAX;
-        let mut last = 0u32;
-        let mut count = 0u32;
-        for (lane, input) in inputs.iter().enumerate() {
-            if input.is_some() {
-                first = first.min(lane as u32);
-                last = lane as u32;
-                count += 1;
-            }
-        }
-        Self {
-            first,
-            last,
-            count,
-            dense: count > 0 && count == last - first + 1,
-        }
-    }
 }
 
 /// Ring position and drain state of one operand pipeline whose stages are
@@ -224,15 +170,14 @@ impl RowLanes {
     /// Stages one edge of a feeder schedule. `idle` says whether the edge
     /// carries no operand this cycle; `stage` writes the edge's operands
     /// (one per row, idle rows as zero) and returns the valid row range.
-    /// Returns whether a stage was written: an idle edge entering a drained
-    /// pipeline writes nothing.
+    /// An idle edge entering a drained pipeline writes nothing.
     pub(crate) fn stage_feeder(
         &mut self,
         idle: bool,
         stage: impl FnOnce(&mut [i32]) -> Option<(u32, u32)>,
-    ) -> bool {
+    ) {
         if !self.cursor.advance(idle) {
-            return false;
+            return;
         }
         let mut edge = std::mem::take(&mut self.edge);
         let active = stage(&mut edge);
@@ -241,14 +186,13 @@ impl RowLanes {
             set_range(valid, first as usize, last as usize);
         }
         self.edge = edge;
-        true
     }
 
-    /// Stages one edge given in `Option` form (`None` = no operand).
-    /// Returns whether a stage was written, as [`RowLanes::stage_feeder`].
-    pub(crate) fn stage_options(&mut self, inputs: &[Option<i32>]) -> bool {
+    /// Stages one edge given in `Option` form (`None` = no operand), as
+    /// [`RowLanes::stage_feeder`].
+    pub(crate) fn stage_options(&mut self, inputs: &[Option<i32>]) {
         if !self.cursor.advance(inputs.iter().all(Option::is_none)) {
-            return false;
+            return;
         }
         let valid = self.write_stage(|row| inputs[row].unwrap_or(0));
         for (row, input) in inputs.iter().enumerate() {
@@ -256,7 +200,6 @@ impl RowLanes {
                 set_bit(valid, row);
             }
         }
-        true
     }
 
     /// The operands columns `0..cols` of `row` see this cycle.
@@ -297,8 +240,8 @@ pub(crate) enum StreamPurity {
         /// The next cycle index the schedule expects.
         next: u64,
     },
-    /// Arbitrary edge inputs were fed; only the generic kernel may run
-    /// until the pipelines are cleared.
+    /// Arbitrary edge inputs were fed; only the naive scan may run until
+    /// the pipelines are cleared.
     Poisoned,
 }
 
@@ -344,32 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn dense_range_summary_counts_inclusive_lanes() {
-        let s = LaneSummary::dense_range(3, 7);
-        assert_eq!((s.first, s.last, s.count), (3, 7, 5));
-        assert!(s.dense);
-        assert_eq!(LaneSummary::default().count, 0);
-        assert_eq!(
-            LaneSummary::of_options(&[None, Some(0), Some(4), None]),
-            LaneSummary::dense_range(1, 2)
-        );
-        let holey = LaneSummary::of_options(&[Some(1), None, Some(2)]);
-        assert_eq!((holey.first, holey.last, holey.count), (0, 2, 2));
-        assert!(!holey.dense);
-        assert_eq!(LaneSummary::of_options(&[None, None]).count, 0);
-    }
-
-    #[test]
     fn row_lanes_show_each_column_the_stage_of_its_block_age() {
         // 2 rows, 5 columns, k = 2: three column blocks, the last one
         // partial. Stage s carries 10 * s + row.
         let mut lanes = RowLanes::new(2, 5, 2);
         for s in 1..=3 {
-            assert!(lanes.stage_feeder(false, |edge| {
+            lanes.stage_feeder(false, |edge| {
                 edge[0] = 10 * s;
                 edge[1] = 10 * s + 1;
                 Some((0, 1))
-            }));
+            });
         }
         // Columns 0-1 see the newest stage, 2-3 the one before, 4 the
         // oldest.
@@ -381,7 +308,7 @@ mod tests {
         );
         assert!((0..3).all(|cb| lanes.is_valid(0, cb)));
         // A stage with row 0 idle: zero and invalid there, valid on row 1.
-        assert!(lanes.stage_options(&[None, Some(7)]));
+        lanes.stage_options(&[None, Some(7)]);
         assert_eq!(lanes.operands(0, 5), &[0, 0, 30, 30, 20]);
         assert_eq!(
             (0..3).map(|cb| lanes.is_valid(0, cb)).collect::<Vec<_>>(),
@@ -390,13 +317,15 @@ mod tests {
         assert!((0..3).all(|cb| lanes.is_valid(1, cb)));
         // Three idle stages drain the pipeline; a fourth writes nothing.
         for _ in 0..3 {
-            assert!(lanes.stage_feeder(true, |edge| {
+            lanes.stage_feeder(true, |edge| {
                 edge.fill(0);
                 None
-            }));
+            });
         }
         assert!(lanes.cursor.is_drained());
-        assert!(!lanes.stage_options(&[None, None]));
+        let head = lanes.cursor.head;
+        lanes.stage_options(&[None, None]);
+        assert_eq!(lanes.cursor.head, head);
         assert_eq!(lanes.operands(1, 5), &[0; 5]);
         assert!((0..3).all(|cb| !lanes.is_valid(1, cb)));
     }

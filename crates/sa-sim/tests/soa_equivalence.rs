@@ -6,14 +6,14 @@
 //! rearchitecture: per-PE state in dense vectors, the naive scan that
 //! evaluates every pipeline block of every column every cycle, and the same
 //! statistics accounting. The tests drive it cycle for cycle against
-//! today's [`SystolicArray`] (both with and without the inactive-block fast
-//! path) across randomized geometries, collapse depths, stream lengths and
-//! operand sparsity, and assert bit-identical south outputs and
-//! [`RunStats`] — through `step_into` every cycle, and through `run_cycles`
-//! split into chunks down to single cycles, which pins the analytic
-//! wavefront kernel cycle range by cycle range. The output-stationary
-//! backend has the analogous suite in `dataflow_equivalence.rs`, against
-//! the same module's `common::os::LegacyOsArray`.
+//! today's [`SystolicArray`] across randomized geometries, collapse depths,
+//! stream lengths and operand sparsity, and assert bit-identical south
+//! outputs and [`RunStats`] — through `step_into` (the naive scan) every
+//! cycle, and through `run_cycles` split into chunks down to single cycles,
+//! which pins the analytic wavefront kernel cycle range by cycle range. The
+//! output-stationary backend has the analogous suite in
+//! `dataflow_equivalence.rs`, against the same module's
+//! `common::os::LegacyOsArray`.
 
 use gemm::rng::SplitMix64;
 use gemm::{multiply, Matrix};
@@ -23,10 +23,10 @@ use sa_sim::{ArrayConfig, InputFeeder, OutputCollector, RunStats, SystolicArray}
 mod common;
 use common::ws as legacy;
 
-/// Streams one random tile through the legacy reference and both modes of
-/// the SoA core, asserting identical outputs every cycle and identical
-/// statistics at the end. `zero_fraction` controls operand sparsity (the
-/// fast path must not confuse *zero-valued* with *invalid* operands).
+/// Streams one random tile through the legacy reference and the SoA core,
+/// asserting identical outputs every cycle and identical statistics at the
+/// end. `zero_fraction` controls operand sparsity (the core must not
+/// confuse *zero-valued* with *invalid* operands).
 fn assert_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, zero_fraction: u32) {
     let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
     let mut rng = SplitMix64::new(seed);
@@ -44,12 +44,9 @@ fn assert_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, zero_fra
     let a = Matrix::from_fn(t, rows as usize, |_, _| sparse(&mut rng, -60, 60));
 
     let mut reference = legacy::LegacyArray::new(config);
-    let mut fast = SystolicArray::new(config).unwrap();
-    let mut naive = SystolicArray::new(config).unwrap();
-    naive.set_fast_path(false);
+    let mut array = SystolicArray::new(config).unwrap();
     reference.load_weights(&weights);
-    fast.load_weights(&weights).unwrap();
-    naive.load_weights(&weights).unwrap();
+    array.load_weights(&weights).unwrap();
 
     let feeder = InputFeeder::new(&a, config).unwrap();
     let mut west = vec![None; rows as usize];
@@ -59,19 +56,13 @@ fn assert_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, zero_fra
     for cycle in 0..config.compute_cycles(t as u64) + u64::from(rows.div_ceil(k)) + 2 {
         feeder.west_inputs_into(cycle, &mut west);
         let expected = reference.step(&west);
-        fast.step_into(&west, &mut south).unwrap();
-        assert_eq!(
-            south, expected,
-            "fast path diverged: {rows}x{cols} k={k} t={t} cycle={cycle}"
-        );
-        naive.step_into(&west, &mut south).unwrap();
+        array.step_into(&west, &mut south).unwrap();
         assert_eq!(
             south, expected,
             "naive scan diverged: {rows}x{cols} k={k} t={t} cycle={cycle}"
         );
     }
-    assert_eq!(fast.stats(), reference.stats(), "{rows}x{cols} k={k} t={t}");
-    assert_eq!(naive.stats(), reference.stats(), "{rows}x{cols} k={k} t={t}");
+    assert_eq!(array.stats(), reference.stats(), "{rows}x{cols} k={k} t={t}");
 }
 
 #[test]
@@ -157,7 +148,7 @@ fn ws_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
 
 #[test]
 fn holey_streams_match_on_word_boundary_geometries() {
-    // Sparse-fallback coverage on geometries with multi-word validity
+    // Holey-stream coverage on geometries with multi-word validity
     // segments and blocks straddling a word boundary.
     for (rows, cols, k, t, seed, mask) in [
         (65u32, 65u32, 1u32, 4usize, 21u64, 0b1010u64),
@@ -172,8 +163,8 @@ fn holey_streams_match_on_word_boundary_geometries() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The SoA core (fast path and naive scan) is cycle-for-cycle identical
-    /// to the pre-refactor array-of-structs kernel across randomized
+    /// The SoA core's naive scan is cycle-for-cycle identical to the
+    /// pre-refactor array-of-structs kernel across randomized
     /// geometries, collapse depths, stream lengths and operand sparsity.
     #[test]
     fn soa_core_matches_the_legacy_scan(
@@ -222,8 +213,7 @@ proptest! {
     /// checks hoisted into the multi-cycle entry point, including the
     /// analytic wavefront kernel, the dead-cycle skip and mid-tile
     /// continuation across chunked calls — is bit-identical to `n`
-    /// individual `step_into` cycles with per-cycle collection, for both
-    /// the fast path and (via its fallback) the naive scan.
+    /// individual `step_into` cycles with per-cycle collection.
     #[test]
     fn run_cycles_equals_repeated_step_into(
         rows in 1u32..=12,
@@ -256,15 +246,6 @@ proptest! {
         let (bulk_out, bulk_stats) = run_tile_via_run_cycles(config, &weights, &a, chunks);
         prop_assert_eq!(&bulk_out, &expected);
         prop_assert_eq!(bulk_stats, stepped.stats());
-
-        // The naive fallback goes through the same entry point.
-        let mut naive = SystolicArray::new(config).unwrap();
-        naive.set_fast_path(false);
-        naive.load_weights(&weights).unwrap();
-        let mut naive_collector = OutputCollector::new(config, t);
-        naive.run_cycles(&feeder, 0, cycles, &mut naive_collector).unwrap();
-        prop_assert_eq!(&naive_collector.into_output().unwrap(), &expected);
-        prop_assert_eq!(naive.stats(), stepped.stats());
     }
 
     /// A `run_cycles` range extended far past the drain folds the trailing
@@ -303,12 +284,11 @@ proptest! {
         prop_assert_eq!(bulk.stats(), stepped.stats());
     }
 
-    /// The frontier band's active set equals the bitset scan's — and the
-    /// outputs stay bit-identical to the legacy reference — for west
-    /// streams with mid-stream holes (randomly dropped `A`-row indices),
-    /// which force the sparse fallback.
+    /// The outputs and statistics stay bit-identical to the legacy
+    /// reference for west streams with mid-stream holes (randomly dropped
+    /// `A`-row indices).
     #[test]
-    fn frontier_matches_bit_scan_for_streams_with_holes(
+    fn holey_streams_match_the_legacy_scan(
         rows in 1u32..=12,
         cols in 1u32..=12,
         k in 1u32..=6,
@@ -321,8 +301,8 @@ proptest! {
     }
 
     /// Mixing manual `step_into` cycles with a `run_cycles` tail (which
-    /// must then take the generic frontier kernel, not the analytic one)
-    /// still matches the pure per-cycle loop.
+    /// the purity guard rejects, so it must take the per-cycle fallback,
+    /// not the analytic kernel) still matches the pure per-cycle loop.
     #[test]
     fn run_cycles_after_manual_steps_matches(
         rows in 1u32..=10,
@@ -398,10 +378,8 @@ proptest! {
 /// Drives one wavefront-aligned west stream **with holes** — a feeder
 /// schedule in which a random subset of the `A`-row indices is dropped
 /// wholesale (every SA row sees `None` at its skewed time for a dropped
-/// index, the mid-stream-`None` shape the frontier's sparse fallback must
-/// handle) — through the fast path, the naive scan and the legacy
-/// reference, asserting identical outputs and stats every cycle plus
-/// frontier == bit-scan agreement.
+/// index) — through the SoA core and the legacy reference, asserting
+/// identical outputs every cycle and identical stats at the end.
 fn assert_holey_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, hole_mask: u64) {
     let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
     let mut rng = SplitMix64::new(seed);
@@ -410,12 +388,9 @@ fn assert_holey_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, ho
     let dropped = |t_index: u64| hole_mask & (1 << (t_index % 64)) != 0;
 
     let mut reference = legacy::LegacyArray::new(config);
-    let mut fast = SystolicArray::new(config).unwrap();
-    let mut naive = SystolicArray::new(config).unwrap();
-    naive.set_fast_path(false);
+    let mut array = SystolicArray::new(config).unwrap();
     reference.load_weights(&weights);
-    fast.load_weights(&weights).unwrap();
-    naive.load_weights(&weights).unwrap();
+    array.load_weights(&weights).unwrap();
 
     let feeder = InputFeeder::new(&a, config).unwrap();
     let mut south = vec![None; cols as usize];
@@ -428,18 +403,10 @@ fn assert_holey_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, ho
             }
         }
         let expected = reference.step(&west);
-        fast.step_into(&west, &mut south).unwrap();
-        assert_eq!(south, expected, "fast: {rows}x{cols} k={k} t={t} cycle={cycle}");
-        assert_eq!(
-            fast.frontier_active_blocks(),
-            fast.scan_active_blocks(),
-            "frontier: {rows}x{cols} k={k} t={t} cycle={cycle}"
-        );
-        naive.step_into(&west, &mut south).unwrap();
-        assert_eq!(south, expected, "naive: {rows}x{cols} k={k} t={t} cycle={cycle}");
+        array.step_into(&west, &mut south).unwrap();
+        assert_eq!(south, expected, "{rows}x{cols} k={k} t={t} cycle={cycle}");
     }
-    assert_eq!(fast.stats(), reference.stats(), "{rows}x{cols} k={k} t={t}");
-    assert_eq!(naive.stats(), reference.stats(), "{rows}x{cols} k={k} t={t}");
+    assert_eq!(array.stats(), reference.stats(), "{rows}x{cols} k={k} t={t}");
 }
 
 /// Runs one tile through `run_cycles` — optionally split into `chunks`

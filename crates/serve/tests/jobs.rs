@@ -224,7 +224,7 @@ fn the_token_bucket_sheds_only_the_over_budget_tenant() {
 
 #[test]
 fn a_disconnected_queued_request_is_skipped_and_counted() {
-    // One worker, one loop: the blocker owns the worker while the
+    // One worker, one loop: the blockers own the worker while the
     // doomed request sits in the queue.
     let handle = serve(ServerConfig {
         threads: 1,
@@ -235,14 +235,37 @@ fn a_disconnected_queued_request_is_skipped_and_counted() {
 
     // Occupy the worker with a run of cycle-accurate simulations (the
     // seeds differ so no two coalesce into one flight) long enough that
-    // the doomed request is still queued when its connection dies.
-    const BLOCKERS: usize = 6;
-    let mut blocker = PersistentClient::connect(handle.addr()).unwrap();
-    for seed in 0..BLOCKERS {
-        let slow =
-            format!(r#"{{"rows":32,"cols":32,"k":2,"t":64,"n":128,"m":128,"seed":{seed}}}"#);
-        blocker
-            .send("POST", "/v1/simulate", Some(slow.as_bytes()))
+    // the doomed request is still queued when its connection dies. How
+    // long one simulation takes depends on the build profile and the
+    // host, so time it on this server first (the faster of two runs; the
+    // first also warms the server up) and queue enough of them to keep
+    // the worker busy for several times the two 50 ms sleeps below.
+    let slow = |seed: usize| {
+        format!(r#"{{"rows":32,"cols":32,"k":2,"t":64,"n":128,"m":128,"seed":{seed}}}"#)
+    };
+    let mut probe = PersistentClient::connect(handle.addr()).unwrap();
+    let mut one = Duration::MAX;
+    for seed in 0..2 {
+        let start = Instant::now();
+        let response = probe
+            .request("POST", "/v1/simulate", Some(slow(seed).as_bytes()))
+            .unwrap();
+        assert_eq!(response.status, 200);
+        one = one.min(start.elapsed());
+    }
+    const BUSY: Duration = Duration::from_secs(1);
+    // A connection keeps at most 64 requests in flight, so the run is
+    // spread over connections of 32; 512 stays well inside the 1024-deep
+    // worker queue, past which requests would be shed.
+    const PER_CONNECTION: usize = 32;
+    let blockers = (BUSY.as_nanos() / one.as_nanos().max(1) + 1).min(512) as usize;
+    let mut connections: Vec<PersistentClient> = Vec::new();
+    for i in 0..blockers {
+        if i % PER_CONNECTION == 0 {
+            connections.push(PersistentClient::connect(handle.addr()).unwrap());
+        }
+        connections[i / PER_CONNECTION]
+            .send("POST", "/v1/simulate", Some(slow(2 + i).as_bytes()))
             .unwrap();
     }
     std::thread::sleep(Duration::from_millis(50));
@@ -271,8 +294,8 @@ fn a_disconnected_queued_request_is_skipped_and_counted() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    for _ in 0..BLOCKERS {
-        let response = blocker.recv().unwrap();
+    for i in 0..blockers {
+        let response = connections[i / PER_CONNECTION].recv().unwrap();
         assert_eq!(response.status, 200);
     }
 
