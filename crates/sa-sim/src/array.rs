@@ -437,7 +437,11 @@ impl SystolicArray {
     /// carry-save chain leaves the incoming value numerically untouched and
     /// the registered validity equals the (absent) operand validity.
     /// Returns the MAC count of the cycle.
-    fn cycle_naive(&mut self, west_inputs: &[Option<i32>], south_outputs: &mut [Option<i64>]) -> u64 {
+    fn cycle_naive(
+        &mut self,
+        west_inputs: &[Option<i32>],
+        south_outputs: &mut [Option<i64>],
+    ) -> u64 {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let k = self.config.collapse_depth as usize;
@@ -865,7 +869,8 @@ mod tests {
             let mut bulk = SystolicArray::new(config).unwrap();
             bulk.load_weights(&weights).unwrap();
             let mut bulk_collector = OutputCollector::new(config, t);
-            bulk.run_cycles(&feeder, 0, cycles, &mut bulk_collector).unwrap();
+            bulk.run_cycles(&feeder, 0, cycles, &mut bulk_collector)
+                .unwrap();
 
             let mut stepped = SystolicArray::new(config).unwrap();
             stepped.load_weights(&weights).unwrap();
@@ -903,7 +908,8 @@ mod tests {
         let mut bulk = SystolicArray::new(config).unwrap();
         bulk.load_weights(&weights).unwrap();
         let mut collector = OutputCollector::new(config, 2);
-        bulk.run_cycles(&feeder, 0, cycles + extra, &mut collector).unwrap();
+        bulk.run_cycles(&feeder, 0, cycles + extra, &mut collector)
+            .unwrap();
 
         let mut stepped = SystolicArray::new(config).unwrap();
         stepped.load_weights(&weights).unwrap();
@@ -975,5 +981,4 @@ mod tests {
         assert!(array.pe(2, 0).is_none());
         assert!(array.pe(0, 3).is_none());
     }
-
 }

@@ -199,16 +199,12 @@ mod tests {
         assert_eq!(os_tile.output, expected);
         assert_eq!(os_tile.stats.tiles, 1);
         assert_eq!(os_tile.stats.load_cycles, 0);
-        assert_eq!(
-            os_tile.stats.total_cycles(),
-            os_config.os_tile_cycles(6)
-        );
+        assert_eq!(os_tile.stats.total_cycles(), os_config.os_tile_cycles(6));
     }
 
     #[test]
     fn engine_lifecycle_delegates_to_the_backend() {
-        let config = ArrayConfig::new(4, 4)
-            .with_dataflow(Dataflow::OutputStationary);
+        let config = ArrayConfig::new(4, 4).with_dataflow(Dataflow::OutputStationary);
         let mut engine = TileEngine::new(config).unwrap();
         engine.reset_for_tile();
         assert_eq!(engine.stats(), RunStats::default());

@@ -77,7 +77,9 @@ impl Deserialize for Dataflow {
                      \"output_stationary\")"
                 ))
             }),
-            other => Err(DeError::new(format!("dataflow must be a string, got {other:?}"))),
+            other => Err(DeError::new(format!(
+                "dataflow must be a string, got {other:?}"
+            ))),
         }
     }
 }
@@ -152,7 +154,10 @@ impl ArrayConfig {
     pub fn validate(&self) -> Result<(), SimError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(SimError::InvalidConfig {
-                reason: format!("array must be at least 1x1, got {}x{}", self.rows, self.cols),
+                reason: format!(
+                    "array must be at least 1x1, got {}x{}",
+                    self.rows, self.cols
+                ),
             });
         }
         if self.collapse_depth == 0 {
@@ -224,8 +229,7 @@ impl ArrayConfig {
     /// accumulators — so this is the whole tile, load included.
     #[must_use]
     pub fn os_tile_cycles(&self, n: u64) -> u64 {
-        n + u64::from(self.row_blocks()) + u64::from(self.col_blocks()) + u64::from(self.rows)
-            - 2
+        n + u64::from(self.row_blocks()) + u64::from(self.col_blocks()) + u64::from(self.rows) - 2
     }
 
     /// Total number of PEs.
@@ -258,9 +262,18 @@ mod tests {
     fn validation_catches_bad_configs() {
         assert!(ArrayConfig::new(0, 4).validate().is_err());
         assert!(ArrayConfig::new(4, 0).validate().is_err());
-        assert!(ArrayConfig::new(4, 4).with_collapse_depth(0).validate().is_err());
-        assert!(ArrayConfig::new(4, 4).with_collapse_depth(8).validate().is_err());
-        assert!(ArrayConfig::new(4, 4).with_collapse_depth(4).validate().is_ok());
+        assert!(ArrayConfig::new(4, 4)
+            .with_collapse_depth(0)
+            .validate()
+            .is_err());
+        assert!(ArrayConfig::new(4, 4)
+            .with_collapse_depth(8)
+            .validate()
+            .is_err());
+        assert!(ArrayConfig::new(4, 4)
+            .with_collapse_depth(4)
+            .validate()
+            .is_ok());
     }
 
     #[test]

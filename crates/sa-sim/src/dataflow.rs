@@ -378,7 +378,10 @@ mod tests {
         let feeder = InputFeeder::new(&a, config).unwrap();
         assert_eq!(feeder.stream_length(), 2);
         assert_eq!(feeder.west_inputs(0), vec![Some(1), Some(2), None, None]);
-        assert_eq!(feeder.west_inputs(1), vec![Some(5), Some(6), Some(3), Some(4)]);
+        assert_eq!(
+            feeder.west_inputs(1),
+            vec![Some(5), Some(6), Some(3), Some(4)]
+        );
         assert_eq!(feeder.west_inputs(2), vec![None, None, Some(7), Some(8)]);
         assert_eq!(feeder.west_inputs(3), vec![None, None, None, None]);
     }

@@ -577,17 +577,20 @@ mod tests {
             let north = OsNorthFeeder::new(&b, config).unwrap();
             let mut collector = OsCollector::new(config, 2);
             array
-                .run_cycles(&west, &north, 0, config.os_tile_cycles(2) + 50, &mut collector)
+                .run_cycles(
+                    &west,
+                    &north,
+                    0,
+                    config.os_tile_cycles(2) + 50,
+                    &mut collector,
+                )
                 .unwrap();
             (collector.into_output().unwrap(), array.stats())
         };
         // The 50 extra cycles are all dead: same output, 50 more compute
         // cycles, no more MACs.
         assert_eq!(baseline.0, multiply(&a, &b).unwrap());
-        assert_eq!(
-            baseline.1.total_cycles(),
-            config.os_tile_cycles(2) + 50
-        );
+        assert_eq!(baseline.1.total_cycles(), config.os_tile_cycles(2) + 50);
         assert_eq!(baseline.1.macs, 2 * 2 * 2);
         assert_eq!(
             baseline.1.pe_cycles,
@@ -615,7 +618,9 @@ mod tests {
         let north = OsNorthFeeder::new(&b, config).unwrap();
         // Collector built for a different geometry.
         let mut collector = OsCollector::new(other, 4);
-        assert!(array.run_cycles(&west, &north, 0, 4, &mut collector).is_err());
+        assert!(array
+            .run_cycles(&west, &north, 0, 4, &mut collector)
+            .is_err());
         // Streams disagreeing on the reduction length.
         let b_short = Matrix::<i32>::zeros(3, 2);
         let north_short = OsNorthFeeder::new(&b_short, config).unwrap();

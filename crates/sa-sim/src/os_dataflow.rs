@@ -390,13 +390,7 @@ mod tests {
     fn west_feeder_applies_the_batched_skew() {
         // 4 SA rows, k = 2: rows 0 and 1 start at cycle 0, rows 2 and 3 at
         // cycle 1; each row streams N = 2 elements.
-        let a = Matrix::from_rows(vec![
-            vec![1, 2],
-            vec![3, 4],
-            vec![5, 6],
-            vec![7, 8],
-        ])
-        .unwrap();
+        let a = Matrix::from_rows(vec![vec![1, 2], vec![3, 4], vec![5, 6], vec![7, 8]]).unwrap();
         let feeder = OsWestFeeder::new(&a, os_config(4, 4, 2)).unwrap();
         assert_eq!(feeder.stream_length(), 2);
         let mut values = [0i32; 4];
@@ -467,8 +461,12 @@ mod tests {
     fn incomplete_collection_cannot_be_finalized() {
         let collector = OsCollector::new(os_config(2, 2, 1), 3);
         assert!(collector.into_output().is_err());
-        assert!(OsCollector::new(os_config(2, 2, 1), 0).due_cols(5).is_none());
-        assert!(OsCollector::new(os_config(2, 2, 1), 0).last_due_cycle().is_none());
+        assert!(OsCollector::new(os_config(2, 2, 1), 0)
+            .due_cols(5)
+            .is_none());
+        assert!(OsCollector::new(os_config(2, 2, 1), 0)
+            .last_due_cycle()
+            .is_none());
     }
 
     #[test]

@@ -80,8 +80,14 @@ mod tests {
         assert_eq!(pe.multiply(3), -21);
         // Full 32-bit operands do not overflow the 64-bit product.
         pe.load_weight(i32::MAX);
-        assert_eq!(pe.multiply(i32::MAX), i64::from(i32::MAX) * i64::from(i32::MAX));
-        assert_eq!(pe.multiply(i32::MIN), i64::from(i32::MAX) * i64::from(i32::MIN));
+        assert_eq!(
+            pe.multiply(i32::MAX),
+            i64::from(i32::MAX) * i64::from(i32::MAX)
+        );
+        assert_eq!(
+            pe.multiply(i32::MIN),
+            i64::from(i32::MAX) * i64::from(i32::MIN)
+        );
     }
 
     #[test]

@@ -109,7 +109,10 @@ impl ArrayPool {
     /// Number of arrays currently checked in.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.slots.lock().unwrap_or_else(PoisonError::into_inner).len()
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Returns `true` if no arrays are checked in.
@@ -317,7 +320,11 @@ impl Simulator {
     /// Returns dimension errors if the operands do not match the array, or
     /// an internal schedule violation (which would indicate a simulator
     /// bug).
-    pub fn run_tile(&self, a_sub: &Matrix<i32>, b_sub: &Matrix<i32>) -> Result<TileResult, SimError> {
+    pub fn run_tile(
+        &self,
+        a_sub: &Matrix<i32>,
+        b_sub: &Matrix<i32>,
+    ) -> Result<TileResult, SimError> {
         // A handful of retained arrays covers repeated-tile callers
         // (benchmarks, tests, service handlers) while keeping the
         // per-thread memory residency small for callers that sweep many
@@ -480,13 +487,7 @@ impl Simulator {
     /// Copies the valid region of an output-stationary tile result into
     /// place. Tiles own disjoint output blocks, so this is a plain copy —
     /// no accumulation.
-    fn os_place_tile(
-        &self,
-        output: &mut Matrix<i64>,
-        tile: &Matrix<i64>,
-        ti: usize,
-        mi: usize,
-    ) {
+    fn os_place_tile(&self, output: &mut Matrix<i64>, tile: &Matrix<i64>, ti: usize, mi: usize) {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let row0 = ti * rows;
@@ -549,8 +550,7 @@ impl Simulator {
         let tiles: Vec<Tile> = grid.iter().collect();
         let executor = ParallelExecutor::new(self.threads);
         let results = executor.try_run_cancellable(tiles, token, |tile| {
-            let (a_sub, b_sub) =
-                tile.padded_operands(a, b, self.config.rows, self.config.cols);
+            let (a_sub, b_sub) = tile.padded_operands(a, b, self.config.rows, self.config.cols);
             let mut engine = pool.acquire(self.config)?;
             let result = engine.execute_tile(&a_sub, &b_sub);
             pool.release(engine);
@@ -640,7 +640,12 @@ impl Simulator {
     /// # Errors
     ///
     /// Propagates simulation errors.
-    pub fn latency_check(&self, dims: GemmDims, a: &Matrix<i32>, b: &Matrix<i32>) -> Result<LatencyCheck, SimError> {
+    pub fn latency_check(
+        &self,
+        dims: GemmDims,
+        a: &Matrix<i32>,
+        b: &Matrix<i32>,
+    ) -> Result<LatencyCheck, SimError> {
         let result = self.run_gemm(a, b)?;
         let analytical = match self.config.dataflow {
             Dataflow::WeightStationary => {
@@ -812,8 +817,7 @@ mod tests {
     fn parallel_gemm_is_bit_identical_to_serial() {
         let (a, b) = random_pair(9, 30, 21, 17);
         for k in [1, 2, 4] {
-            let serial =
-                Simulator::new(ArrayConfig::new(8, 8).with_collapse_depth(k)).unwrap();
+            let serial = Simulator::new(ArrayConfig::new(8, 8).with_collapse_depth(k)).unwrap();
             let reference = serial.run_gemm(&a, &b).unwrap();
             for threads in [0, 2, 3, 7] {
                 let parallel = serial.threads(threads);
@@ -886,8 +890,14 @@ mod tests {
         pool.release(engine);
         assert_eq!(pool.len(), 2);
         // Each dataflow gets its own engine back.
-        assert_eq!(pool.acquire(ws).unwrap().dataflow(), Dataflow::WeightStationary);
-        assert_eq!(pool.acquire(os).unwrap().dataflow(), Dataflow::OutputStationary);
+        assert_eq!(
+            pool.acquire(ws).unwrap().dataflow(),
+            Dataflow::WeightStationary
+        );
+        assert_eq!(
+            pool.acquire(os).unwrap().dataflow(),
+            Dataflow::OutputStationary
+        );
         assert_eq!(pool.len(), 0);
     }
 
@@ -966,7 +976,10 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "pinned to a different configuration"))]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "pinned to a different configuration")
+    )]
     fn pinned_pool_rejects_mismatched_checkins() {
         let pinned = ArrayConfig::new(4, 4).with_collapse_depth(2);
         let pool = ArrayPool::for_config(pinned);

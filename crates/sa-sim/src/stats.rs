@@ -209,7 +209,10 @@ mod tests {
         assert_eq!(forward, out_of_order);
         assert_eq!(forward.tiles, 12);
         // Empty sums are the identity.
-        assert_eq!(Vec::<RunStats>::new().into_iter().sum::<RunStats>(), RunStats::default());
+        assert_eq!(
+            Vec::<RunStats>::new().into_iter().sum::<RunStats>(),
+            RunStats::default()
+        );
     }
 
     #[test]

@@ -69,7 +69,10 @@ fn assert_ws_schedule(rows: u32, cols: u32, k: u32, t: usize) {
     let naive_last = (0..cols)
         .flat_map(|m| (0..200u64).filter(move |&c| ws_due(config, t, m, c)))
         .max();
-    assert_eq!(last_due, naive_last, "ws last_due: {rows}x{cols} k={k} t={t}");
+    assert_eq!(
+        last_due, naive_last,
+        "ws last_due: {rows}x{cols} k={k} t={t}"
+    );
     let horizon = last_due.map_or(8, |due| due + 4);
     for cycle in 0..=horizon {
         assert_range_matches(
@@ -97,7 +100,10 @@ fn assert_os_schedule(rows: u32, cols: u32, k: u32, n: u64) {
     let naive_last = (0..cols)
         .flat_map(|m| (0..300u64).filter(move |&c| os_due(config, n, m, c)))
         .max();
-    assert_eq!(last_due, naive_last, "os last_due: {rows}x{cols} k={k} n={n}");
+    assert_eq!(
+        last_due, naive_last,
+        "os last_due: {rows}x{cols} k={k} n={n}"
+    );
     let horizon = last_due.map_or(8, |due| due + 4);
     for cycle in 0..=horizon {
         let range = collector.due_cols(cycle);

@@ -17,7 +17,10 @@ struct CarrySave {
 
 impl CarrySave {
     fn from_binary(value: i64) -> Self {
-        Self { sum: value, carry: 0 }
+        Self {
+            sum: value,
+            carry: 0,
+        }
     }
 
     fn add(self, operand: i64) -> Self {
@@ -135,8 +138,7 @@ impl LegacyArray {
                 let mut block_valid = false;
                 for row in first_row..=last_row {
                     let op_idx = row * col_blocks + cb;
-                    let product =
-                        self.weights[self.index(row, col)] * i64::from(operands[op_idx]);
+                    let product = self.weights[self.index(row, col)] * i64::from(operands[op_idx]);
                     acc = acc.add(product);
                     if operand_valid[op_idx] {
                         block_valid = true;

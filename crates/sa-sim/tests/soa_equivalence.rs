@@ -62,7 +62,11 @@ fn assert_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, zero_fra
             "naive scan diverged: {rows}x{cols} k={k} t={t} cycle={cycle}"
         );
     }
-    assert_eq!(array.stats(), reference.stats(), "{rows}x{cols} k={k} t={t}");
+    assert_eq!(
+        array.stats(),
+        reference.stats(),
+        "{rows}x{cols} k={k} t={t}"
+    );
 }
 
 #[test]
@@ -406,7 +410,11 @@ fn assert_holey_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, ho
         array.step_into(&west, &mut south).unwrap();
         assert_eq!(south, expected, "{rows}x{cols} k={k} t={t} cycle={cycle}");
     }
-    assert_eq!(array.stats(), reference.stats(), "{rows}x{cols} k={k} t={t}");
+    assert_eq!(
+        array.stats(),
+        reference.stats(),
+        "{rows}x{cols} k={k} t={t}"
+    );
 }
 
 /// Runs one tile through `run_cycles` — optionally split into `chunks`
