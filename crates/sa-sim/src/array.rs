@@ -105,12 +105,6 @@ pub struct SystolicArray {
     v_valid: Vec<u64>,
     /// Double buffer for `v_valid`.
     v_valid_next: Vec<u64>,
-    /// Reusable west staging buffer of [`SystolicArray::run_cycles`]'
-    /// per-cycle fallback (kept on the array so pooled arrays reuse it
-    /// across tiles and requests).
-    west_scratch: Vec<Option<i32>>,
-    /// Reusable south staging buffer of the same fallback.
-    south_scratch: Vec<Option<i64>>,
     /// Whether the data currently in flight is provably a pure, gap-free
     /// feeder stream from a clean pipeline — the precondition for the
     /// analytic wavefront kernel of [`SystolicArray::run_cycles`], whose
@@ -143,8 +137,6 @@ impl SystolicArray {
             v_next: vec![0; row_blocks * cols],
             v_valid: vec![0; row_blocks * vw],
             v_valid_next: vec![0; row_blocks * vw],
-            west_scratch: Vec::new(),
-            south_scratch: Vec::new(),
             purity: StreamPurity::Clean,
             vw,
             weights_loaded: false,
@@ -606,27 +598,15 @@ impl SystolicArray {
 
         if !self.purity.admit(feeder.stream_length(), first_cycle, end) {
             // The in-flight data is not provably this feeder's
-            // uninterrupted schedule: run the literal per-cycle loop,
-            // through the array-owned staging buffers.
-            let mut west = std::mem::take(&mut self.west_scratch);
-            let mut south = std::mem::take(&mut self.south_scratch);
-            west.clear();
-            west.resize(rows, None);
-            south.clear();
-            south.resize(cols, None);
-            let mut result = Ok(());
+            // uninterrupted schedule: run the literal per-cycle loop.
+            let mut west = vec![None; rows];
+            let mut south = vec![None; cols];
             for cycle in first_cycle..end {
                 feeder.west_inputs_into(cycle, &mut west);
-                result = self
-                    .step_into(&west, &mut south)
-                    .and_then(|()| collector.collect(cycle, &south));
-                if result.is_err() {
-                    break;
-                }
+                self.step_into(&west, &mut south)?;
+                collector.collect(cycle, &south)?;
             }
-            self.west_scratch = west;
-            self.south_scratch = south;
-            return result;
+            return Ok(());
         }
 
         let last_rb_base = (self.config.row_blocks() as usize - 1) * cols;
