@@ -23,9 +23,7 @@
 //!   register-level simulator from [`sa_sim`];
 //! * [`cache`] — a sharded LRU cache of network plans keyed by a canonical
 //!   hash of every planning input, so repeated plans (for example from the
-//!   `arrayflex-serve` HTTP service) are served without recomputation; it
-//!   supports write-TTL expiry (with an injectable clock), a byte budget
-//!   and atomic disk snapshots for warm restarts.
+//!   `arrayflex-serve` HTTP service) are served without recomputation.
 //!
 //! Evaluation sweeps, network planning and the cycle-accurate simulator can
 //! all fan their independent work units out across cores through
@@ -63,10 +61,7 @@ pub mod objective;
 pub mod optimizer;
 pub mod plan;
 
-pub use cache::{
-    estimated_entry_bytes, CacheClock, CacheOutcome, CacheShardStats, ManualClock,
-    MonotonicClock, PlanCache, PlanCacheBuilder, PlanKey, PlanKind,
-};
+pub use cache::{CacheOutcome, CacheShardStats, PlanCache, PlanKey, PlanKind};
 pub use comparison::{compare_network, EvaluationSweep, NetworkComparison};
 pub use error::ArrayFlexError;
 pub use executor::SimulatedExecution;

@@ -62,8 +62,7 @@ pub(crate) struct SharedResponse {
     /// The response body, shared across every coalesced delivery.
     pub body: Arc<Vec<u8>>,
     /// Extra response header lines (CRLF-terminated, e.g. `Retry-After`
-    /// on sheds, the stale flag on degraded memo hits); `""` for most
-    /// responses.
+    /// on sheds); `""` for most responses.
     pub extra_headers: &'static str,
 }
 

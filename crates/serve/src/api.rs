@@ -66,7 +66,7 @@ pub struct AppState {
     sim_pool: ArrayPool,
     log_requests: bool,
     /// Rendered-response memo: full `/v1/plan` 200 bodies keyed by raw
-    /// request bytes, kept coherent with `cache` (see `crate::rendered`).
+    /// request bytes (see `crate::rendered`).
     rendered: RenderedCache,
     /// Per-route running estimates (largest response seen so far) used to
     /// pre-size JSON response buffers: `[/v1/plan, /v1/sweep,
@@ -109,15 +109,8 @@ impl AppState {
     /// Builds the state for one server configuration.
     #[must_use]
     pub fn new(config: &ServerConfig) -> Self {
-        let mut cache = PlanCache::builder().capacity(config.cache_capacity);
-        if let Some(ttl) = config.cache_ttl {
-            cache = cache.ttl(ttl);
-        }
-        if let Some(max_bytes) = config.cache_max_bytes {
-            cache = cache.max_bytes(max_bytes);
-        }
         Self {
-            cache: cache.build(),
+            cache: PlanCache::new(config.cache_capacity),
             metrics: Metrics::new(),
             max_body_bytes: config.max_body_bytes,
             accepted: AtomicU64::new(0),
@@ -222,16 +215,6 @@ impl AppState {
         self.request_deadline
     }
 
-    /// Looks up a rendered `/v1/plan` body for this exact request body
-    /// *ignoring coherence* (generation and TTL): the graceful-degradation
-    /// path the event loop uses under shed pressure. The body is still
-    /// byte-identical to a fresh computation — planning is a pure function
-    /// of the request — but may predate cache churn, so responses served
-    /// this way carry the stale flag header.
-    pub(crate) fn stale_rendered(&self, request_body: &[u8]) -> Option<std::sync::Arc<Vec<u8>>> {
-        self.rendered.lookup_stale(request_body)
-    }
-
     /// The `/v1/jobs` store.
     pub(crate) fn jobs(&self) -> &JobStore {
         &self.jobs
@@ -269,30 +252,24 @@ pub struct RequestTrace {
     pub cache: Option<(CacheOutcome, u64)>,
 }
 
-/// Dispatches one parsed request to its handler.
+/// Dispatches one parsed request to its handler. The request runs under a
+/// fresh cancel token armed with the configured per-request deadline; the
+/// event-loop path calls `handle_request` directly with the token it can
+/// also fire on client disconnect.
 #[must_use]
 pub fn handle(state: &AppState, request: &HttpRequest) -> HttpResponse {
-    handle_traced(state, request).0
-}
-
-/// [`handle`], also reporting the [`RequestTrace`] the connection loop
-/// feeds into per-request log lines. The request runs under a fresh
-/// cancel token armed with the configured per-request deadline; the
-/// event-loop path calls `handle_request` directly with the token it
-/// can also fire on client disconnect.
-#[must_use]
-pub fn handle_traced(state: &AppState, request: &HttpRequest) -> (HttpResponse, RequestTrace) {
     let cancel = CancelToken::with_deadline_opt(
         state
             .request_deadline
             .map(|deadline| std::time::Instant::now() + deadline),
     );
-    handle_request(state, request, &cancel, None)
+    handle_request(state, request, &cancel, None).0
 }
 
-/// [`handle_traced`] with the caller-owned cancellation token and the
-/// request's tenant (from the `x-arrayflex-tenant` header; `None` means
-/// anonymous).
+/// [`handle`] with the caller-owned cancellation token and the request's
+/// tenant (from the `x-arrayflex-tenant` header; `None` means anonymous),
+/// also reporting the [`RequestTrace`] the connection loop feeds into
+/// per-request log lines.
 pub(crate) fn handle_request(
     state: &AppState,
     request: &HttpRequest,
@@ -314,7 +291,6 @@ pub(crate) fn handle_request(
                 if response.status == 200 {
                     if let Some((_, key_hash)) = trace.cache {
                         state.rendered.store(
-                            &state.cache,
                             &request.body,
                             key_hash,
                             std::sync::Arc::new(response.body.clone()),
@@ -348,15 +324,14 @@ pub(crate) fn handle_request(
     (response, trace)
 }
 
-/// Serves `/v1/plan` from the rendered-response memo when a coherent
-/// entry exists for this exact request body (see [`crate::rendered`] for
-/// the coherence rules). Returns the shared response bytes and the trace
-/// of the hit; `None` falls through to the full planning path.
+/// Serves `/v1/plan` from the rendered-response memo when an entry exists
+/// for this exact request body (see [`crate::rendered`]). Returns the
+/// shared response bytes and the trace of the hit; `None` falls through to
+/// the full planning path.
 ///
 /// The event loop calls this inline — a memo hit never crosses into the
-/// worker pool — and [`handle_traced`] calls it too, so the legacy
-/// thread-per-connection path and direct API tests stay byte-identical
-/// with the fast path.
+/// worker pool — and [`handle`] calls it too, so direct API tests stay
+/// byte-identical with the fast path.
 pub(crate) fn rendered_plan(
     state: &AppState,
     request_body: &[u8],
@@ -1071,6 +1046,35 @@ mod tests {
         let again = handle(&state, &request);
         assert_eq!(again.body, response.body);
         assert_eq!(state.cache().hits(), 1);
+    }
+
+    #[test]
+    fn cold_plans_leave_the_hot_memo_entries_in_place() {
+        let state = state();
+        let hot = |rows: u32| {
+            post(
+                "/v1/plan",
+                &format!(r#"{{"network":"resnet18","rows":{rows},"cols":16}}"#),
+            )
+        };
+        for rows in 16..28 {
+            assert_eq!(handle(&state, &hot(rows)).status, 200);
+        }
+        let before = state.metrics().rendered_hits();
+        // Every tenth request plans a body never seen before; the other
+        // 900 cycle through the 12 warmed bodies.
+        for i in 0..1000u32 {
+            let request = if i % 10 == 0 {
+                post(
+                    "/v1/plan",
+                    &format!(r#"{{"network":"resnet18","rows":{},"cols":32}}"#, 64 + i / 10),
+                )
+            } else {
+                hot(16 + i % 12)
+            };
+            assert_eq!(handle(&state, &request).status, 200);
+        }
+        assert_eq!(state.metrics().rendered_hits() - before, 900);
     }
 
     #[test]

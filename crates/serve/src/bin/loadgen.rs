@@ -7,8 +7,7 @@
 //! cargo run --release -p arrayflex-serve --bin loadgen -- [--addr HOST:PORT]
 //!     [--requests N] [--sim-requests N] [--clients N] [--network NAME]
 //!     [--rows N] [--cols N] [--zipf S] [--zipf-pool N] [--seed N]
-//!     [--cache N] [--cache-ttl SECS] [--cache-bytes BYTES] [--json]
-//!     [--keep-alive] [--pipeline N] [--legacy-serve]
+//!     [--cache N] [--json] [--keep-alive] [--pipeline N]
 //!     [--bench OUT.json [--quick]]
 //!     [--compare OLD.json NEW.json [--max-regression FACTOR]]
 //! ```
@@ -23,8 +22,6 @@
 //!
 //! `--keep-alive` reuses one connection per client; `--pipeline N` also
 //! writes up to `N` requests back to back before reading responses.
-//! `--legacy-serve` runs the in-process server on the legacy
-//! thread-per-connection path instead of the event loop.
 //!
 //! `--bench OUT.json` ignores the ad-hoc load flags and runs the fixed
 //! serving benchmark matrix (close / keep-alive / pipelined, per
@@ -39,9 +36,8 @@
 //! `--zipf-pool` distinct synthetic networks whose popularity follows
 //! Zipf(S), sampled deterministically from `--seed` — the recipe for
 //! measuring cache hit rates under realistic key skew (see
-//! EXPERIMENTS.md). `--cache`, `--cache-ttl` and `--cache-bytes` shape the
-//! in-process server's plan cache so eviction and expiry behaviour shows
-//! up in the reported counters.
+//! EXPERIMENTS.md). `--cache` sizes the in-process server's plan cache so
+//! eviction behaviour shows up in the reported counters.
 //!
 //! `--chaos` runs the deterministic fault-injection harness instead of a
 //! throughput load: an in-process server armed with
@@ -75,11 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut zipf_pool = 32usize;
     let mut seed = 42u64;
     let mut cache_capacity: Option<usize> = None;
-    let mut cache_ttl: Option<u64> = None;
-    let mut cache_bytes: Option<usize> = None;
     let mut json = false;
     let mut mode = ConnectionMode::Close;
-    let mut legacy = false;
     let mut bench_out: Option<String> = None;
     let mut quick = false;
     let mut compare: Option<(String, String)> = None;
@@ -105,12 +98,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--zipf-pool" => zipf_pool = value_of("--zipf-pool")?.parse()?,
             "--seed" => seed = value_of("--seed")?.parse()?,
             "--cache" => cache_capacity = Some(value_of("--cache")?.parse()?),
-            "--cache-ttl" => cache_ttl = Some(value_of("--cache-ttl")?.parse()?),
-            "--cache-bytes" => cache_bytes = Some(value_of("--cache-bytes")?.parse()?),
             "--json" => json = true,
             "--keep-alive" => mode = ConnectionMode::KeepAlive,
             "--pipeline" => mode = ConnectionMode::Pipeline(value_of("--pipeline")?.parse()?),
-            "--legacy-serve" => legacy = true,
             "--bench" => bench_out = Some(value_of("--bench")?),
             "--quick" => quick = true,
             "--compare" => {
@@ -131,8 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "usage: loadgen [--addr HOST:PORT] [--requests N] [--sim-requests N] \
                      [--clients N] [--server-threads N] [--network NAME] [--rows N] \
                      [--cols N] [--zipf S] [--zipf-pool N] [--seed N] [--cache N] \
-                     [--cache-ttl SECS] [--cache-bytes BYTES] [--json] [--keep-alive] \
-                     [--pipeline N] [--legacy-serve] [--bench OUT.json [--quick]] \
+                     [--json] [--keep-alive] [--pipeline N] [--bench OUT.json [--quick]] \
                      [--compare OLD NEW [--max-regression FACTOR]] \
                      [--keepalive-smoke HOST:PORT] [--chaos]"
                 );
@@ -176,9 +165,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         None => {
             let mut config = ServerConfig {
                 threads: server_threads,
-                legacy,
-                cache_ttl: cache_ttl.map(std::time::Duration::from_secs),
-                cache_max_bytes: cache_bytes,
                 ..ServerConfig::default()
             };
             if let Some(capacity) = cache_capacity {
@@ -273,7 +259,7 @@ fn chaos_mode(
 ) -> Result<(), Box<dyn std::error::Error>> {
     let config = ServerConfig {
         // Two workers and a 4-deep queue saturate under the chaos fleet,
-        // so the shed, stale-serve, and retry paths all see real traffic.
+        // so the shed and retry paths both see real traffic.
         threads: 2,
         queue_limit: 4,
         faults: Some(FaultConfig::with_seed(seed)),

@@ -2,28 +2,19 @@
 //!
 //! ```text
 //! cargo run --release -p arrayflex-serve --bin serve -- [--addr 127.0.0.1:8080]
-//!     [--threads N] [--loops N] [--gather-window-us N] [--legacy-serve]
-//!     [--cache N] [--max-body BYTES] [--cache-ttl SECS]
-//!     [--cache-bytes BYTES] [--cache-snapshot PATH] [--snapshot-interval-ms N]
-//!     [--log]
+//!     [--threads N] [--loops N] [--gather-window-us N]
+//!     [--cache N] [--max-body BYTES] [--log]
 //! ```
 //!
-//! The default serving path is the keep-alive event loop: `--loops N`
-//! sets the number of event-loop threads (0 auto-detects) and
-//! `--threads N` sizes the handler worker pool behind them.
-//! `--gather-window-us N` turns on `/v1/simulate` batch admission: the
-//! first simulate request of an array configuration waits up to N
-//! microseconds for same-configuration requests, then the group runs as
-//! one pooled batch. `--legacy-serve` falls back to the
-//! thread-per-connection path (one request per connection).
+//! The server is a keep-alive event loop: `--loops N` sets the number of
+//! event-loop threads (0 auto-detects) and `--threads N` sizes the
+//! handler worker pool behind them. `--gather-window-us N` turns on
+//! `/v1/simulate` batch admission: the first simulate request of an array
+//! configuration waits up to N microseconds for same-configuration
+//! requests, then the group runs as one pooled batch.
 //!
-//! `--cache-ttl` expires cached plans that long after they were computed;
-//! `--cache-bytes` bounds the cache by estimated resident bytes (LRU-first
-//! eviction) on top of the `--cache` entry count; `--cache-snapshot` warms
-//! the cache from PATH at startup and keeps PATH current (atomic rewrite
-//! whenever the resident set changed, checked every
-//! `--snapshot-interval-ms`); `--log` emits one structured log line per
-//! request on stdout.
+//! `--cache N` bounds the plan cache at N plans (LRU eviction); `--log`
+//! emits one structured log line per request on stdout.
 //!
 //! Overload and resilience knobs: `--queue-limit N` bounds the worker
 //! queue — beyond it requests are shed with a structured 503 +
@@ -69,23 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     value_of("--gather-window-us")?.parse()?,
                 );
             }
-            "--legacy-serve" => config.legacy = true,
             "--cache" => config.cache_capacity = value_of("--cache")?.parse()?,
             "--max-body" => config.max_body_bytes = value_of("--max-body")?.parse()?,
-            "--cache-ttl" => {
-                config.cache_ttl = Some(std::time::Duration::from_secs(
-                    value_of("--cache-ttl")?.parse()?,
-                ));
-            }
-            "--cache-bytes" => config.cache_max_bytes = Some(value_of("--cache-bytes")?.parse()?),
-            "--cache-snapshot" => {
-                config.cache_snapshot = Some(value_of("--cache-snapshot")?.into());
-            }
-            "--snapshot-interval-ms" => {
-                config.snapshot_interval = std::time::Duration::from_millis(
-                    value_of("--snapshot-interval-ms")?.parse()?,
-                );
-            }
             "--log" => config.log_requests = true,
             "--queue-limit" => config.queue_limit = value_of("--queue-limit")?.parse()?,
             "--request-deadline-ms" => {
@@ -107,9 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--help" | "-h" => {
                 println!(
                     "usage: serve [--addr HOST:PORT] [--threads N] [--loops N] \
-                     [--gather-window-us N] [--legacy-serve] [--cache N] \
-                     [--max-body BYTES] [--cache-ttl SECS] [--cache-bytes BYTES] \
-                     [--cache-snapshot PATH] [--snapshot-interval-ms N] [--log] \
+                     [--gather-window-us N] [--cache N] [--max-body BYTES] [--log] \
                      [--queue-limit N] [--request-deadline-ms N] [--fault-seed N] \
                      [--job-dir PATH] [--tenant-rate N] [--tenant-burst N] \
                      [--tenant-max-jobs N]"

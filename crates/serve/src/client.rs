@@ -21,9 +21,6 @@ pub struct ClientResponse {
     /// Parsed `Retry-After` header in seconds, when the server sent one
     /// (load shedding and deadline-expired 503s do).
     pub retry_after: Option<u64>,
-    /// Whether the server flagged this as a stale-but-coherent degraded
-    /// answer (`x-arrayflex-stale: 1`, served under shed pressure).
-    pub stale: bool,
 }
 
 impl ClientResponse {
@@ -175,7 +172,6 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResponse> {
         })?;
     let mut content_length: Option<usize> = None;
     let mut retry_after: Option<u64> = None;
-    let mut stale = false;
     loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {
@@ -194,8 +190,6 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResponse> {
                 content_length = value.trim().parse::<usize>().ok();
             } else if name.eq_ignore_ascii_case("retry-after") {
                 retry_after = value.trim().parse::<u64>().ok();
-            } else if name.eq_ignore_ascii_case("x-arrayflex-stale") {
-                stale = value.trim() == "1";
             }
         }
     }
@@ -215,6 +209,5 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ClientResponse> {
         status,
         body,
         retry_after,
-        stale,
     })
 }

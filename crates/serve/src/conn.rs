@@ -8,10 +8,10 @@
 //!   appends raw socket bytes into;
 //! * [`RequestParser`] — an incremental HTTP/1.1 request parser that
 //!   consumes the buffer request by request, regardless of how the bytes
-//!   were chunked by the network. It reuses the same framing validators as
-//!   the legacy blocking server (`Content-Length` hygiene per RFC 9112
-//!   §6.3, head-size caps, structured rejects), adds `Connection`
-//!   keep-alive semantics, and rejects `Transfer-Encoding` with a 501 —
+//!   were chunked by the network. It validates framing (`Content-Length`
+//!   hygiene per RFC 9112 §6.3, head-size caps, structured rejects),
+//!   implements `Connection` keep-alive semantics, and rejects
+//!   `Transfer-Encoding` with a 501 —
 //!   a chunked body this server cannot parse would otherwise be misframed
 //!   as the next pipelined request;
 //! * [`WriteQueue`] — a bounded queue of response byte segments with
@@ -22,8 +22,7 @@
 
 use crate::http::HttpResponse;
 
-/// Hard cap on the request head (request line plus headers), shared with
-/// the legacy blocking parser.
+/// Hard cap on the request head (request line plus headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// How much of a rejected request's body is skipped (and discarded) before
@@ -34,8 +33,7 @@ pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 pub const REJECT_DRAIN_BYTES: u64 = 8 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------
-// Shared head validators (used by both the event-loop parser and the
-// legacy blocking server in `http.rs`)
+// Head validators
 // ---------------------------------------------------------------------------
 
 /// Validates one request line, returning `(method, path, is_http10)`.
@@ -60,9 +58,8 @@ pub fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpResp
 }
 
 /// Accumulates validated header state while head lines stream in. One
-/// instance per request; both the legacy line-at-a-time reader and the
-/// incremental parser feed every header line through
-/// [`HeadFields::header_line`], so the framing rules cannot drift apart.
+/// instance per request; the incremental parser feeds every header line
+/// through [`HeadFields::header_line`].
 #[derive(Debug, Default)]
 pub struct HeadFields {
     /// The validated `Content-Length`, when one was sent.
@@ -450,9 +447,8 @@ enum HeadScan {
 }
 
 /// Finds the end of the request head: the first `\n` immediately followed
-/// by `\n` or `\r\n` (tolerating bare-LF line endings like the legacy
-/// reader). Scanning resumes at `scanned`, so chunked arrival is O(n)
-/// total.
+/// by `\n` or `\r\n` (tolerating bare-LF line endings). Scanning resumes
+/// at `scanned`, so chunked arrival is O(n) total.
 fn find_head_end(bytes: &[u8], scanned: usize) -> HeadScan {
     let mut i = scanned;
     while i < bytes.len() {

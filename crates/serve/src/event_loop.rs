@@ -39,7 +39,6 @@ use crate::conn::{
 use crate::fault::{FaultPlan, FaultyPoller};
 use crate::http::{
     log_line, render_head, resolve_threads, HttpResponse, ServerConfig, RETRY_AFTER_HEADER,
-    STALE_HEADER,
 };
 use crate::poll::{self, Event, Interest, Poller};
 use gemm::CancelToken;
@@ -713,10 +712,7 @@ impl EventLoop {
                     }
                     // Load shedding: if the worker queue is over its
                     // bound, answer now instead of queueing work we can't
-                    // serve in time. A rendered `/v1/plan` memo entry —
-                    // even a stale one — is preferred over a 503: the
-                    // bytes are a previous 200 for the identical request
-                    // (planning is pure), flagged via response header.
+                    // serve in time.
                     if self.queue_limit != 0
                         && self.queue_depth.load(Ordering::Relaxed) >= self.queue_limit
                     {
@@ -945,9 +941,9 @@ impl Conn {
 }
 
 /// Answers on the loop thread the requests that need no computation: the
-/// constant `/healthz` body and `/v1/plan` requests the rendered memo can
-/// serve coherently (see [`crate::rendered`]). Metrics and request logs
-/// observe these exactly like worker-served responses.
+/// constant `/healthz` body and `/v1/plan` requests the rendered memo
+/// holds (see [`crate::rendered`]). Metrics and request logs observe these
+/// exactly like worker-served responses.
 fn inline_response(state: &AppState, request: &ParsedRequest) -> Option<SharedResponse> {
     let started = Instant::now();
     let (response, trace) = match (request.method.as_str(), request.path.as_str()) {
@@ -979,29 +975,10 @@ fn inline_response(state: &AppState, request: &ParsedRequest) -> Option<SharedRe
 }
 
 /// Builds the overload answer for a request the worker queue cannot take:
-/// a stale-but-byte-coherent rendered `/v1/plan` memo hit when one exists
-/// (200, flagged with [`STALE_HEADER`]), otherwise a structured 503 with
-/// `Retry-After` so well-behaved clients back off instead of hammering.
+/// a structured 503 with `Retry-After` so well-behaved clients back off
+/// instead of hammering.
 fn shed_response(state: &AppState, request: &ParsedRequest) -> SharedResponse {
     let route = api::route_label(&request.path);
-    if (request.method.as_str(), request.path.as_str()) == ("POST", "/v1/plan") {
-        if let Some(body) = state.stale_rendered(&request.body) {
-            state.metrics().note_stale_served();
-            state.metrics().observe(route, 200, Duration::ZERO);
-            if state.log_requests() {
-                println!(
-                    "{}",
-                    log_line(route, 200, Duration::ZERO, api::RequestTrace::default())
-                );
-            }
-            return SharedResponse {
-                status: 200,
-                content_type: "application/json",
-                body,
-                extra_headers: STALE_HEADER,
-            };
-        }
-    }
     state.metrics().note_shed(route);
     state.metrics().observe(route, 503, Duration::ZERO);
     if state.log_requests() {

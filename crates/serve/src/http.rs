@@ -4,36 +4,21 @@
 //! hand-rolled `ParallelExecutor` — the serving layer implements the small
 //! subset of HTTP/1.1 the ArrayFlex API needs: request-line and header
 //! parsing, `Content-Length` bodies with a configurable size cap, and
-//! `Connection: keep-alive` with pipelining on the default event-loop
-//! path (`crate::event_loop`). This module owns the public surface —
-//! [`ServerConfig`], [`ServerHandle`], [`serve`] — plus the **legacy**
-//! blocking one-response-per-connection server kept behind
-//! [`ServerConfig::legacy`] (`--legacy-serve`) as an escape hatch.
-//!
-//! # Thread model (legacy path)
-//!
-//! One **acceptor** thread blocks on [`TcpListener::accept`] and feeds
-//! accepted connections into an [`mpsc`] channel; a fixed pool of
-//! **worker** threads pops connections from the shared channel and serves
-//! them end to end. Shutdown (see [`ServerHandle::shutdown`]) sets a flag,
-//! pokes the acceptor awake with a loopback connection, and then joins:
-//! the channel is dropped by the acceptor, workers first drain every
-//! connection that was already accepted, then exit — in-flight requests
-//! always receive their response. (The event-loop thread model is
-//! described in `crate::event_loop`.)
+//! `Connection: keep-alive` with pipelining. This module owns the public
+//! surface — [`ServerConfig`], [`ServerHandle`], [`serve`] — and the
+//! response types; the serving threads are the event loops of
+//! `crate::event_loop`, which describes their thread model.
 
 use crate::api::{self, AppState};
-use crate::conn::{HeadFields, MAX_HEAD_BYTES, REJECT_DRAIN_BYTES};
 use crate::event_loop;
 use crate::poll;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of [`serve`].
 #[derive(Debug, Clone)]
@@ -46,32 +31,15 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Maximum accepted request-body size in bytes (413 beyond this).
     pub max_body_bytes: usize,
-    /// Per-connection read timeout.
+    /// Idle timeout of a connection: one with no progress in either
+    /// direction for this long is closed.
     pub read_timeout: Duration,
-    /// Expire cached plans this long after they were computed (`None`
-    /// keeps them until evicted). See `PlanCacheBuilder::ttl`.
-    pub cache_ttl: Option<Duration>,
-    /// Byte budget of the plan cache (`None` bounds it by entry count
-    /// only). See `PlanCacheBuilder::max_bytes`.
-    pub cache_max_bytes: Option<usize>,
-    /// Warm the plan cache from this snapshot at startup and keep it
-    /// current: a saver thread rewrites the file (atomically) whenever the
-    /// resident entry set changed, every [`ServerConfig::snapshot_interval`],
-    /// and a graceful shutdown writes one final snapshot. A missing file is
-    /// a cold start; a corrupt one is reported and ignored.
-    pub cache_snapshot: Option<PathBuf>,
-    /// How often the saver thread checks for (and persists) cache changes.
-    pub snapshot_interval: Duration,
     /// Emit one structured log line per served request on stdout
     /// (`ts=… route=… status=… latency_us=… cache=… key=…`).
     pub log_requests: bool,
-    /// Serve over the legacy blocking worker-pool server (one request per
-    /// connection, `Connection: close`) instead of the keep-alive event
-    /// loop. Escape hatch, exposed as `--legacy-serve`.
-    pub legacy: bool,
-    /// Event-loop threads on the default (non-legacy) path (`0`
-    /// auto-detects, minimum 1). [`ServerConfig::threads`] then sizes the
-    /// handler worker pool the loops hand parsed requests to.
+    /// Event-loop threads (`0` auto-detects, minimum 1).
+    /// [`ServerConfig::threads`] then sizes the handler worker pool the
+    /// loops hand parsed requests to.
     pub event_loops: usize,
     /// Gather window for `/v1/simulate` batch admission: the first
     /// simulate request of a configuration waits up to this long for
@@ -83,9 +51,7 @@ pub struct ServerConfig {
     /// Bound on the worker job queue (parsed requests dispatched but not
     /// yet picked up). At or beyond this depth new worker-bound requests
     /// are **shed**: answered `503` + `Retry-After` on the loop thread
-    /// without running the computation (`/v1/plan` may instead be served
-    /// a stale rendered-memo body, flagged via the
-    /// `x-arrayflex-stale` header). `0` disables shedding (unbounded
+    /// without running the computation. `0` disables shedding (unbounded
     /// queue). Exposed as `--queue-limit`.
     pub queue_limit: usize,
     /// Per-request deadline measured from dispatch: a request still
@@ -98,7 +64,7 @@ pub struct ServerConfig {
     pub request_deadline: Option<Duration>,
     /// Directory for the crash-safe `/v1/jobs` store: every completed
     /// sweep point of a running job is checkpointed here (atomic
-    /// tmp+rename+sync, like the plan-cache snapshot), and a restart with
+    /// tmp+rename, see `crate::jobs`), and a restart with
     /// the same directory resumes incomplete jobs from their last
     /// checkpoint. `None` keeps jobs in memory only (still cancellable,
     /// not crash-safe). Exposed as `--job-dir`.
@@ -137,12 +103,7 @@ impl Default for ServerConfig {
             cache_capacity: 128,
             max_body_bytes: 1024 * 1024,
             read_timeout: Duration::from_secs(30),
-            cache_ttl: None,
-            cache_max_bytes: None,
-            cache_snapshot: None,
-            snapshot_interval: Duration::from_secs(1),
             log_requests: false,
-            legacy: false,
             event_loops: 1,
             gather_window: Duration::ZERO,
             queue_limit: 1024,
@@ -162,19 +123,11 @@ pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<AppState>,
     stop: Arc<AtomicBool>,
-    /// The legacy acceptor thread, when the legacy path is serving.
-    acceptor: Option<JoinHandle<()>>,
-    /// Legacy workers, or event-loop + handler-worker threads.
+    /// Event-loop and handler-worker threads.
     workers: Vec<JoinHandle<()>>,
-    /// Event-loop wakers (empty on the legacy path): a shutdown wakes
-    /// every loop so it observes the stop flag and begins draining.
+    /// Event-loop wakers: a shutdown wakes every loop so it observes the
+    /// stop flag and begins draining.
     wakers: Vec<poll::Waker>,
-    /// Whether shutdown must poke a blocking `accept()` awake with a
-    /// throwaway loopback connection (legacy path only).
-    legacy_poke: bool,
-    saver: Option<JoinHandle<()>>,
-    saver_stop: Arc<(Mutex<bool>, Condvar)>,
-    snapshot_path: Option<PathBuf>,
 }
 
 impl ServerHandle {
@@ -190,21 +143,12 @@ impl ServerHandle {
         &self.state
     }
 
-    /// Blocks the calling thread until the server stops accepting (i.e.
-    /// until another thread calls [`ServerHandle::shutdown`] or the
-    /// acceptor dies). Used by the `serve` binary's main thread.
+    /// Blocks the calling thread until the server stops (i.e. until
+    /// another thread calls [`ServerHandle::shutdown`]). Used by the
+    /// `serve` binary's main thread.
     pub fn wait(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        if let Some(saver) = self.saver.take() {
-            let (stopped, wake) = &*self.saver_stop;
-            *stopped.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            wake.notify_all();
-            let _ = saver.join();
         }
         // Stop the job runners: fire their tokens (reason: shutdown) and
         // join. Interrupted jobs keep `running` status in their
@@ -212,13 +156,6 @@ impl ServerHandle {
         // them — a graceful stop and a SIGKILL converge on the same
         // recovery path.
         self.state.jobs().shutdown();
-        // One final snapshot after the workers have drained, so plans
-        // cached by the very last requests survive the restart too.
-        if let Some(path) = &self.snapshot_path {
-            if let Err(e) = self.state.cache().snapshot_to(path) {
-                eprintln!("plan-cache snapshot to {} failed: {e}", path.display());
-            }
-        }
     }
 
     /// Gracefully shuts the server down: stops accepting new connections,
@@ -230,15 +167,9 @@ impl ServerHandle {
         self.wait();
     }
 
-    /// Sets the stop flag and wakes whichever serving path is blocked.
+    /// Sets the stop flag and wakes every event loop.
     fn signal_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        if self.legacy_poke {
-            // Poke the acceptor out of its blocking accept() with a
-            // throwaway loopback connection; it observes the flag and
-            // exits.
-            let _ = TcpStream::connect(self.addr);
-        }
         for waker in &self.wakers {
             waker.wake();
         }
@@ -249,51 +180,35 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         // A dropped (not shut down, not waited) handle still stops the
         // server so tests cannot leak serving threads.
-        if self.acceptor.is_some() || !self.workers.is_empty() {
+        if !self.workers.is_empty() {
             self.signal_stop();
             self.wait();
         }
     }
 }
 
-/// Binds the configured address and starts the serving threads — the
-/// keep-alive event loop by default, the legacy blocking worker pool when
-/// [`ServerConfig::legacy`] is set. Returns immediately with a
+/// Binds the configured address and starts the keep-alive event loops
+/// and their handler worker pool. Returns immediately with a
 /// [`ServerHandle`].
 ///
 /// # Errors
 ///
-/// Returns an error if the address cannot be bound (or, on the event
-/// path, the readiness poller cannot be created).
+/// Returns an error if the address cannot be bound or the readiness
+/// poller cannot be created.
 pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     // `shared` (not `new`): the `/v1/jobs` runner threads need the `Arc`,
     // and incomplete jobs checkpointed in `job_dir` resume right here.
     let state = AppState::shared(&config);
-    warm_start(&state, &config);
     let stop = Arc::new(AtomicBool::new(false));
-
-    let (acceptor, workers, wakers) = if config.legacy {
-        let (acceptor, workers) = spawn_legacy(listener, &state, &stop, &config);
-        (Some(acceptor), workers, Vec::new())
-    } else {
-        let parts = event_loop::start(listener, Arc::clone(&state), Arc::clone(&stop), &config)?;
-        (None, parts.threads, parts.wakers)
-    };
-
-    let (saver, saver_stop) = spawn_saver(&state, &config);
+    let parts = event_loop::start(listener, Arc::clone(&state), Arc::clone(&stop), &config)?;
     Ok(ServerHandle {
         addr,
         state,
         stop,
-        acceptor,
-        workers,
-        wakers,
-        legacy_poke: config.legacy,
-        saver,
-        saver_stop,
-        snapshot_path: config.cache_snapshot,
+        workers: parts.threads,
+        wakers: parts.wakers,
     })
 }
 
@@ -304,147 +219,6 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
-}
-
-/// Warm-starts the plan cache from the configured snapshot, if any.
-fn warm_start(state: &Arc<AppState>, config: &ServerConfig) {
-    if let Some(path) = &config.cache_snapshot {
-        match state.cache().load_snapshot(path) {
-            Ok(n) => eprintln!(
-                "plan cache warm-started with {n} plans from {}",
-                path.display()
-            ),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                // First run: nothing to warm from, the saver will create it.
-            }
-            Err(e) => {
-                // All-or-nothing: `load_snapshot` validated the whole file
-                // before inserting anything, so a corrupt snapshot is a
-                // clean cold start — counted so operators can alert on it.
-                state.metrics().note_snapshot_rejected();
-                eprintln!(
-                    "ignoring unusable plan-cache snapshot {}: {e}",
-                    path.display()
-                );
-            }
-        }
-    }
-}
-
-/// Spawns the legacy acceptor + blocking worker pool.
-fn spawn_legacy(
-    listener: TcpListener,
-    state: &Arc<AppState>,
-    stop: &Arc<AtomicBool>,
-    config: &ServerConfig,
-) -> (JoinHandle<()>, Vec<JoinHandle<()>>) {
-    let threads = resolve_threads(config.threads);
-    let (sender, receiver): (Sender<TcpStream>, Receiver<TcpStream>) = mpsc::channel();
-    let receiver = Arc::new(Mutex::new(receiver));
-
-    let mut workers = Vec::with_capacity(threads);
-    for index in 0..threads {
-        let receiver = Arc::clone(&receiver);
-        let state = Arc::clone(state);
-        let read_timeout = config.read_timeout;
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{index}"))
-                .spawn(move || loop {
-                    // Hold the receiver lock only for the pop; queued
-                    // connections drain even after the sender is gone.
-                    // Poison-tolerant, and the connection is served under
-                    // `catch_unwind`: a panicking handler costs one
-                    // connection, not a worker thread.
-                    let next = receiver
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .recv();
-                    match next {
-                        Ok(stream) => {
-                            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                serve_connection(stream, &state, read_timeout);
-                            }))
-                            .is_err()
-                            {
-                                state.metrics().note_panic();
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                })
-                .expect("spawn worker thread"),
-        );
-    }
-
-    let acceptor = {
-        let stop = Arc::clone(stop);
-        let state = Arc::clone(state);
-        std::thread::Builder::new()
-            .name("serve-acceptor".to_owned())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break; // the poke connection is dropped unserved
-                    }
-                    let Ok(stream) = stream else { continue };
-                    state.note_accepted();
-                    if sender.send(stream).is_err() {
-                        break;
-                    }
-                }
-                // Dropping the sender lets workers finish the queue and exit.
-            })
-            .expect("spawn acceptor thread")
-    };
-    (acceptor, workers)
-}
-
-/// Spawns the snapshot saver, when a snapshot path is configured: it
-/// polls the cache generation every `snapshot_interval` and rewrites the
-/// snapshot (atomically) when the resident entry set changed. Periodic
-/// writes — not just the one at graceful shutdown — mean even a server
-/// killed with SIGKILL warm-starts from its last persisted state.
-#[allow(clippy::type_complexity)]
-fn spawn_saver(
-    state: &Arc<AppState>,
-    config: &ServerConfig,
-) -> (Option<JoinHandle<()>>, Arc<(Mutex<bool>, Condvar)>) {
-    let saver_stop = Arc::new((Mutex::new(false), Condvar::new()));
-    let saver = config.cache_snapshot.as_ref().map(|path| {
-        let path = path.clone();
-        let state = Arc::clone(state);
-        let signal = Arc::clone(&saver_stop);
-        let interval = config.snapshot_interval;
-        std::thread::Builder::new()
-            .name("serve-snapshot-saver".to_owned())
-            .spawn(move || {
-                let (stopped, wake) = &*signal;
-                let mut last_generation = state.cache().generation();
-                let mut guard = stopped.lock().unwrap_or_else(|e| e.into_inner());
-                while !*guard {
-                    let (next, _) = wake
-                        .wait_timeout(guard, interval)
-                        .unwrap_or_else(|e| e.into_inner());
-                    guard = next;
-                    if *guard {
-                        break; // the final write happens in wait()
-                    }
-                    let generation = state.cache().generation();
-                    if generation != last_generation {
-                        match state.cache().snapshot_to(&path) {
-                            Ok(_) => last_generation = generation,
-                            Err(e) => eprintln!(
-                                "plan-cache snapshot to {} failed: {e}",
-                                path.display()
-                            ),
-                        }
-                    }
-                }
-            })
-            .expect("spawn snapshot saver thread")
-    });
-    (saver, saver_stop)
 }
 
 /// One parsed HTTP request.
@@ -532,12 +306,6 @@ fn reason(status: u16) -> &'static str {
 /// client should retry, with backoff, after this many seconds.
 pub(crate) const RETRY_AFTER_HEADER: &str = "retry-after: 1\r\n";
 
-/// Extra head line flagging a `/v1/plan` 200 served from the rendered
-/// memo *past* its coherence window under shed pressure. The body is
-/// still byte-identical to a fresh computation (planning is pure), but
-/// the client is told it skipped the queue.
-pub(crate) const STALE_HEADER: &str = "x-arrayflex-stale: 1\r\n";
-
 /// Renders one response head. The `connection` header is always explicit
 /// so clients never have to apply HTTP-version defaulting rules. `extra`
 /// is zero or more complete `name: value\r\n` lines (e.g.
@@ -560,49 +328,6 @@ pub(crate) fn render_head(
     )
 }
 
-/// Outcome of reading one request off a connection.
-enum ReadOutcome {
-    Request(HttpRequest),
-    /// The request could not be parsed; respond with this and close.
-    Reject(HttpResponse),
-    /// The peer vanished before sending a complete head; just close.
-    Disconnected,
-}
-
-fn serve_connection(stream: TcpStream, state: &AppState, read_timeout: Duration) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let started = Instant::now();
-    let (route, response, trace) = match read_request(&mut reader, state.max_body_bytes()) {
-        ReadOutcome::Request(request) => {
-            let route = api::route_label(&request.path);
-            let (response, trace) = api::handle_traced(state, &request);
-            (route, response, trace)
-        }
-        ReadOutcome::Reject(response) => {
-            // The rejected request's unread remainder (head tail or body)
-            // would make the close RST the error response off the wire —
-            // same rationale as the 413 body drain, but the remaining
-            // length is unknown here, so drain whatever arrives within a
-            // short grace window.
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-            let _ = io::copy(&mut reader.by_ref().take(REJECT_DRAIN_BYTES), &mut io::sink());
-            ("unparsable", response, api::RequestTrace::default())
-        }
-        ReadOutcome::Disconnected => return,
-    };
-    let latency = started.elapsed();
-    state.metrics().observe(route, response.status, latency);
-    if state.log_requests() {
-        println!("{}", log_line(route, response.status, latency, trace));
-    }
-    write_response(stream, &response);
-}
-
 /// Formats one structured request log line:
 /// `ts=<unix-millis> route=… status=… latency_us=… cache=hit|miss|- key=<hex>|-`.
 pub(crate) fn log_line(
@@ -622,111 +347,6 @@ pub(crate) fn log_line(
         "ts={ts} route={route} status={status} latency_us={} cache={cache} key={key}",
         latency.as_micros()
     )
-}
-
-fn read_request(reader: &mut BufReader<TcpStream>, max_body: usize) -> ReadOutcome {
-    // --- request line ---
-    let line = match read_head_line(reader) {
-        HeadLine::Line(line) => line,
-        HeadLine::Closed => return ReadOutcome::Disconnected,
-        HeadLine::Reject(response) => return ReadOutcome::Reject(response),
-    };
-    // The request line and every header run through the same validators
-    // as the event-loop parser (`crate::conn`), so the framing rules —
-    // Content-Length hygiene, the Transfer-Encoding 501 — cannot drift
-    // between the two paths.
-    let (method, path, _http10) = match crate::conn::parse_request_line(&line) {
-        Ok(parsed) => parsed,
-        Err(response) => return ReadOutcome::Reject(response),
-    };
-
-    // --- headers ---
-    let mut fields = HeadFields::default();
-    let mut head_bytes = line.len();
-    loop {
-        let header = match read_head_line(reader) {
-            HeadLine::Line(header) => header,
-            HeadLine::Closed => return ReadOutcome::Disconnected,
-            HeadLine::Reject(response) => return ReadOutcome::Reject(response),
-        };
-        if header.is_empty() {
-            break;
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return ReadOutcome::Reject(HttpResponse::error(431, "request head too large"));
-        }
-        if let Err(response) = fields.header_line(&header) {
-            return ReadOutcome::Reject(response);
-        }
-    }
-
-    // --- body ---
-    let length = fields.content_length.unwrap_or(0);
-    if length > max_body {
-        // Best-effort bounded drain of the announced body so the client
-        // can finish sending and receive the 413 instead of a reset.
-        let _ = io::copy(
-            &mut reader.by_ref().take((length as u64).min(REJECT_DRAIN_BYTES)),
-            &mut io::sink(),
-        );
-        return ReadOutcome::Reject(HttpResponse::error(
-            413,
-            &format!("request body of {length} bytes exceeds the {max_body}-byte limit"),
-        ));
-    }
-    let mut body = vec![0u8; length];
-    if reader.read_exact(&mut body).is_err() {
-        return ReadOutcome::Disconnected;
-    }
-    ReadOutcome::Request(HttpRequest { method, path, body })
-}
-
-/// Outcome of reading one head line off the connection.
-enum HeadLine {
-    /// A complete UTF-8 head line, line terminators stripped.
-    Line(String),
-    /// The peer closed (or errored) before a terminated line arrived.
-    Closed,
-    /// The line violates a head invariant; respond with this and close.
-    /// (Previously these fell through as a silent TCP close, so clients
-    /// could not distinguish an overlong or binary head from a crash and
-    /// the request never reached the metrics.)
-    Reject(HttpResponse),
-}
-
-/// Reads one CRLF- (or bare-LF-) terminated head line, capped at
-/// [`MAX_HEAD_BYTES`].
-fn read_head_line(reader: &mut BufReader<TcpStream>) -> HeadLine {
-    let mut line = Vec::new();
-    let mut limited = reader.take(MAX_HEAD_BYTES as u64 + 1);
-    match limited.read_until(b'\n', &mut line) {
-        Err(_) | Ok(0) => return HeadLine::Closed,
-        Ok(_) => {}
-    }
-    if line.len() > MAX_HEAD_BYTES {
-        return HeadLine::Reject(HttpResponse::error(431, "request head line too long"));
-    }
-    if line.last() != Some(&b'\n') {
-        // EOF mid-line: the peer hung up before terminating the line.
-        return HeadLine::Closed;
-    }
-    while matches!(line.last(), Some(b'\n' | b'\r')) {
-        line.pop();
-    }
-    match String::from_utf8(line) {
-        Ok(text) => HeadLine::Line(text),
-        Err(_) => HeadLine::Reject(HttpResponse::error(400, "request head is not valid UTF-8")),
-    }
-}
-
-fn write_response(mut stream: TcpStream, response: &HttpResponse) {
-    // The legacy path never keeps connections alive.
-    let head = render_head(response.status, response.content_type, response.body.len(), false, "");
-    let _ = stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(&response.body))
-        .and_then(|()| stream.flush());
 }
 
 #[cfg(test)]
@@ -770,8 +390,5 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{head}");
         assert!(head.contains("\r\nretry-after: 1\r\n"), "{head}");
         assert!(head.ends_with("retry-after: 1\r\n\r\n"), "{head}");
-        let head = render_head(200, "application/json", 7, true, STALE_HEADER);
-        assert!(head.contains("\r\nx-arrayflex-stale: 1\r\n"), "{head}");
-        assert!(head.ends_with("\r\n\r\n"), "{head}");
     }
 }

@@ -8,12 +8,13 @@
 //! access): a readiness-driven event-loop HTTP/1.1 server with keep-alive
 //! and pipelining (a vendored epoll/poll abstraction in [`poll`], the
 //! per-connection state machine in [`conn`], singleflight and gather-window
-//! batch admission in front of the handlers), a legacy blocking
-//! worker-pool server behind `--legacy-serve` ([`http`]), JSON request
-//! parsing through the vendored `serde_json` parser, a sharded LRU plan
-//! cache ([`arrayflex::PlanCache`]) so repeated plans never recompute,
-//! request metrics in Prometheus text format ([`metrics`]), a tiny
-//! blocking client ([`client`]) and a load generator ([`loadgen`]).
+//! batch admission in front of the handlers; configured and started
+//! through [`http`]), JSON request parsing through the vendored
+//! `serde_json` parser, a sharded LRU plan cache
+//! ([`arrayflex::PlanCache`]) fronted by a memo of rendered `/v1/plan`
+//! responses so repeated plans never recompute, request metrics in
+//! Prometheus text format ([`metrics`]), a tiny blocking client
+//! ([`client`]) and a load generator ([`loadgen`]).
 //!
 //! # Determinism contract
 //!

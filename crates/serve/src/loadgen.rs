@@ -285,12 +285,8 @@ pub struct CacheReport {
     pub hit_rate: f64,
     /// Plans resident at the end of the run.
     pub entries: usize,
-    /// Estimated resident bytes at the end of the run.
-    pub bytes: usize,
-    /// Plans evicted by capacity or byte-budget pressure.
+    /// Plans evicted by capacity pressure.
     pub evictions: u64,
-    /// Plans expired by the write-TTL.
-    pub expirations: u64,
 }
 
 impl CacheReport {
@@ -302,9 +298,7 @@ impl CacheReport {
             misses: cache.misses(),
             hit_rate: cache.hit_rate(),
             entries: cache.len(),
-            bytes: cache.bytes(),
             evictions: cache.evictions(),
-            expirations: cache.expirations(),
         }
     }
 
@@ -312,15 +306,12 @@ impl CacheReport {
     #[must_use]
     pub fn text(&self) -> String {
         format!(
-            "cache:    {} hits / {} misses ({:.1}% hit rate), {} entries, {} bytes, \
-             {} evictions, {} expirations",
+            "cache:    {} hits / {} misses ({:.1}% hit rate), {} entries, {} evictions",
             self.hits,
             self.misses,
             self.hit_rate * 100.0,
             self.entries,
-            self.bytes,
-            self.evictions,
-            self.expirations
+            self.evictions
         )
     }
 }
@@ -1036,8 +1027,6 @@ pub struct ChaosReport {
     pub ok: usize,
     /// Overload sheds observed (503 with `Retry-After`).
     pub shed: usize,
-    /// Degraded stale-memo 200s observed (`x-arrayflex-stale: 1`).
-    pub stale: usize,
     /// Shed requests retried after the jittered backoff.
     pub retries: usize,
     /// Transport-level drops (connect failures, resets mid-response —
@@ -1067,13 +1056,12 @@ impl ChaosReport {
     #[must_use]
     pub fn text(&self) -> String {
         format!(
-            "attempts: {}, ok: {}, shed: {} ({} retried), stale: {}\n\
+            "attempts: {}, ok: {}, shed: {} ({} retried)\n\
              disconnects: {}, client aborts: {}, jobs submitted: {}, mismatches: {}",
             self.attempts,
             self.ok,
             self.shed,
             self.retries,
-            self.stale,
             self.disconnects,
             self.aborts,
             self.jobs_submitted,
@@ -1091,7 +1079,7 @@ struct ChaosItem {
 }
 
 /// The chaos workload: a few `/v1/plan` bodies (exercising the rendered
-/// memo and its stale degraded path) and several distinct `/v1/simulate`
+/// memo) and several distinct `/v1/simulate`
 /// bodies (distinct seeds defeat coalescing, so concurrent clients
 /// genuinely pressure the worker queue into shedding). Reference bodies
 /// come from [`api::handle`] against a fresh default server state — the
@@ -1142,12 +1130,9 @@ fn chaos_items() -> Vec<ChaosItem> {
 /// Records one decoded response against its reference body.
 fn chaos_verify(report: &mut ChaosReport, item: &ChaosItem, response: &ClientResponse) {
     if response.status == 200 {
-        if response.stale {
-            report.stale += 1;
-        }
         // The core invariant: a 200 under faults is byte-identical to the
-        // fault-free answer. Stale degraded responses included — planning
-        // purity means the memo'd bytes are that same answer.
+        // fault-free answer. Memo hits included — planning purity means
+        // the memo'd bytes are that same answer.
         if response.body == item.expected {
             report.ok += 1;
         } else {
@@ -1473,7 +1458,6 @@ pub fn chaos_run(config: &ChaosConfig) -> ChaosReport {
         total.attempts += report.attempts;
         total.ok += report.ok;
         total.shed += report.shed;
-        total.stale += report.stale;
         total.retries += report.retries;
         total.disconnects += report.disconnects;
         total.aborts += report.aborts;

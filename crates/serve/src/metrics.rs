@@ -7,10 +7,10 @@
 //! * `arrayflex_serve_requests_total{route,status}` — request counter;
 //! * `arrayflex_serve_request_duration_us` — cumulative latency histogram
 //!   with fixed microsecond buckets;
-//! * `arrayflex_serve_plan_cache_{hits,misses,evictions,expirations}_total`,
-//!   `arrayflex_serve_plan_cache_{entries,bytes,hit_rate}` and the
-//!   per-shard `arrayflex_serve_plan_cache_shard_*_total{shard}` family —
-//!   read from the plan cache at scrape time.
+//! * `arrayflex_serve_plan_cache_{hits,misses,evictions}_total`,
+//!   `arrayflex_serve_plan_cache_{entries,hit_rate}` and the per-shard
+//!   `arrayflex_serve_plan_cache_shard_*_total{shard}` family — read from
+//!   the plan cache at scrape time.
 //!
 //! Beside the serving-layer counters and gauges, one info sample,
 //! `arrayflex_serve_sim_lane_kernel_info{kernel}`, names the
@@ -48,9 +48,7 @@ pub struct Metrics {
     sheds: Mutex<BTreeMap<String, u64>>,
     panics: AtomicU64,
     deadline_expired: AtomicU64,
-    stale_served: AtomicU64,
     accept_backoffs: AtomicU64,
-    snapshot_rejected: AtomicU64,
     cancelled: Mutex<BTreeMap<String, u64>>,
     tenant_sheds: Mutex<BTreeMap<String, u64>>,
     tenant_jobs: Mutex<BTreeMap<String, u64>>,
@@ -241,18 +239,6 @@ impl Metrics {
         self.deadline_expired.load(Ordering::Relaxed)
     }
 
-    /// Records one `/v1/plan` request served a stale rendered-memo body
-    /// under shed pressure (flagged to the client via response header).
-    pub fn note_stale_served(&self) {
-        self.stale_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Stale rendered bodies served under shed pressure so far.
-    #[must_use]
-    pub fn stale_served(&self) -> u64 {
-        self.stale_served.load(Ordering::Relaxed)
-    }
-
     /// Records the accept loop backing off after a persistent accept
     /// error (EMFILE-class fd exhaustion).
     pub fn note_accept_backoff(&self) {
@@ -263,18 +249,6 @@ impl Metrics {
     #[must_use]
     pub fn accept_backoffs(&self) -> u64 {
         self.accept_backoffs.load(Ordering::Relaxed)
-    }
-
-    /// Records one plan-cache snapshot rejected at warm start (corrupt or
-    /// unreadable; the server came up cold instead).
-    pub fn note_snapshot_rejected(&self) {
-        self.snapshot_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshots rejected at warm start so far.
-    #[must_use]
-    pub fn snapshot_rejected(&self) -> u64 {
-        self.snapshot_rejected.load(Ordering::Relaxed)
     }
 
     /// Records one computation stopped through its cancel token, by cause
@@ -438,26 +412,16 @@ impl Metrics {
         out.push_str("# HELP arrayflex_serve_plan_cache_misses_total Plan cache misses.\n");
         out.push_str("# TYPE arrayflex_serve_plan_cache_misses_total counter\n");
         let _ = writeln!(out, "arrayflex_serve_plan_cache_misses_total {}", cache.misses());
-        out.push_str("# HELP arrayflex_serve_plan_cache_evictions_total Plans evicted by capacity or byte-budget pressure.\n");
+        out.push_str("# HELP arrayflex_serve_plan_cache_evictions_total Plans evicted by capacity pressure.\n");
         out.push_str("# TYPE arrayflex_serve_plan_cache_evictions_total counter\n");
         let _ = writeln!(
             out,
             "arrayflex_serve_plan_cache_evictions_total {}",
             cache.evictions()
         );
-        out.push_str("# HELP arrayflex_serve_plan_cache_expirations_total Plans expired by the write-TTL.\n");
-        out.push_str("# TYPE arrayflex_serve_plan_cache_expirations_total counter\n");
-        let _ = writeln!(
-            out,
-            "arrayflex_serve_plan_cache_expirations_total {}",
-            cache.expirations()
-        );
         out.push_str("# HELP arrayflex_serve_plan_cache_entries Plans currently resident in the cache.\n");
         out.push_str("# TYPE arrayflex_serve_plan_cache_entries gauge\n");
         let _ = writeln!(out, "arrayflex_serve_plan_cache_entries {}", cache.len());
-        out.push_str("# HELP arrayflex_serve_plan_cache_bytes Estimated bytes held by resident plans.\n");
-        out.push_str("# TYPE arrayflex_serve_plan_cache_bytes gauge\n");
-        let _ = writeln!(out, "arrayflex_serve_plan_cache_bytes {}", cache.bytes());
         out.push_str("# HELP arrayflex_serve_plan_cache_hit_rate Fraction of plan lookups served from the cache.\n");
         out.push_str("# TYPE arrayflex_serve_plan_cache_hit_rate gauge\n");
         let _ = writeln!(out, "arrayflex_serve_plan_cache_hit_rate {}", cache.hit_rate());
@@ -539,26 +503,12 @@ impl Metrics {
             "arrayflex_serve_deadline_expired_total {}",
             self.deadline_expired.load(Ordering::Relaxed)
         );
-        out.push_str("# HELP arrayflex_serve_stale_served_total Plan requests served a stale rendered body under shed pressure.\n");
-        out.push_str("# TYPE arrayflex_serve_stale_served_total counter\n");
-        let _ = writeln!(
-            out,
-            "arrayflex_serve_stale_served_total {}",
-            self.stale_served.load(Ordering::Relaxed)
-        );
         out.push_str("# HELP arrayflex_serve_accept_backoff_total Accept-loop backoffs after EMFILE-class accept errors.\n");
         out.push_str("# TYPE arrayflex_serve_accept_backoff_total counter\n");
         let _ = writeln!(
             out,
             "arrayflex_serve_accept_backoff_total {}",
             self.accept_backoffs.load(Ordering::Relaxed)
-        );
-        out.push_str("# HELP arrayflex_serve_snapshot_rejected_total Plan-cache snapshots rejected at warm start (server came up cold).\n");
-        out.push_str("# TYPE arrayflex_serve_snapshot_rejected_total counter\n");
-        let _ = writeln!(
-            out,
-            "arrayflex_serve_snapshot_rejected_total {}",
-            self.snapshot_rejected.load(Ordering::Relaxed)
         );
         out.push_str("# HELP arrayflex_serve_cancelled_total Computations stopped through their cancel token, by cause.\n");
         out.push_str("# TYPE arrayflex_serve_cancelled_total counter\n");
@@ -636,14 +586,11 @@ impl Metrics {
 /// The per-shard plan-cache counter families `/metrics` exposes: metric
 /// suffix, HELP text, and the [`CacheShardStats`] field it reads.
 type ShardCounter = (&'static str, &'static str, fn(&CacheShardStats) -> u64);
-const SHARD_COUNTERS: [ShardCounter; 4] = [
+const SHARD_COUNTERS: [ShardCounter; 3] = [
     ("hits_total", "Plan cache hits, by shard.", |s| s.hits),
     ("misses_total", "Plan cache misses, by shard.", |s| s.misses),
     ("evictions_total", "Plan cache evictions, by shard.", |s| {
         s.evictions
-    }),
-    ("expirations_total", "Plan cache TTL expirations, by shard.", |s| {
-        s.expirations
     }),
 ];
 
@@ -699,12 +646,8 @@ mod tests {
         assert_eq!(metrics.panics(), 1);
         metrics.note_deadline_expired();
         assert_eq!(metrics.deadline_expired(), 1);
-        metrics.note_stale_served();
-        assert_eq!(metrics.stale_served(), 1);
         metrics.note_accept_backoff();
         assert_eq!(metrics.accept_backoffs(), 1);
-        metrics.note_snapshot_rejected();
-        assert_eq!(metrics.snapshot_rejected(), 1);
         metrics.note_cancelled("deadline");
         metrics.note_cancelled("disconnect");
         metrics.note_cancelled("disconnect");
@@ -743,9 +686,7 @@ mod tests {
         assert!(text.contains("arrayflex_serve_shed_total{route=\"/v1/simulate\"} 1"));
         assert!(text.contains("arrayflex_serve_panics_total 1"));
         assert!(text.contains("arrayflex_serve_deadline_expired_total 1"));
-        assert!(text.contains("arrayflex_serve_stale_served_total 1"));
         assert!(text.contains("arrayflex_serve_accept_backoff_total 1"));
-        assert!(text.contains("arrayflex_serve_snapshot_rejected_total 1"));
         assert!(text.contains("arrayflex_serve_cancelled_total{cause=\"deadline\"} 1"));
         assert!(text.contains("arrayflex_serve_cancelled_total{cause=\"disconnect\"} 2"));
         assert!(text.contains("arrayflex_serve_tenant_shed_total{tenant=\"acme\"} 2"));
@@ -773,12 +714,10 @@ mod tests {
         assert!(text.contains("arrayflex_serve_plan_cache_hits_total 0"));
         assert!(text.contains("arrayflex_serve_plan_cache_hit_rate 0"));
         assert!(text.contains("arrayflex_serve_plan_cache_evictions_total 0"));
-        assert!(text.contains("arrayflex_serve_plan_cache_expirations_total 0"));
         assert!(text.contains("arrayflex_serve_plan_cache_entries 0"));
-        assert!(text.contains("arrayflex_serve_plan_cache_bytes 0"));
         // One labelled sample per shard for every per-shard family.
         let shards = cache.shard_stats().len();
-        for family in ["hits", "misses", "evictions", "expirations"] {
+        for family in ["hits", "misses", "evictions"] {
             let count = text
                 .lines()
                 .filter(|l| l.starts_with(&format!("arrayflex_serve_plan_cache_shard_{family}_total{{")))
@@ -794,9 +733,7 @@ mod tests {
         assert!(text.contains("arrayflex_serve_rendered_hits_total 0"));
         assert!(text.contains("arrayflex_serve_panics_total 0"));
         assert!(text.contains("arrayflex_serve_deadline_expired_total 0"));
-        assert!(text.contains("arrayflex_serve_stale_served_total 0"));
         assert!(text.contains("arrayflex_serve_accept_backoff_total 0"));
-        assert!(text.contains("arrayflex_serve_snapshot_rejected_total 0"));
         // Exactly one lane-kernel sample, naming the dispatched body.
         let kernels: Vec<&str> = text
             .lines()

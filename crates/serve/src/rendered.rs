@@ -5,39 +5,25 @@
 //! to recomputing it, but *serving* a cached plan still pays two costs
 //! that dwarf the actual lookup: canonicalizing the planning inputs into
 //! a [`PlanKey`](arrayflex::PlanKey) (which serializes the whole network)
-//! and serializing the plan back out as the response body — together
-//! ~150µs per request against a ~2µs shard probe. This memo removes both
-//! from the steady-state path: the first serve of a given request body
-//! stores the rendered 200 response, and every identical request after
-//! that is answered by hashing the (typically tens of bytes) body and
-//! cloning an `Arc`.
-//!
-//! Coherence with the authoritative [`PlanCache`] is by construction, not
-//! by trust:
+//! and serializing the plan back out as the response body. This memo
+//! removes both from the steady-state path: the first serve of a given
+//! request body stores the rendered 200 response, and every identical
+//! request after that is answered by hashing the (typically tens of bytes)
+//! body and cloning an `Arc`.
 //!
 //! * **Byte identity** holds because planning is a pure function of the
 //!   request body and serialization is deterministic — the stored bytes
-//!   *are* a previous response to the identical request.
-//! * **Entry-set changes**: every entry records the plan cache's
-//!   [`generation`](PlanCache::generation) at store time; a lookup whose
-//!   generation no longer matches drops the entry and falls back to the
-//!   full path, so eviction and churn in the plan cache are never papered
-//!   over. (Steady-state hit traffic leaves the generation untouched,
-//!   which is exactly when the memo is allowed to answer.)
-//! * **TTL**: entries age against the plan cache's own clock
-//!   ([`PlanCache::clock_now`]) under the same TTL, so a test-injected
-//!   manual clock expires rendered responses in lockstep with the plans
-//!   they were rendered from.
+//!   *are* a previous response to the identical request. A rendered plan
+//!   can therefore never go stale: an entry lives until LRU eviction,
+//!   whatever happens to the plan cache meanwhile.
 //! * **Accounting**: a memo hit is still a hit on the cached plan (its
 //!   rendered form), and is tallied into the plan cache's hit counter via
-//!   [`PlanCache::note_derived_hit`] — `/metrics` cannot tell the two
-//!   apart, which keeps the hit/miss arithmetic of the lifecycle tests
-//!   exact.
+//!   [`PlanCache::note_derived_hit`] — `/metrics` counts one plan-cache
+//!   hit or miss per `/v1/plan` lookup either way.
 
 use arrayflex::PlanCache;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Entries kept (LRU-evicted beyond this). Sized for serving workloads —
 /// a handful of hot request bodies — not as a second plan cache.
@@ -48,17 +34,13 @@ const CAPACITY: usize = 64;
 /// path rather than letting one giant plan pin the memo's memory.
 const MAX_ENTRY_BYTES: usize = 256 * 1024;
 
-/// One rendered 200 response and the coherence stamps it was stored under.
+/// One rendered 200 response.
 #[derive(Debug)]
 struct Entry {
     body: Arc<Vec<u8>>,
     /// Hash of the plan's canonical [`PlanKey`](arrayflex::PlanKey) — what
     /// request logs and the derived-hit tally identify the plan by.
     key_hash: u64,
-    /// Plan-cache generation this entry is valid for.
-    generation: u64,
-    /// Plan-cache clock reading at store time (ages against the TTL).
-    written_at: Duration,
     /// Logical LRU clock reading of the last lookup that returned this.
     last_used: u64,
 }
@@ -70,7 +52,7 @@ struct Inner {
 }
 
 /// The memo. One per [`AppState`](crate::api::AppState); see the module
-/// docs for the coherence rules.
+/// docs.
 #[derive(Debug, Default)]
 pub(crate) struct RenderedCache {
     inner: Mutex<Inner>,
@@ -78,54 +60,34 @@ pub(crate) struct RenderedCache {
 
 impl RenderedCache {
     /// Returns the rendered response body and plan-key hash for
-    /// `request_body` if a coherent entry exists (see the module docs).
-    /// Tallies the derived hit into `cache`'s hit counter.
+    /// `request_body` if an entry exists, and tallies the derived hit into
+    /// `cache`'s hit counter.
     pub(crate) fn lookup(
         &self,
         cache: &PlanCache,
         request_body: &[u8],
     ) -> Option<(Arc<Vec<u8>>, u64)> {
-        let generation = cache.generation();
         // Poison-tolerant: a caught handler panic elsewhere must not turn
         // every later memo lookup into a second panic (the map's
         // per-entry invariants hold regardless).
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.clock += 1;
         let clock = inner.clock;
-        if let Some(entry) = inner.map.get_mut(request_body) {
-            let expired = cache
-                .ttl()
-                .is_some_and(|ttl| cache.clock_now().saturating_sub(entry.written_at) >= ttl);
-            if entry.generation == generation && !expired {
-                entry.last_used = clock;
-                let found = (Arc::clone(&entry.body), entry.key_hash);
-                drop(inner);
-                cache.note_derived_hit(found.1);
-                return Some(found);
-            }
-            // Stale (evicted-under, churned past, or expired): drop it and
-            // let the full path repopulate under the current stamps.
-            inner.map.remove(request_body);
-        }
-        None
+        let entry = inner.map.get_mut(request_body)?;
+        entry.last_used = clock;
+        let found = (Arc::clone(&entry.body), entry.key_hash);
+        drop(inner);
+        cache.note_derived_hit(found.1);
+        Some(found)
     }
 
-    /// Stores the rendered 200 response for `request_body`, stamped with
-    /// the plan cache's current generation and clock. Oversized entries
-    /// are skipped; beyond [`CAPACITY`] the least-recently-used entry is
-    /// evicted.
-    pub(crate) fn store(
-        &self,
-        cache: &PlanCache,
-        request_body: &[u8],
-        key_hash: u64,
-        body: Arc<Vec<u8>>,
-    ) {
+    /// Stores the rendered 200 response for `request_body`. Oversized
+    /// entries are skipped; beyond [`CAPACITY`] the least-recently-used
+    /// entry is evicted.
+    pub(crate) fn store(&self, request_body: &[u8], key_hash: u64, body: Arc<Vec<u8>>) {
         if request_body.len() + body.len() > MAX_ENTRY_BYTES {
             return;
         }
-        let generation = cache.generation();
-        let written_at = cache.clock_now();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.clock += 1;
         let clock = inner.clock;
@@ -134,8 +96,6 @@ impl RenderedCache {
             Entry {
                 body,
                 key_hash,
-                generation,
-                written_at,
                 last_used: clock,
             },
         );
@@ -150,24 +110,6 @@ impl RenderedCache {
             };
             inner.map.remove(&oldest);
         }
-    }
-
-    /// Returns the rendered response body for `request_body` **ignoring
-    /// coherence** — generation mismatches and TTL expiry are tolerated
-    /// and the entry is left in place. The graceful-degradation path: a
-    /// server shedding load may answer `/v1/plan` from here (flagged via
-    /// response header) instead of queueing or 503ing. Byte identity
-    /// still holds — the stored bytes are a previous 200 for the
-    /// identical request and planning is pure — but the entry may predate
-    /// plan-cache churn, so the coherent [`RenderedCache::lookup`] must
-    /// stay the only path that tallies cache hits.
-    pub(crate) fn lookup_stale(&self, request_body: &[u8]) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner.map.get_mut(request_body)?;
-        entry.last_used = clock;
-        Some(Arc::clone(&entry.body))
     }
 
     /// Number of rendered responses currently held (for tests).
@@ -191,7 +133,7 @@ mod tests {
         let rendered = RenderedCache::default();
         assert!(rendered.lookup(&cache, &body(1)).is_none());
         let stored = Arc::new(b"response".to_vec());
-        rendered.store(&cache, &body(1), 7, Arc::clone(&stored));
+        rendered.store(&body(1), 7, Arc::clone(&stored));
         let (found, hash) = rendered.lookup(&cache, &body(1)).unwrap();
         assert!(Arc::ptr_eq(&found, &stored));
         assert_eq!(hash, 7);
@@ -200,79 +142,28 @@ mod tests {
     }
 
     #[test]
-    fn a_generation_change_invalidates_entries() {
+    fn plan_cache_churn_leaves_entries_in_place() {
         use arrayflex::{ArrayFlexModel, PlanKind};
         use cnn::DepthwiseMapping;
 
-        let cache = PlanCache::new(4);
-        let rendered = RenderedCache::default();
-        rendered.store(&cache, &body(1), 7, Arc::new(b"response".to_vec()));
-        assert!(rendered.lookup(&cache, &body(1)).is_some());
-        // Any plan-cache insert bumps the generation; the memo entry is
-        // dropped on its next lookup rather than served stale.
-        let model = ArrayFlexModel::new(8, 8).unwrap();
-        let plan = model
-            .plan_cached(
-                &cache,
-                &cnn::models::resnet18(),
-                DepthwiseMapping::default(),
-                PlanKind::ArrayFlex,
-            )
-            .unwrap();
-        drop(plan);
-        assert!(rendered.lookup(&cache, &body(1)).is_none());
-        assert_eq!(rendered.len(), 0);
-    }
-
-    #[test]
-    fn entries_expire_on_the_plan_caches_clock() {
-        use arrayflex::ManualClock;
-
-        let clock = Arc::new(ManualClock::new());
-        let cache = PlanCache::builder()
-            .ttl(Duration::from_secs(60))
-            .clock(Arc::clone(&clock) as _)
-            .build();
-        let rendered = RenderedCache::default();
-        rendered.store(&cache, &body(1), 7, Arc::new(b"response".to_vec()));
-        assert!(rendered.lookup(&cache, &body(1)).is_some());
-        clock.advance(Duration::from_secs(60));
-        assert!(rendered.lookup(&cache, &body(1)).is_none());
-    }
-
-    #[test]
-    fn stale_lookup_survives_generation_changes_and_expiry() {
-        use arrayflex::{ArrayFlexModel, ManualClock, PlanKind};
-        use cnn::DepthwiseMapping;
-
-        let clock = Arc::new(ManualClock::new());
-        let cache = PlanCache::builder()
-            .ttl(Duration::from_secs(60))
-            .clock(Arc::clone(&clock) as _)
-            .build();
+        // A one-entry plan cache: the second plan below evicts the first,
+        // so the cache sees inserts and an eviction.
+        let cache = PlanCache::with_shards(1, 1);
         let rendered = RenderedCache::default();
         let stored = Arc::new(b"response".to_vec());
-        rendered.store(&cache, &body(1), 7, Arc::clone(&stored));
-
-        // Bump the generation (plan insert) and blow the TTL: the
-        // coherent path refuses, the stale path still serves the same
-        // bytes and leaves the entry in place.
+        rendered.store(&body(1), 7, Arc::clone(&stored));
         let model = ArrayFlexModel::new(8, 8).unwrap();
-        model
-            .plan_cached(
-                &cache,
-                &cnn::models::resnet18(),
-                DepthwiseMapping::default(),
-                PlanKind::ArrayFlex,
-            )
-            .unwrap();
-        clock.advance(Duration::from_secs(120));
-        let stale = rendered.lookup_stale(&body(1)).expect("stale entry serves");
-        assert!(Arc::ptr_eq(&stale, &stored));
-        assert_eq!(rendered.len(), 1, "stale lookup must not remove the entry");
-        // The coherent lookup still refuses (and drops) it afterwards.
-        assert!(rendered.lookup(&cache, &body(1)).is_none());
-        assert!(rendered.lookup_stale(&body(1)).is_none());
+        for network in [cnn::models::resnet18(), cnn::models::resnet34()] {
+            model
+                .plan_cached(&cache, &network, DepthwiseMapping::default(), PlanKind::ArrayFlex)
+                .unwrap();
+        }
+        assert_eq!(cache.evictions(), 1);
+        // Planning is pure, so the rendered bytes are still the answer:
+        // the entry survives and keeps serving.
+        let (found, _) = rendered.lookup(&cache, &body(1)).expect("entry survives churn");
+        assert!(Arc::ptr_eq(&found, &stored));
+        assert_eq!(rendered.len(), 1);
     }
 
     #[test]
@@ -280,12 +171,12 @@ mod tests {
         let cache = PlanCache::new(4);
         let rendered = RenderedCache::default();
         for n in 0..=CAPACITY {
-            rendered.store(&cache, &body(n as u8), n as u64, Arc::new(vec![0; 16]));
+            rendered.store(&body(n as u8), n as u64, Arc::new(vec![0; 16]));
         }
         assert_eq!(rendered.len(), CAPACITY);
         // The first-stored (least recently used) entry is the one gone.
         assert!(rendered.lookup(&cache, &body(0)).is_none());
-        rendered.store(&cache, &body(99), 99, Arc::new(vec![0; MAX_ENTRY_BYTES]));
+        rendered.store(&body(99), 99, Arc::new(vec![0; MAX_ENTRY_BYTES]));
         assert!(rendered.lookup(&cache, &body(99)).is_none());
     }
 }

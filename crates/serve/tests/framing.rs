@@ -138,32 +138,6 @@ fn transfer_encoding_gets_a_structured_501() {
 }
 
 #[test]
-fn transfer_encoding_gets_a_structured_501_on_the_legacy_path() {
-    // The same refusal from the thread-per-connection fallback server.
-    let handle = serve(ServerConfig {
-        legacy: true,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback");
-    let response = raw_request(
-        &handle,
-        b"POST /v1/plan HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n\
-          2\r\n{}\r\n0\r\n\r\n",
-    )
-    .expect("a structured response, not a closed socket");
-    assert_eq!(response.status, 501);
-    assert!(
-        response
-            .text()
-            .unwrap()
-            .contains("transfer-encoding is not supported; frame the body with content-length"),
-        "{:?}",
-        response.text()
-    );
-    handle.shutdown();
-}
-
-#[test]
 fn an_oversized_header_block_is_a_431() {
     // Each line fits the per-line cap but the head as a whole exceeds it.
     let handle = spawn();

@@ -220,18 +220,3 @@ fn gather_window_batches_are_byte_identical_to_unbatched_serving() {
     plain.shutdown();
     batched.shutdown();
 }
-
-#[test]
-fn legacy_serving_path_still_works_end_to_end() {
-    let handle = serve(ServerConfig {
-        legacy: true,
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback");
-    let health = client::get(handle.addr(), "/healthz").unwrap();
-    assert_eq!(health.status, 200);
-    let plan = client::post_json(handle.addr(), "/v1/plan", PLAN_BODY).unwrap();
-    assert_eq!(plan.status, 200);
-    assert_eq!(plan.body, direct_plan_bytes());
-    handle.shutdown();
-}

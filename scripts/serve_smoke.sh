@@ -3,9 +3,9 @@
 # build: start `serve` on an ephemeral port, curl /healthz and one
 # /v1/plan request, assert the plan response matches the committed
 # golden file (crates/serve/tests/golden/plan_resnet34_128x128.json —
-# the same bytes the in-repo golden test pins), then stop the server and
-# restart it from its --cache-snapshot, asserting the first repeated
-# plan is served as a warm-start cache hit.
+# the same bytes the in-repo golden test pins), assert a repeated plan is
+# a plan-cache hit served from the rendered memo, and run the keep-alive
+# smoke.
 #
 # Usage: scripts/serve_smoke.sh [path-to-serve-binary]
 set -euo pipefail
@@ -20,37 +20,28 @@ if [[ ! -x "$SERVE_BIN" ]]; then
     exit 1
 fi
 
-SNAPSHOT="$(mktemp -u).plan-cache"
 LOG="$(mktemp)"
 SERVER_PID=""
 cleanup() {
     [[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null || true
-    rm -f "$SNAPSHOT" "$SNAPSHOT.tmp"
 }
 trap cleanup EXIT
 
-# Starts $SERVE_BIN with the given extra flags and waits for the address
-# announcement on the first stdout line, exported as $ADDR.
-start_server() {
-    : >"$LOG"
-    "$SERVE_BIN" --addr 127.0.0.1:0 \
-        --cache-snapshot "$SNAPSHOT" --snapshot-interval-ms 100 "$@" \
-        >"$LOG" 2>&1 &
-    SERVER_PID=$!
-    ADDR=""
-    for _ in $(seq 1 100); do
-        ADDR="$(sed -n 's#^listening on http://##p' "$LOG" | head -n 1)"
-        [[ -n "$ADDR" ]] && break
-        sleep 0.1
-    done
-    if [[ -z "$ADDR" ]]; then
-        echo "serve did not announce an address; log:" >&2
-        cat "$LOG" >&2
-        exit 1
-    fi
-}
-
-start_server
+# Start the server and wait for the address announcement on the first
+# stdout line.
+"$SERVE_BIN" --addr 127.0.0.1:0 >"$LOG" 2>&1 &
+SERVER_PID=$!
+ADDR=""
+for _ in $(seq 1 100); do
+    ADDR="$(sed -n 's#^listening on http://##p' "$LOG" | head -n 1)"
+    [[ -n "$ADDR" ]] && break
+    sleep 0.1
+done
+if [[ -z "$ADDR" ]]; then
+    echo "serve did not announce an address; log:" >&2
+    cat "$LOG" >&2
+    exit 1
+fi
 echo "serve is listening on $ADDR"
 
 HEALTH="$(curl -sS "http://$ADDR/healthz")"
@@ -69,15 +60,17 @@ if ! cmp -s "$PLAN" "$GOLDEN"; then
 fi
 echo "/v1/plan matches the golden file ($(wc -c <"$GOLDEN") bytes)"
 
-# The same request again must be a plan-cache hit, visible in /metrics.
+# The same request again must be a plan-cache hit served from the
+# rendered memo, both visible in /metrics.
 curl -sS -X POST "http://$ADDR/v1/plan" -d "$REQUEST" -o /dev/null
 METRICS="$(curl -sS "http://$ADDR/metrics")"
-if ! grep -q '^arrayflex_serve_plan_cache_hits_total 1$' <<<"$METRICS"; then
-    echo "expected one plan-cache hit in /metrics:" >&2
-    grep cache <<<"$METRICS" >&2 || true
+if ! grep -q '^arrayflex_serve_plan_cache_hits_total 1$' <<<"$METRICS" ||
+    ! grep -q '^arrayflex_serve_rendered_hits_total 1$' <<<"$METRICS"; then
+    echo "expected one plan-cache hit and one rendered-memo hit in /metrics:" >&2
+    grep -E 'cache|rendered' <<<"$METRICS" >&2 || true
     exit 1
 fi
-echo "/metrics reports the plan-cache hit"
+echo "/metrics reports the plan-cache hit, served from the rendered memo"
 
 # Keep-alive smoke: one persistent connection serving two sequential
 # requests and then a pipelined pair, all 200 and in order (the loadgen
@@ -89,50 +82,4 @@ if [[ ! -x "$LOADGEN_BIN" ]]; then
 fi
 "$LOADGEN_BIN" --keepalive-smoke "$ADDR"
 
-# The saver thread persists the cached plan (the server is killed with
-# SIGTERM, so the periodic snapshot — not a graceful-shutdown one — must
-# already be on disk).
-SNAPSHOT_OK=""
-for _ in $(seq 1 100); do
-    if [[ -s "$SNAPSHOT" ]]; then
-        SNAPSHOT_OK=1
-        break
-    fi
-    sleep 0.1
-done
-if [[ -z "$SNAPSHOT_OK" ]]; then
-    echo "plan-cache snapshot never appeared at $SNAPSHOT; log:" >&2
-    cat "$LOG" >&2
-    exit 1
-fi
-echo "plan-cache snapshot persisted ($(wc -c <"$SNAPSHOT") bytes)"
-
-# Stop the server and restart from the snapshot: the warmed cache must
-# serve the first repeated plan as a hit, with zero misses, and the
-# response bytes must still match the golden file.
-kill "$SERVER_PID"
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
-start_server
-echo "serve restarted on $ADDR with snapshot $SNAPSHOT"
-if ! grep -q 'plan cache warm-started with 1 plans' "$LOG"; then
-    echo "restarted serve did not report a warm start; log:" >&2
-    cat "$LOG" >&2
-    exit 1
-fi
-
-WARM="$(mktemp)"
-curl -sS -X POST "http://$ADDR/v1/plan" -d "$REQUEST" -o "$WARM"
-if ! cmp -s "$WARM" "$GOLDEN"; then
-    echo "warm-start /v1/plan response differs from $GOLDEN" >&2
-    exit 1
-fi
-METRICS="$(curl -sS "http://$ADDR/metrics")"
-if ! grep -q '^arrayflex_serve_plan_cache_hits_total 1$' <<<"$METRICS" ||
-    ! grep -q '^arrayflex_serve_plan_cache_misses_total 0$' <<<"$METRICS"; then
-    echo "expected a warm-start hit (1 hit, 0 misses) in /metrics:" >&2
-    grep cache <<<"$METRICS" >&2 || true
-    exit 1
-fi
-echo "/metrics reports the warm-start hit (1 hit, 0 misses)"
 echo "serve smoke test passed"
