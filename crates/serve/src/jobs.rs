@@ -11,14 +11,14 @@
 //!
 //! With a job directory configured ([`crate::http::ServerConfig::job_dir`],
 //! `--job-dir`) every completed sweep point is checkpointed to
-//! `<dir>/<id>.json` with the same atomic discipline as the plan-cache
-//! snapshot: write to a `.tmp` sibling, `sync_all`, rename. A server
-//! killed mid-job (even with SIGKILL) restarts with the same directory
-//! and resumes every incomplete job from its last checkpoint — and
-//! because each point's response fragment is serialized independently,
-//! the resumed job's final body is **byte-identical** to an uninterrupted
-//! run (the workspace determinism contract, extended across process
-//! lifetimes).
+//! `<dir>/<id>.json` atomically: write to a `.tmp` sibling, `sync_all`
+//! it, rename it over the checkpoint, then `sync_all` the directory so
+//! the rename itself is on disk. A server killed mid-job (even with
+//! SIGKILL) restarts with the same directory and resumes every incomplete
+//! job from its last checkpoint — and because each point's response
+//! fragment is serialized independently, the resumed job's final body is
+//! **byte-identical** to an uninterrupted run (the workspace determinism
+//! contract, extended across process lifetimes).
 //!
 //! The checkpoint stores response fragments as JSON *strings* (escaped),
 //! never as re-parsed values: round-tripping through a JSON value would
@@ -358,9 +358,9 @@ impl JobStore {
     }
 }
 
-/// Persists one job's current progress atomically (tmp + sync + rename,
-/// the plan-cache snapshot discipline). A write failure is reported on
-/// stderr and counted, and the job keeps running in memory.
+/// Persists one job's current progress atomically (tmp + sync + rename +
+/// directory sync). A write failure is reported on stderr and counted,
+/// and the job keeps running in memory.
 fn checkpoint(state: &AppState, entry: &JobEntry) {
     let Some(dir) = &state.jobs().dir else { return };
     if let Err(e) = persist(dir, entry) {
@@ -402,7 +402,10 @@ fn persist(dir: &Path, entry: &JobEntry) -> io::Result<()> {
         file.write_all(text.as_bytes())?;
         file.sync_all()?;
     }
-    fs::rename(&tmp, &path)
+    fs::rename(&tmp, &path)?;
+    // The rename lives in the directory: sync it too, or a power loss can
+    // bring back the previous checkpoint (or none).
+    fs::File::open(dir)?.sync_all()
 }
 
 fn load_checkpoint(path: &Path) -> io::Result<JobEntry> {
