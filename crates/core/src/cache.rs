@@ -273,7 +273,12 @@ impl PlanCache {
     /// Inserts `plan` into `shard` and advances the generation by the
     /// entries that changed, after the shard lock is released so readers of
     /// the generation never block on a shard.
-    fn insert_into(&self, mut shard: std::sync::MutexGuard<'_, Shard>, key: &PlanKey, plan: Arc<NetworkPlan>) {
+    fn insert_into(
+        &self,
+        mut shard: std::sync::MutexGuard<'_, Shard>,
+        key: &PlanKey,
+        plan: Arc<NetworkPlan>,
+    ) {
         let changed = shard.insert(key.canonical().to_owned(), plan, self.per_shard_capacity);
         drop(shard);
         self.generation.fetch_add(changed, Ordering::SeqCst);
@@ -529,7 +534,10 @@ mod tests {
         assert_eq!(PlanKey::new(&m, &net, mapping, PlanKind::ArrayFlex), base);
         // Any changed input: different key.
         let other_model = ArrayFlexModel::new(32, 64).unwrap();
-        assert_ne!(PlanKey::new(&other_model, &net, mapping, PlanKind::ArrayFlex), base);
+        assert_ne!(
+            PlanKey::new(&other_model, &net, mapping, PlanKind::ArrayFlex),
+            base
+        );
         assert_ne!(
             PlanKey::new(&m, &synthetic_cnn(3, 16, 16), mapping, PlanKind::ArrayFlex),
             base
@@ -538,7 +546,10 @@ mod tests {
             PlanKey::new(&m, &net, DepthwiseMapping::PerGroup, PlanKind::ArrayFlex),
             base
         );
-        assert_ne!(PlanKey::new(&m, &net, mapping, PlanKind::Conventional), base);
+        assert_ne!(
+            PlanKey::new(&m, &net, mapping, PlanKind::Conventional),
+            base
+        );
         assert_ne!(PlanKey::new(&m, &net, mapping, PlanKind::Fixed(2)), base);
         assert_ne!(
             PlanKey::new(&m, &net, mapping, PlanKind::Fixed(2)),
@@ -555,10 +566,14 @@ mod tests {
         let net = resnet34();
         let mapping = DepthwiseMapping::default();
         let direct = m.plan_arrayflex(&net, mapping).unwrap();
-        let first = m.plan_cached(&cache, &net, mapping, PlanKind::ArrayFlex).unwrap();
+        let first = m
+            .plan_cached(&cache, &net, mapping, PlanKind::ArrayFlex)
+            .unwrap();
         assert_eq!(*first, direct);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let second = m.plan_cached(&cache, &net, mapping, PlanKind::ArrayFlex).unwrap();
+        let second = m
+            .plan_cached(&cache, &net, mapping, PlanKind::ArrayFlex)
+            .unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // The hit shares the first computation's allocation.
         assert!(Arc::ptr_eq(&first, &second));
@@ -596,7 +611,12 @@ mod tests {
         let cache = PlanCache::new(64);
         let m = model();
         let net = synthetic_cnn(2, 8, 8);
-        let result = m.plan_cached(&cache, &net, DepthwiseMapping::default(), PlanKind::Fixed(99));
+        let result = m.plan_cached(
+            &cache,
+            &net,
+            DepthwiseMapping::default(),
+            PlanKind::Fixed(99),
+        );
         assert!(result.is_err());
         assert!(cache.is_empty());
         // The failed lookup still tallied a miss.
@@ -615,12 +635,15 @@ mod tests {
             .iter()
             .map(|n| PlanKey::new(&m, n, mapping, PlanKind::ArrayFlex))
             .collect();
-        m.plan_cached(&cache, &nets[0], mapping, PlanKind::ArrayFlex).unwrap();
-        m.plan_cached(&cache, &nets[1], mapping, PlanKind::ArrayFlex).unwrap();
+        m.plan_cached(&cache, &nets[0], mapping, PlanKind::ArrayFlex)
+            .unwrap();
+        m.plan_cached(&cache, &nets[1], mapping, PlanKind::ArrayFlex)
+            .unwrap();
         // Touch net 0 so net 1 is the least recently used ...
         assert!(cache.get(&keys[0]).is_some());
         // ... then overflow: net 1 must be evicted, nets 0 and 2 kept.
-        m.plan_cached(&cache, &nets[2], mapping, PlanKind::ArrayFlex).unwrap();
+        m.plan_cached(&cache, &nets[2], mapping, PlanKind::ArrayFlex)
+            .unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         assert!(cache.get(&keys[0]).is_some());
@@ -641,7 +664,8 @@ mod tests {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
-                        m.plan_cached(&cache, &net, mapping, PlanKind::ArrayFlex).unwrap()
+                        m.plan_cached(&cache, &net, mapping, PlanKind::ArrayFlex)
+                            .unwrap()
                     })
                 })
                 .collect();
@@ -691,8 +715,15 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         let hits = outcomes.iter().filter(|o| **o == CacheOutcome::Hit).count();
-        let misses = outcomes.iter().filter(|o| **o == CacheOutcome::Miss).count();
-        assert_eq!((hits, misses), (7, 1), "exactly one racer inserts, seven are served");
+        let misses = outcomes
+            .iter()
+            .filter(|o| **o == CacheOutcome::Miss)
+            .count();
+        assert_eq!(
+            (hits, misses),
+            (7, 1),
+            "exactly one racer inserts, seven are served"
+        );
         assert_eq!(cache.hits(), 7);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);

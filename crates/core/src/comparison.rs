@@ -283,22 +283,22 @@ impl EvaluationSweep {
                 }
             }
         }
-        let plans = executor.try_run_cancellable(jobs, token, |(size, index, dataflow, arrayflex)| {
-            let model = ArrayFlexModel::new(size, size)?.with_dataflow(dataflow);
-            let network = &networks[index];
-            if arrayflex {
-                model.plan_arrayflex(network, self.mapping)
-            } else {
-                model.plan_conventional(network, self.mapping)
-            }
-        })?;
+        let plans =
+            executor.try_run_cancellable(jobs, token, |(size, index, dataflow, arrayflex)| {
+                let model = ArrayFlexModel::new(size, size)?.with_dataflow(dataflow);
+                let network = &networks[index];
+                if arrayflex {
+                    model.plan_arrayflex(network, self.mapping)
+                } else {
+                    model.plan_conventional(network, self.mapping)
+                }
+            })?;
         let mut results = Vec::with_capacity(grid);
         let mut plans = plans.into_iter();
         for &size in &self.array_sizes {
             for _ in 0..networks.len() {
                 for &dataflow in &self.dataflows {
-                    let (Some(conventional), Some(arrayflex)) = (plans.next(), plans.next())
-                    else {
+                    let (Some(conventional), Some(arrayflex)) = (plans.next(), plans.next()) else {
                         break;
                     };
                     debug_assert_eq!(conventional.rows, size);
@@ -343,7 +343,10 @@ mod tests {
         // Early layers are faster on the conventional array, later layers on
         // ArrayFlex.
         let per_layer = cmp.per_layer_time_saving();
-        assert!(per_layer[1].1 < 0.0, "layer 2 should favour the conventional SA");
+        assert!(
+            per_layer[1].1 < 0.0,
+            "layer 2 should favour the conventional SA"
+        );
         assert!(per_layer[50].1 > 0.0, "layer 51 should favour ArrayFlex");
     }
 

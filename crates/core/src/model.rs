@@ -435,7 +435,9 @@ mod tests {
     #[test]
     fn display_mentions_the_design_and_mode() {
         let m = model();
-        let exec = m.execute_arrayflex(GemmDims::new(512, 2304, 49), 4).unwrap();
+        let exec = m
+            .execute_arrayflex(GemmDims::new(512, 2304, 49), 4)
+            .unwrap();
         let text = exec.to_string();
         assert!(text.contains("arrayflex"));
         assert!(text.contains("k=4"));

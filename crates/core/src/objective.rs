@@ -195,9 +195,7 @@ mod tests {
     fn energy_planned_network_uses_no_more_energy_than_latency_planned() {
         let m = model();
         let net = resnet34();
-        let by_latency = m
-            .plan_arrayflex(&net, DepthwiseMapping::default())
-            .unwrap();
+        let by_latency = m.plan_arrayflex(&net, DepthwiseMapping::default()).unwrap();
         let by_energy = m
             .plan_arrayflex_with_objective(&net, DepthwiseMapping::default(), Objective::Energy)
             .unwrap();

@@ -144,8 +144,12 @@ mod tests {
         // which is the paper's explanation for the larger savings on
         // 256x256 arrays.
         let dims = GemmDims::new(512, 2304, 196);
-        let small = ArrayFlexModel::new(128, 128).unwrap().continuous_optimal_depth(dims);
-        let large = ArrayFlexModel::new(256, 256).unwrap().continuous_optimal_depth(dims);
+        let small = ArrayFlexModel::new(128, 128)
+            .unwrap()
+            .continuous_optimal_depth(dims);
+        let large = ArrayFlexModel::new(256, 256)
+            .unwrap()
+            .continuous_optimal_depth(dims);
         assert!(large > small);
     }
 

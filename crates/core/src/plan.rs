@@ -278,12 +278,17 @@ impl ArrayFlexModel {
         mapping: DepthwiseMapping,
         k: u32,
     ) -> Result<NetworkPlan, ArrayFlexError> {
-        self.plan(network, mapping, &ParallelExecutor::serial(), |model, dims| {
-            Ok((
-                model.execute_arrayflex(dims, k)?,
-                model.continuous_optimal_depth(dims),
-            ))
-        })
+        self.plan(
+            network,
+            mapping,
+            &ParallelExecutor::serial(),
+            |model, dims| {
+                Ok((
+                    model.execute_arrayflex(dims, k)?,
+                    model.continuous_optimal_depth(dims),
+                ))
+            },
+        )
     }
 
     fn plan<F>(
@@ -334,10 +339,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.design, Design::Conventional);
         assert_eq!(plan.layers.len(), 34);
-        assert!(plan
-            .layers
-            .iter()
-            .all(|l| l.execution.collapse_depth == 1));
+        assert!(plan.layers.iter().all(|l| l.execution.collapse_depth == 1));
         assert_eq!(plan.shallow_layer_fraction(), 0.0);
         assert!(plan.total_time().value() > 0.0);
     }
@@ -408,7 +410,9 @@ mod tests {
     fn per_group_depthwise_mapping_multiplies_repeats() {
         let m = model();
         let net = cnn::models::mobilenet_v1();
-        let block = m.plan_arrayflex(&net, DepthwiseMapping::BlockDiagonal).unwrap();
+        let block = m
+            .plan_arrayflex(&net, DepthwiseMapping::BlockDiagonal)
+            .unwrap();
         let per_group = m.plan_arrayflex(&net, DepthwiseMapping::PerGroup).unwrap();
         // Per-group execution repeats tiny GEMMs per channel, which is far
         // slower on a large array.

@@ -46,7 +46,8 @@ fn time_savings_are_in_the_papers_ballpark() {
             cmp.cols
         );
     }
-    let average: f64 = results.iter().map(NetworkCmpExt::saving).sum::<f64>() / results.len() as f64;
+    let average: f64 =
+        results.iter().map(NetworkCmpExt::saving).sum::<f64>() / results.len() as f64;
     assert!(
         (0.07..=0.15).contains(&average),
         "average time saving {average:.3} not near the paper's 11%"
