@@ -40,8 +40,8 @@ use crate::api::{self, AppState, SimRequest};
 use crate::conn::ParsedRequest;
 use crate::event_loop::{LoopMsg, Mailbox};
 use crate::http::{self, HttpRequest, HttpResponse};
-use arrayflex::ParallelExecutor;
 use arrayflex::sa_sim::Dataflow;
+use arrayflex::ParallelExecutor;
 use gemm::CancelToken;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -240,9 +240,7 @@ impl Admission {
             flight
                 .waiters
                 .retain(|w| (w.loop_id, w.token, w.generation) != address);
-            if flight.leader_gone
-                && flight.waiters.is_empty()
-                && !flight.compute.cancel_requested()
+            if flight.leader_gone && flight.waiters.is_empty() && !flight.compute.cancel_requested()
             {
                 flight.compute.cancel(DISCONNECT_REASON);
             }
@@ -326,7 +324,13 @@ pub(crate) fn handle_job(
                 "request deadline expired before processing",
             ));
             response.extra_headers = http::RETRY_AFTER_HEADER;
-            deliver(state, sinks, waiter, &response, api::RequestTrace::default());
+            deliver(
+                state,
+                sinks,
+                waiter,
+                &response,
+                api::RequestTrace::default(),
+            );
             return;
         }
     }
@@ -353,7 +357,9 @@ pub(crate) fn handle_job(
     // inherit it (conservative: they queued no earlier than the leader
     // plus the coalescing window).
     let compute = CancelToken::with_deadline_opt(
-        state.request_deadline().map(|deadline| job.started + deadline),
+        state
+            .request_deadline()
+            .map(|deadline| job.started + deadline),
     );
     let key = FlightKey {
         path: request.path.clone(),
@@ -372,7 +378,12 @@ pub(crate) fn handle_job(
         if let Some(sim) = try_decode_sim(&request.body) {
             if admission.join_gather(sim.batch_key(), (key, leader, sim, compute)) {
                 std::thread::sleep(admission.window);
-                run_batch(state, admission, sinks, admission.take_batch(sim.batch_key()));
+                run_batch(
+                    state,
+                    admission,
+                    sinks,
+                    admission.take_batch(sim.batch_key()),
+                );
             }
             // Not the batch leader: the leader runs (and delivers) this
             // flight when its window closes.
@@ -501,7 +512,13 @@ fn settle(
     for mut waiter in waiters {
         waiter.coalesced = true;
         // Coalesced requests never consulted the cache themselves.
-        deliver(state, sinks, waiter, &response, api::RequestTrace::default());
+        deliver(
+            state,
+            sinks,
+            waiter,
+            &response,
+            api::RequestTrace::default(),
+        );
     }
 }
 
@@ -515,7 +532,9 @@ fn deliver(
     trace: api::RequestTrace,
 ) {
     let latency = waiter.started.elapsed();
-    state.metrics().observe(waiter.route, response.status, latency);
+    state
+        .metrics()
+        .observe(waiter.route, response.status, latency);
     if waiter.coalesced {
         state.metrics().note_coalesced(waiter.route);
     }
@@ -616,7 +635,11 @@ mod tests {
         assert_eq!(shared.extra_headers, http::RETRY_AFTER_HEADER);
         assert_eq!(state.metrics().cancelled("disconnect"), 1);
         // A plain 200 through the same path records nothing.
-        let ok = finish(&state, &CancelToken::new(), HttpResponse::json(b"{}".to_vec()));
+        let ok = finish(
+            &state,
+            &CancelToken::new(),
+            HttpResponse::json(b"{}".to_vec()),
+        );
         assert_eq!(ok.extra_headers, "");
         assert_eq!(state.metrics().total_cancelled(), 1);
     }

@@ -301,9 +301,7 @@ pub(crate) fn handle_request(
             }
         }
         ("POST", "/v1/sweep") => with_json_body(request, |value| sweep(state, value, cancel)),
-        ("POST", "/v1/simulate") => {
-            with_json_body(request, |value| simulate(state, value, cancel))
-        }
+        ("POST", "/v1/simulate") => with_json_body(request, |value| simulate(state, value, cancel)),
         ("POST", "/v1/jobs") => jobs_submit(state, request, tenant),
         ("GET", path) if path.starts_with("/v1/jobs/") => jobs_get(state, path),
         ("DELETE", path) if path.starts_with("/v1/jobs/") => jobs_delete(state, path),
@@ -512,9 +510,12 @@ fn decode_dataflows(value: &Value) -> Result<Vec<Dataflow>, ApiError> {
         Some(dataflows) if dataflows.is_empty() => Err(ApiError::bad_request(
             "`dataflows` must list at least one dataflow",
         )),
-        Some(dataflows) if dataflows.len() > Dataflow::ALL.len() => Err(ApiError::bad_request(
-            format!("`dataflows` must list at most {} dataflows", Dataflow::ALL.len()),
-        )),
+        Some(dataflows) if dataflows.len() > Dataflow::ALL.len() => {
+            Err(ApiError::bad_request(format!(
+                "`dataflows` must list at most {} dataflows",
+                Dataflow::ALL.len()
+            )))
+        }
         Some(dataflows) => Ok(dataflows),
     }
 }
@@ -567,7 +568,9 @@ fn plan(
     let (plan, outcome, key_hash) =
         model.plan_cached_traced(&state.cache, &network, mapping, kind)?;
     trace.cache = Some((outcome, key_hash));
-    Ok(HttpResponse::json(state.sized_json_body(BodyRoute::Plan, &*plan)))
+    Ok(HttpResponse::json(
+        state.sized_json_body(BodyRoute::Plan, &*plan),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -683,11 +686,8 @@ pub(crate) fn sweep_point_fragment(
     let conventional =
         model.plan_cached(&state.cache, network, spec.mapping, PlanKind::Conventional)?;
     let proposed = model.plan_cached(&state.cache, network, spec.mapping, PlanKind::ArrayFlex)?;
-    let comparison = NetworkComparison::from_plans_for(
-        dataflow,
-        (*conventional).clone(),
-        (*proposed).clone(),
-    );
+    let comparison =
+        NetworkComparison::from_plans_for(dataflow, (*conventional).clone(), (*proposed).clone());
     Ok(serde_json::to_string(&comparison).expect("comparisons serialize to JSON"))
 }
 
@@ -717,8 +717,7 @@ fn sweep(state: &AppState, value: &Value, cancel: &CancelToken) -> Result<HttpRe
     })?;
     let mut comparisons = Vec::with_capacity(plans.len() / 2);
     let mut plans = plans.into_iter();
-    while let (Some((dataflow, conventional)), Some((_, proposed))) = (plans.next(), plans.next())
-    {
+    while let (Some((dataflow, conventional)), Some((_, proposed))) = (plans.next(), plans.next()) {
         comparisons.push(NetworkComparison::from_plans_for(
             dataflow,
             (*conventional).clone(),
@@ -996,7 +995,11 @@ pub(crate) fn simulate_response(
     run_simulate(state, req, cancel).unwrap_or_else(ApiError::into_response)
 }
 
-fn simulate(state: &AppState, value: &Value, cancel: &CancelToken) -> Result<HttpResponse, ApiError> {
+fn simulate(
+    state: &AppState,
+    value: &Value,
+    cancel: &CancelToken,
+) -> Result<HttpResponse, ApiError> {
     run_simulate(state, decode_simulate(value)?, cancel)
 }
 
@@ -1041,7 +1044,10 @@ mod tests {
         let direct = model
             .plan_arrayflex(&cnn::models::resnet34(), DepthwiseMapping::default())
             .unwrap();
-        assert_eq!(response.body, serde_json::to_string(&direct).unwrap().into_bytes());
+        assert_eq!(
+            response.body,
+            serde_json::to_string(&direct).unwrap().into_bytes()
+        );
         // The repeated request is served from the cache, byte-identically.
         let again = handle(&state, &request);
         assert_eq!(again.body, response.body);
@@ -1067,7 +1073,10 @@ mod tests {
             let request = if i % 10 == 0 {
                 post(
                     "/v1/plan",
-                    &format!(r#"{{"network":"resnet18","rows":{},"cols":32}}"#, 64 + i / 10),
+                    &format!(
+                        r#"{{"network":"resnet18","rows":{},"cols":32}}"#,
+                        64 + i / 10
+                    ),
                 )
             } else {
                 hot(16 + i % 12)
@@ -1091,8 +1100,13 @@ mod tests {
             ),
         );
         assert_eq!(conventional.status, 200);
-        let direct = model.plan_conventional(&net, DepthwiseMapping::default()).unwrap();
-        assert_eq!(conventional.body, serde_json::to_string(&direct).unwrap().into_bytes());
+        let direct = model
+            .plan_conventional(&net, DepthwiseMapping::default())
+            .unwrap();
+        assert_eq!(
+            conventional.body,
+            serde_json::to_string(&direct).unwrap().into_bytes()
+        );
 
         let fixed = handle(
             &state,
@@ -1105,7 +1119,10 @@ mod tests {
         let direct = model
             .plan_arrayflex_fixed(&net, DepthwiseMapping::PerGroup, 2)
             .unwrap();
-        assert_eq!(fixed.body, serde_json::to_string(&direct).unwrap().into_bytes());
+        assert_eq!(
+            fixed.body,
+            serde_json::to_string(&direct).unwrap().into_bytes()
+        );
     }
 
     #[test]
@@ -1122,7 +1139,10 @@ mod tests {
             .unwrap()
             .plan_arrayflex(&network, DepthwiseMapping::default())
             .unwrap();
-        assert_eq!(response.body, serde_json::to_string(&direct).unwrap().into_bytes());
+        assert_eq!(
+            response.body,
+            serde_json::to_string(&direct).unwrap().into_bytes()
+        );
     }
 
     #[test]
@@ -1152,7 +1172,10 @@ mod tests {
             assert_eq!(response.status, 400, "body: {body}");
             let text = String::from_utf8(response.body).unwrap();
             assert!(text.contains(needle), "{text} missing {needle:?}");
-            assert!(text.starts_with("{\"error\":{"), "unstructured error: {text}");
+            assert!(
+                text.starts_with("{\"error\":{"),
+                "unstructured error: {text}"
+            );
         }
     }
 
@@ -1173,7 +1196,10 @@ mod tests {
         )
         .run(&networks)
         .unwrap();
-        assert_eq!(response.body, serde_json::to_string(&direct).unwrap().into_bytes());
+        assert_eq!(
+            response.body,
+            serde_json::to_string(&direct).unwrap().into_bytes()
+        );
         // The sweep populated the plan cache: 2 sizes x 2 networks x 2 kinds.
         assert_eq!(state.cache().len(), 8);
         // A follow-up plan request for one of the pairs is a pure cache hit.
@@ -1203,7 +1229,10 @@ mod tests {
         )
         .run(&[cnn::models::resnet34()])
         .unwrap();
-        assert_eq!(response.body, serde_json::to_string(&direct).unwrap().into_bytes());
+        assert_eq!(
+            response.body,
+            serde_json::to_string(&direct).unwrap().into_bytes()
+        );
         // Both architectures are reported for the one (size, network) pair,
         // and they genuinely differ in modeled latency.
         let decoded: Vec<NetworkComparison> =
@@ -1223,7 +1252,10 @@ mod tests {
         let hits_before = state.cache().hits();
         let ws_only = handle(
             &state,
-            &post("/v1/sweep", r#"{"array_sizes":[32],"networks":["resnet34"]}"#),
+            &post(
+                "/v1/sweep",
+                r#"{"array_sizes":[32],"networks":["resnet34"]}"#,
+            ),
         );
         assert_eq!(ws_only.status, 200);
         assert_eq!(state.cache().hits(), hits_before + 2);
@@ -1237,11 +1269,23 @@ mod tests {
     fn sweep_rejects_out_of_range_requests() {
         let state = state();
         for (body, needle) in [
-            (r#"{"networks":["resnet34"]}"#, "missing field `array_sizes`"),
-            (r#"{"array_sizes":[],"networks":["resnet34"]}"#, "array_sizes"),
+            (
+                r#"{"networks":["resnet34"]}"#,
+                "missing field `array_sizes`",
+            ),
+            (
+                r#"{"array_sizes":[],"networks":["resnet34"]}"#,
+                "array_sizes",
+            ),
             (r#"{"array_sizes":[16],"networks":[]}"#, "networks"),
-            (r#"{"array_sizes":[16],"networks":"resnet34"}"#, "must be an array"),
-            (r#"{"array_sizes":[0],"networks":["resnet34"]}"#, "array size"),
+            (
+                r#"{"array_sizes":[16],"networks":"resnet34"}"#,
+                "must be an array",
+            ),
+            (
+                r#"{"array_sizes":[0],"networks":["resnet34"]}"#,
+                "array size",
+            ),
             (
                 r#"{"array_sizes":[16],"networks":["resnet34"],"threads":99}"#,
                 "`threads`",
@@ -1361,7 +1405,9 @@ mod tests {
         let state = state();
         let response = handle(&state, &get("/v2/nothing"));
         assert_eq!(response.status, 404);
-        assert!(String::from_utf8(response.body).unwrap().contains("/v2/nothing"));
+        assert!(String::from_utf8(response.body)
+            .unwrap()
+            .contains("/v2/nothing"));
         let response = handle(&state, &get("/v1/plan"));
         assert_eq!(response.status, 405);
         let response = handle(&state, &post("/healthz", "{}"));
@@ -1437,7 +1483,10 @@ mod tests {
         let state = state();
         let token = CancelToken::new();
         token.cancel("test cancellation");
-        let request = post("/v1/sweep", r#"{"array_sizes":[16],"networks":["resnet18"]}"#);
+        let request = post(
+            "/v1/sweep",
+            r#"{"array_sizes":[16],"networks":["resnet18"]}"#,
+        );
         let (response, _) = handle_request(&state, &request, &token, None);
         assert_eq!(response.status, 503);
         let text = String::from_utf8(response.body).unwrap();
@@ -1451,7 +1500,10 @@ mod tests {
         // checks its pooled array state back in (nothing was taken).
         let (sim, _) = handle_request(
             &state,
-            &post("/v1/simulate", r#"{"rows":8,"cols":8,"k":2,"t":6,"n":20,"m":10}"#),
+            &post(
+                "/v1/simulate",
+                r#"{"rows":8,"cols":8,"k":2,"t":6,"n":20,"m":10}"#,
+            ),
             &token,
             None,
         );
@@ -1484,7 +1536,10 @@ mod tests {
         assert_eq!(result.status, 200);
         let sweep = handle(&state, &post("/v1/sweep", body));
         assert_eq!(sweep.status, 200);
-        assert_eq!(result.body, sweep.body, "job result differs from the synchronous sweep");
+        assert_eq!(
+            result.body, sweep.body,
+            "job result differs from the synchronous sweep"
+        );
         assert_eq!(state.metrics().jobs_completed(), 1);
         assert_eq!(state.metrics().tenant_active_jobs("anonymous"), 0);
 
@@ -1494,7 +1549,10 @@ mod tests {
         // Unknown ids are 404; wrong methods on the collection are 405.
         assert_eq!(handle(&state, &get("/v1/jobs/nope")).status, 404);
         assert_eq!(handle(&state, &request("PUT", "/v1/jobs")).status, 405);
-        assert_eq!(handle(&state, &request("PUT", &format!("/v1/jobs/{id}"))).status, 405);
+        assert_eq!(
+            handle(&state, &request("PUT", &format!("/v1/jobs/{id}"))).status,
+            405
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1597,7 +1655,13 @@ mod tests {
         assert_eq!(bad.status, 400);
         // Unattached states (AppState::new, no Arc) refuse submissions.
         let plain = AppState::new(&ServerConfig::default());
-        let refused = handle(&plain, &post("/v1/jobs", r#"{"array_sizes":[16],"networks":["resnet18"]}"#));
+        let refused = handle(
+            &plain,
+            &post(
+                "/v1/jobs",
+                r#"{"array_sizes":[16],"networks":["resnet18"]}"#,
+            ),
+        );
         assert_eq!(refused.status, 503);
         // Join the runners (any still-running job checkpoints as
         // `running` and would resume on a restart) before cleanup.
@@ -1612,13 +1676,17 @@ mod tests {
         // handle() itself does not record metrics (the connection loop
         // does), so record explicitly like the loop would.
         let response = handle(&state, &plan);
-        state
-            .metrics()
-            .observe(route_label(&plan.path), response.status, std::time::Duration::from_micros(42));
+        state.metrics().observe(
+            route_label(&plan.path),
+            response.status,
+            std::time::Duration::from_micros(42),
+        );
         let rendered = handle(&state, &get("/metrics"));
         assert_eq!(rendered.status, 200);
         let text = String::from_utf8(rendered.body).unwrap();
-        assert!(text.contains("arrayflex_serve_requests_total{route=\"/v1/plan\",status=\"200\"} 1"));
+        assert!(
+            text.contains("arrayflex_serve_requests_total{route=\"/v1/plan\",status=\"200\"} 1")
+        );
         assert!(text.contains("arrayflex_serve_plan_cache_misses_total 1"));
     }
 }

@@ -81,10 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut chaos = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value_of = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value_of = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--addr" => addr = Some(value_of("--addr")?.parse()?),
             "--requests" => requests = value_of("--requests")?.parse()?,
@@ -318,11 +315,7 @@ fn keepalive_smoke(addr: SocketAddr) -> Result<(), Box<dyn std::error::Error>> {
     let first = client.recv()?;
     let second = client.recv()?;
     if first.status != 200 || second.status != 200 {
-        return Err(format!(
-            "pipelined pair got {} and {}",
-            first.status, second.status
-        )
-        .into());
+        return Err(format!("pipelined pair got {} and {}", first.status, second.status).into());
     }
     if !first.text()?.contains("\"status\":\"ok\"")
         || !second.text()?.contains("arrayflex_serve_requests_total")

@@ -47,18 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value_of = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value_of = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--addr" => config.addr = value_of("--addr")?,
             "--threads" => config.threads = value_of("--threads")?.parse()?,
             "--loops" => config.event_loops = value_of("--loops")?.parse()?,
             "--gather-window-us" => {
-                config.gather_window = std::time::Duration::from_micros(
-                    value_of("--gather-window-us")?.parse()?,
-                );
+                config.gather_window =
+                    std::time::Duration::from_micros(value_of("--gather-window-us")?.parse()?);
             }
             "--cache" => config.cache_capacity = value_of("--cache")?.parse()?,
             "--max-body" => config.max_body_bytes = value_of("--max-body")?.parse()?,

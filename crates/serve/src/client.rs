@@ -30,8 +30,7 @@ impl ClientResponse {
     ///
     /// Returns an error if the body is not valid UTF-8.
     pub fn text(&self) -> io::Result<&str> {
-        std::str::from_utf8(&self.body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        std::str::from_utf8(&self.body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 

@@ -107,7 +107,10 @@ impl HeadFields {
             let Ok(length) = raw.parse::<usize>() else {
                 return Err(HttpResponse::error(400, "invalid content-length"));
             };
-            if self.content_length.is_some_and(|previous| previous != length) {
+            if self
+                .content_length
+                .is_some_and(|previous| previous != length)
+            {
                 return Err(HttpResponse::error(
                     400,
                     "conflicting content-length headers",
@@ -425,7 +428,12 @@ impl RequestParser {
         }
     }
 
-    fn reject(&mut self, buffer: &mut RecvBuffer, response: HttpResponse, announced: u64) -> Parsed {
+    fn reject(
+        &mut self,
+        buffer: &mut RecvBuffer,
+        response: HttpResponse,
+        announced: u64,
+    ) -> Parsed {
         let skip = announced.min(REJECT_DRAIN_BYTES);
         // Whatever is already buffered counts against the skip budget.
         let discard = (buffer.len() as u64).min(skip) as usize;
@@ -476,7 +484,9 @@ fn find_head_end(bytes: &[u8], scanned: usize) -> HeadScan {
 fn parse_head(head: &[u8]) -> Result<(String, String, HeadFields, bool), HttpResponse> {
     let text = std::str::from_utf8(head)
         .map_err(|_| HttpResponse::error(400, "request head is not valid UTF-8"))?;
-    let mut lines = text.split('\n').map(|line| line.strip_suffix('\r').unwrap_or(line));
+    let mut lines = text
+        .split('\n')
+        .map(|line| line.strip_suffix('\r').unwrap_or(line));
     let request_line = lines.next().unwrap_or("");
     let (method, path, http10) = parse_request_line(request_line)?;
     let mut fields = HeadFields::default();
@@ -640,12 +650,15 @@ impl WriteQueue {
     ) -> std::io::Result<FlushProgress> {
         let mut wrote_any = false;
         while !self.segments.is_empty() {
-            let mut slices: Vec<std::io::IoSlice<'_>> = Vec::with_capacity(
-                self.segments.len().min(MAX_IOV_SEGMENTS),
-            );
+            let mut slices: Vec<std::io::IoSlice<'_>> =
+                Vec::with_capacity(self.segments.len().min(MAX_IOV_SEGMENTS));
             for (i, segment) in self.segments.iter().take(MAX_IOV_SEGMENTS).enumerate() {
                 let bytes = segment.bytes();
-                let pending = if i == 0 { &bytes[self.front_written..] } else { bytes };
+                let pending = if i == 0 {
+                    &bytes[self.front_written..]
+                } else {
+                    bytes
+                };
                 slices.push(std::io::IoSlice::new(pending));
             }
             match sink.write_vectored(&slices) {
@@ -678,7 +691,12 @@ impl WriteQueue {
     fn advance(&mut self, mut n: usize) {
         self.queued_bytes -= n;
         while n > 0 {
-            let front_len = self.segments.front().expect("advance past queue").bytes().len();
+            let front_len = self
+                .segments
+                .front()
+                .expect("advance past queue")
+                .bytes()
+                .len();
             let pending = front_len - self.front_written;
             if n >= pending {
                 n -= pending;
@@ -975,10 +993,7 @@ mod tests {
         }
         assert!(parser.rejected());
         // The would-be chunked body is never misread as a next request.
-        assert!(matches!(
-            parser.next_request(&mut buffer),
-            Parsed::NeedMore
-        ));
+        assert!(matches!(parser.next_request(&mut buffer), Parsed::NeedMore));
     }
 
     #[test]
@@ -1029,7 +1044,11 @@ mod tests {
                 400,
                 "invalid content-length",
             ),
-            (&b"POST /p HTTP/1.1\r\nnocolon\r\n\r\n"[..], 400, "malformed header"),
+            (
+                &b"POST /p HTTP/1.1\r\nnocolon\r\n\r\n"[..],
+                400,
+                "malformed header",
+            ),
             (&b"GET \xff\xfe HTTP/1.1\r\n\r\n"[..], 400, "UTF-8"),
             (&b"GET /p HTTP/1.1 extra\r\n\r\n"[..], 400, "request line"),
         ] {
@@ -1093,7 +1112,10 @@ mod tests {
         assert!(queue.is_empty());
         let mut blocked = Throttle(0);
         queue.push(vec![7u8; 8]);
-        assert_eq!(queue.flush_into(&mut blocked).unwrap(), FlushProgress::Blocked);
+        assert_eq!(
+            queue.flush_into(&mut blocked).unwrap(),
+            FlushProgress::Blocked
+        );
     }
 
     #[test]

@@ -437,9 +437,7 @@ impl EventLoop {
         let Some(listener) = &self.listener else {
             return;
         };
-        eprintln!(
-            "serve: accept failed ({err}); pausing accepts for {ACCEPT_BACKOFF_MS}ms"
-        );
+        eprintln!("serve: accept failed ({err}); pausing accepts for {ACCEPT_BACKOFF_MS}ms");
         let _ = self.poller.deregister(listener.as_raw_fd());
         self.accept_resume_at = Some(self.now_ms() + ACCEPT_BACKOFF_MS);
         self.state.metrics().note_accept_backoff();
@@ -690,16 +688,15 @@ impl EventLoop {
                     // the loop thread becomes a structured 500 instead of
                     // taking the whole loop (and every connection on it)
                     // down.
-                    let inline = catch_unwind(AssertUnwindSafe(|| {
-                        inline_response(&self.state, &request)
-                    }))
-                    .unwrap_or_else(|_| {
-                        self.state.metrics().note_panic();
-                        Some(SharedResponse::from(HttpResponse::error(
-                            500,
-                            "internal error",
-                        )))
-                    });
+                    let inline =
+                        catch_unwind(AssertUnwindSafe(|| inline_response(&self.state, &request)))
+                            .unwrap_or_else(|_| {
+                                self.state.metrics().note_panic();
+                                Some(SharedResponse::from(HttpResponse::error(
+                                    500,
+                                    "internal error",
+                                )))
+                            });
                     if let Some(response) = inline {
                         conn.pending.insert(
                             seq,
@@ -921,9 +918,7 @@ impl EventLoop {
 impl Conn {
     /// Whether the loop should keep pulling bytes off this connection.
     fn wants_read(&self) -> bool {
-        !self.paused
-            && !self.peer_closed
-            && (!self.close_pending || !self.parser.skip_complete())
+        !self.paused && !self.peer_closed && (!self.close_pending || !self.parser.skip_complete())
     }
 
     /// Applies the backpressure hysteresis: pause reading past the high

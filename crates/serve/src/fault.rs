@@ -155,14 +155,7 @@ impl FaultPlan {
         self.injected.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn io_fault(
-        &self,
-        len: usize,
-        eintr: u32,
-        wouldblock: u32,
-        short: u32,
-        reset: u32,
-    ) -> IoFault {
+    fn io_fault(&self, len: usize, eintr: u32, wouldblock: u32, short: u32, reset: u32) -> IoFault {
         let roll = self.draw();
         let eintr = u64::from(eintr);
         let wouldblock = u64::from(wouldblock);
@@ -190,7 +183,13 @@ impl FaultPlan {
     /// Decides the fate of one stream read of `len` bytes.
     pub(crate) fn on_read(&self, len: usize) -> IoFault {
         let c = &self.config;
-        self.io_fault(len, c.read_eintr, c.read_wouldblock, c.read_short, c.read_reset)
+        self.io_fault(
+            len,
+            c.read_eintr,
+            c.read_wouldblock,
+            c.read_short,
+            c.read_reset,
+        )
     }
 
     /// Decides the fate of one stream write of `len` bytes.

@@ -361,12 +361,17 @@ mod tests {
             serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
         let error = value.get("error").expect("error object");
         assert_eq!(error.get("code"), Some(&serde::Value::Int(413)));
-        assert_eq!(error.get("message"), Some(&serde::Value::Str("too big".into())));
+        assert_eq!(
+            error.get("message"),
+            Some(&serde::Value::Str("too big".into()))
+        );
     }
 
     #[test]
     fn reason_phrases_cover_every_emitted_status() {
-        for status in [200u16, 202, 400, 404, 405, 409, 413, 429, 431, 500, 501, 503] {
+        for status in [
+            200u16, 202, 400, 404, 405, 409, 413, 429, 431, 500, 501, 503,
+        ] {
             assert_ne!(reason(status), "Unknown", "status {status}");
         }
         assert_eq!(reason(599), "Unknown");
@@ -380,14 +385,20 @@ mod tests {
         assert!(head.contains("connection: keep-alive\r\n"), "{head}");
         assert!(head.ends_with("\r\n\r\n"), "{head}");
         let head = render_head(501, "application/json", 0, false, "");
-        assert!(head.starts_with("HTTP/1.1 501 Not Implemented\r\n"), "{head}");
+        assert!(
+            head.starts_with("HTTP/1.1 501 Not Implemented\r\n"),
+            "{head}"
+        );
         assert!(head.contains("connection: close\r\n"), "{head}");
     }
 
     #[test]
     fn extra_head_lines_splice_in_before_the_terminator() {
         let head = render_head(503, "application/json", 7, true, RETRY_AFTER_HEADER);
-        assert!(head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{head}");
+        assert!(
+            head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{head}"
+        );
         assert!(head.contains("\r\nretry-after: 1\r\n"), "{head}");
         assert!(head.ends_with("retry-after: 1\r\n\r\n"), "{head}");
     }

@@ -139,11 +139,7 @@ impl ZipfWorkload {
             .map(|index| {
                 // Distinct per index (base_channels grows with the rank),
                 // with some depth variety so plan sizes differ too.
-                let network = cnn::models::synthetic_cnn(
-                    1 + (index % 3) as u32,
-                    4 + index,
-                    16,
-                );
+                let network = cnn::models::synthetic_cnn(1 + (index % 3) as u32, 4 + index, 16);
                 format!(
                     r#"{{"network":{},"rows":{},"cols":{}}}"#,
                     serde_json::to_string(&network).expect("networks serialize"),
@@ -608,9 +604,9 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         let handles: Vec<_> = (0..config.clients)
             .map(|client_index| {
                 scope.spawn(move || {
-                    let mut rng = zipf
-                        .as_ref()
-                        .map(|(_, _, seed)| SplitMix64::new(seed.wrapping_add(client_index as u64)));
+                    let mut rng = zipf.as_ref().map(|(_, _, seed)| {
+                        SplitMix64::new(seed.wrapping_add(client_index as u64))
+                    });
                     let claim = || {
                         remaining
                             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
@@ -749,7 +745,9 @@ impl Deserialize for ServeBenchRecord {
             value: &serde::Value,
             name: &str,
         ) -> Result<T, serde::DeError> {
-            value.get(name).map_or_else(|| Ok(T::default()), T::from_value)
+            value
+                .get(name)
+                .map_or_else(|| Ok(T::default()), T::from_value)
         }
         Ok(Self {
             name: field(value, "name")?,
@@ -817,11 +815,12 @@ impl ServeBenchReport {
 /// comparable wall-clock slice despite the ~10-50x RPS spread.
 fn bench_matrix(addr: SocketAddr, quick: bool) -> Vec<(String, LoadgenConfig)> {
     let clients = 4;
-    let cell = |name: &str, mut config: LoadgenConfig, mode: ConnectionMode, full: usize, q: usize| {
-        config.requests = if quick { q } else { full };
-        config.mode = mode;
-        (name.to_owned(), config)
-    };
+    let cell =
+        |name: &str, mut config: LoadgenConfig, mode: ConnectionMode, full: usize, q: usize| {
+            config.requests = if quick { q } else { full };
+            config.mode = mode;
+            (name.to_owned(), config)
+        };
     vec![
         cell(
             "plan_close",
@@ -909,10 +908,16 @@ pub fn validate_serve_report(report: &ServeBenchReport) -> Result<(), String> {
     }
     for bench in &report.benches {
         if bench.errors > 0 {
-            return Err(format!("bench {} recorded {} errors", bench.name, bench.errors));
+            return Err(format!(
+                "bench {} recorded {} errors",
+                bench.name, bench.errors
+            ));
         }
         if !(bench.rps.is_finite() && bench.rps > 0.0) {
-            return Err(format!("bench {} has invalid rps {}", bench.name, bench.rps));
+            return Err(format!(
+                "bench {} has invalid rps {}",
+                bench.name, bench.rps
+            ));
         }
         if bench.requests == 0 {
             return Err(format!("bench {} issued no requests", bench.name));
@@ -986,7 +991,10 @@ pub fn compare_serve_reports(
     if violations.is_empty() {
         Ok(table)
     } else {
-        Err(format!("{table}\nregressions:\n  {}", violations.join("\n  ")))
+        Err(format!(
+            "{table}\nregressions:\n  {}",
+            violations.join("\n  ")
+        ))
     }
 }
 
@@ -1180,7 +1188,11 @@ fn chaos_request_with_retry(
                 // Honor Retry-After (seconds), capped so saturated runs
                 // still finish; exponential base with a little jitter
                 // decorrelates the retrying clients.
-                let cap = response.retry_after.unwrap_or(1).saturating_mul(1000).min(50);
+                let cap = response
+                    .retry_after
+                    .unwrap_or(1)
+                    .saturating_mul(1000)
+                    .min(50);
                 let backoff = (2u64 << attempt).min(cap) + rng.next_u64() % 3;
                 std::thread::sleep(Duration::from_millis(backoff));
             }
@@ -1298,7 +1310,11 @@ fn chaos_slowloris(
     );
     let bytes = head.as_bytes();
     let third = bytes.len() / 3;
-    for chunk in [&bytes[..third], &bytes[third..2 * third], &bytes[2 * third..]] {
+    for chunk in [
+        &bytes[..third],
+        &bytes[third..2 * third],
+        &bytes[2 * third..],
+    ] {
         if stream.write_all(chunk).is_err() {
             report.disconnects += 1;
             return;
@@ -1345,11 +1361,7 @@ fn chaos_midbody_disconnect(addr: SocketAddr, item: &ChaosItem, report: &mut Cha
 /// detached from their submitting connection, so the server runs the
 /// sweep to completion (or sheds the submit) regardless, and the orphaned
 /// job must not stop shutdown from draining.
-fn chaos_vanishing_tenant_job(
-    addr: SocketAddr,
-    rng: &mut SplitMix64,
-    report: &mut ChaosReport,
-) {
+fn chaos_vanishing_tenant_job(addr: SocketAddr, rng: &mut SplitMix64, report: &mut ChaosReport) {
     let Ok(mut stream) = TcpStream::connect(addr) else {
         report.disconnects += 1;
         return;
@@ -1404,7 +1416,9 @@ fn chaos_client(
             // point is proving correct answers *under* chaos, so there
             // must be plenty of verified requests interleaved with the
             // abuse.
-            0..=3 => chaos_request_with_retry(addr, &items[index], &mut conn, &mut rng, &mut report),
+            0..=3 => {
+                chaos_request_with_retry(addr, &items[index], &mut conn, &mut rng, &mut report)
+            }
             4 => chaos_pipelined_burst(addr, items, &mut conn, &mut rng, &mut report),
             5 => chaos_aborted_pipeline(addr, items, &mut rng, &mut report),
             6 => chaos_slowloris(addr, &items[index], &mut rng, &mut report),
@@ -1530,12 +1544,21 @@ mod tests {
 
     #[test]
     fn comparison_passes_noise_and_fails_regressions() {
-        let old = report(vec![record("plan_close", 1000.0), record("plan_keepalive", 10000.0)]);
+        let old = report(vec![
+            record("plan_close", 1000.0),
+            record("plan_keepalive", 10000.0),
+        ]);
         // 20% slower everywhere: inside the 2.5x gate.
-        let ok = report(vec![record("plan_close", 800.0), record("plan_keepalive", 8000.0)]);
+        let ok = report(vec![
+            record("plan_close", 800.0),
+            record("plan_keepalive", 8000.0),
+        ]);
         assert!(compare_serve_reports(&old, &ok, 2.5).is_ok());
         // 4x slower on one bench: a real regression.
-        let bad = report(vec![record("plan_close", 250.0), record("plan_keepalive", 8000.0)]);
+        let bad = report(vec![
+            record("plan_close", 250.0),
+            record("plan_keepalive", 8000.0),
+        ]);
         let err = compare_serve_reports(&old, &bad, 2.5).unwrap_err();
         assert!(err.contains("plan_close"), "{err}");
         // A vanished bench is always a failure.

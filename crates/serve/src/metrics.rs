@@ -26,8 +26,9 @@ use std::time::Duration;
 
 /// Upper bounds (in microseconds) of the latency histogram buckets; a
 /// `+Inf` bucket is implicit.
-pub const LATENCY_BUCKETS_US: [u64; 10] =
-    [50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000];
+pub const LATENCY_BUCKETS_US: [u64; 10] = [
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000, 250_000,
+];
 
 /// Thread-safe request metrics.
 #[derive(Debug, Default)]
@@ -200,7 +201,9 @@ impl Metrics {
     /// Records one request shed by admission control (answered 503
     /// without running its computation), by route.
     pub fn note_shed(&self, route: &str) {
-        *lock_counters(&self.sheds).entry(route.to_owned()).or_insert(0) += 1;
+        *lock_counters(&self.sheds)
+            .entry(route.to_owned())
+            .or_insert(0) += 1;
     }
 
     /// Requests shed for one route label.
@@ -254,13 +257,18 @@ impl Metrics {
     /// Records one computation stopped through its cancel token, by cause
     /// (`deadline`, `disconnect`, `job`, `shutdown`).
     pub fn note_cancelled(&self, cause: &str) {
-        *lock_counters(&self.cancelled).entry(cause.to_owned()).or_insert(0) += 1;
+        *lock_counters(&self.cancelled)
+            .entry(cause.to_owned())
+            .or_insert(0) += 1;
     }
 
     /// Cancellations recorded for one cause label.
     #[must_use]
     pub fn cancelled(&self, cause: &str) -> u64 {
-        lock_counters(&self.cancelled).get(cause).copied().unwrap_or(0)
+        lock_counters(&self.cancelled)
+            .get(cause)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Cancellations recorded across all causes.
@@ -271,18 +279,25 @@ impl Metrics {
 
     /// Records one request shed by the per-tenant token bucket (429).
     pub fn note_tenant_shed(&self, tenant: &str) {
-        *lock_counters(&self.tenant_sheds).entry(tenant.to_owned()).or_insert(0) += 1;
+        *lock_counters(&self.tenant_sheds)
+            .entry(tenant.to_owned())
+            .or_insert(0) += 1;
     }
 
     /// Requests shed by quota for one tenant label.
     #[must_use]
     pub fn tenant_sheds(&self, tenant: &str) -> u64 {
-        lock_counters(&self.tenant_sheds).get(tenant).copied().unwrap_or(0)
+        lock_counters(&self.tenant_sheds)
+            .get(tenant)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Records a job entering the running set for `tenant` (gauge up).
     pub fn note_job_started(&self, tenant: &str) {
-        *lock_counters(&self.tenant_jobs).entry(tenant.to_owned()).or_insert(0) += 1;
+        *lock_counters(&self.tenant_jobs)
+            .entry(tenant.to_owned())
+            .or_insert(0) += 1;
     }
 
     /// Records a job leaving the running set for `tenant` (gauge down).
@@ -296,7 +311,10 @@ impl Metrics {
     /// Jobs currently running or resumable for one tenant label.
     #[must_use]
     pub fn tenant_active_jobs(&self, tenant: &str) -> u64 {
-        lock_counters(&self.tenant_jobs).get(tenant).copied().unwrap_or(0)
+        lock_counters(&self.tenant_jobs)
+            .get(tenant)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Records one job accepted through `POST /v1/jobs`.
@@ -371,7 +389,9 @@ impl Metrics {
     #[must_use]
     pub fn render_prometheus(&self, cache: &PlanCache) -> String {
         let mut out = String::new();
-        out.push_str("# HELP arrayflex_serve_requests_total Requests served, by route and status.\n");
+        out.push_str(
+            "# HELP arrayflex_serve_requests_total Requests served, by route and status.\n",
+        );
         out.push_str("# TYPE arrayflex_serve_requests_total counter\n");
         for ((route, status), count) in lock_counters(&self.requests).iter() {
             let _ = writeln!(
@@ -380,7 +400,9 @@ impl Metrics {
             );
         }
 
-        out.push_str("# HELP arrayflex_serve_request_duration_us Request latency in microseconds.\n");
+        out.push_str(
+            "# HELP arrayflex_serve_request_duration_us Request latency in microseconds.\n",
+        );
         out.push_str("# TYPE arrayflex_serve_request_duration_us histogram\n");
         let mut cumulative = 0u64;
         for (index, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
@@ -408,10 +430,18 @@ impl Metrics {
 
         out.push_str("# HELP arrayflex_serve_plan_cache_hits_total Plan cache hits.\n");
         out.push_str("# TYPE arrayflex_serve_plan_cache_hits_total counter\n");
-        let _ = writeln!(out, "arrayflex_serve_plan_cache_hits_total {}", cache.hits());
+        let _ = writeln!(
+            out,
+            "arrayflex_serve_plan_cache_hits_total {}",
+            cache.hits()
+        );
         out.push_str("# HELP arrayflex_serve_plan_cache_misses_total Plan cache misses.\n");
         out.push_str("# TYPE arrayflex_serve_plan_cache_misses_total counter\n");
-        let _ = writeln!(out, "arrayflex_serve_plan_cache_misses_total {}", cache.misses());
+        let _ = writeln!(
+            out,
+            "arrayflex_serve_plan_cache_misses_total {}",
+            cache.misses()
+        );
         out.push_str("# HELP arrayflex_serve_plan_cache_evictions_total Plans evicted by capacity pressure.\n");
         out.push_str("# TYPE arrayflex_serve_plan_cache_evictions_total counter\n");
         let _ = writeln!(
@@ -419,12 +449,18 @@ impl Metrics {
             "arrayflex_serve_plan_cache_evictions_total {}",
             cache.evictions()
         );
-        out.push_str("# HELP arrayflex_serve_plan_cache_entries Plans currently resident in the cache.\n");
+        out.push_str(
+            "# HELP arrayflex_serve_plan_cache_entries Plans currently resident in the cache.\n",
+        );
         out.push_str("# TYPE arrayflex_serve_plan_cache_entries gauge\n");
         let _ = writeln!(out, "arrayflex_serve_plan_cache_entries {}", cache.len());
         out.push_str("# HELP arrayflex_serve_plan_cache_hit_rate Fraction of plan lookups served from the cache.\n");
         out.push_str("# TYPE arrayflex_serve_plan_cache_hit_rate gauge\n");
-        let _ = writeln!(out, "arrayflex_serve_plan_cache_hit_rate {}", cache.hit_rate());
+        let _ = writeln!(
+            out,
+            "arrayflex_serve_plan_cache_hit_rate {}",
+            cache.hit_rate()
+        );
 
         out.push_str("# HELP arrayflex_serve_open_connections Connections currently open on the event loops.\n");
         out.push_str("# TYPE arrayflex_serve_open_connections gauge\n");
@@ -463,7 +499,9 @@ impl Metrics {
             "arrayflex_serve_rendered_hits_total {}",
             self.rendered_hits.load(Ordering::Relaxed)
         );
-        out.push_str("# HELP arrayflex_serve_sim_batches_total Gather-window simulate batches executed.\n");
+        out.push_str(
+            "# HELP arrayflex_serve_sim_batches_total Gather-window simulate batches executed.\n",
+        );
         out.push_str("# TYPE arrayflex_serve_sim_batches_total counter\n");
         let _ = writeln!(
             out,
@@ -487,7 +525,10 @@ impl Metrics {
         out.push_str("# HELP arrayflex_serve_shed_total Requests shed by admission control (503 without computation), by route.\n");
         out.push_str("# TYPE arrayflex_serve_shed_total counter\n");
         for (route, count) in lock_counters(&self.sheds).iter() {
-            let _ = writeln!(out, "arrayflex_serve_shed_total{{route=\"{route}\"}} {count}");
+            let _ = writeln!(
+                out,
+                "arrayflex_serve_shed_total{{route=\"{route}\"}} {count}"
+            );
         }
         out.push_str("# HELP arrayflex_serve_panics_total Handler panics caught and answered with a structured 500.\n");
         out.push_str("# TYPE arrayflex_serve_panics_total counter\n");
@@ -513,7 +554,10 @@ impl Metrics {
         out.push_str("# HELP arrayflex_serve_cancelled_total Computations stopped through their cancel token, by cause.\n");
         out.push_str("# TYPE arrayflex_serve_cancelled_total counter\n");
         for (cause, count) in lock_counters(&self.cancelled).iter() {
-            let _ = writeln!(out, "arrayflex_serve_cancelled_total{{cause=\"{cause}\"}} {count}");
+            let _ = writeln!(
+                out,
+                "arrayflex_serve_cancelled_total{{cause=\"{cause}\"}} {count}"
+            );
         }
         out.push_str("# HELP arrayflex_serve_tenant_shed_total Requests shed by the per-tenant token bucket (429), by tenant.\n");
         out.push_str("# TYPE arrayflex_serve_tenant_shed_total counter\n");
@@ -569,8 +613,14 @@ impl Metrics {
         }
 
         for (metric, help, pick) in SHARD_COUNTERS {
-            let _ = writeln!(out, "# HELP arrayflex_serve_plan_cache_shard_{metric} {help}");
-            let _ = writeln!(out, "# TYPE arrayflex_serve_plan_cache_shard_{metric} counter");
+            let _ = writeln!(
+                out,
+                "# HELP arrayflex_serve_plan_cache_shard_{metric} {help}"
+            );
+            let _ = writeln!(
+                out,
+                "# TYPE arrayflex_serve_plan_cache_shard_{metric} counter"
+            );
             for (shard, stats) in cache.shard_stats().iter().enumerate() {
                 let _ = writeln!(
                     out,
@@ -705,9 +755,9 @@ mod tests {
         metrics.observe("/v1/plan", 200, Duration::from_micros(120));
         let cache = PlanCache::new(4);
         let text = metrics.render_prometheus(&cache);
-        assert!(text.contains(
-            "arrayflex_serve_requests_total{route=\"/v1/plan\",status=\"200\"} 1"
-        ));
+        assert!(
+            text.contains("arrayflex_serve_requests_total{route=\"/v1/plan\",status=\"200\"} 1")
+        );
         // Histogram buckets are cumulative and end with +Inf == count.
         assert!(text.contains("arrayflex_serve_request_duration_us_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("arrayflex_serve_request_duration_us_count 1"));
@@ -720,7 +770,11 @@ mod tests {
         for family in ["hits", "misses", "evictions"] {
             let count = text
                 .lines()
-                .filter(|l| l.starts_with(&format!("arrayflex_serve_plan_cache_shard_{family}_total{{")))
+                .filter(|l| {
+                    l.starts_with(&format!(
+                        "arrayflex_serve_plan_cache_shard_{family}_total{{"
+                    ))
+                })
                 .count();
             assert_eq!(count, shards, "family {family}");
         }

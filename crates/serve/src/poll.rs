@@ -231,14 +231,16 @@ impl EpollPoller {
         }
         Ok(Self {
             epfd,
-            buf: vec![
-                sys::EpollEvent { events: 0, data: 0 };
-                Self::MAX_EVENTS
-            ],
+            buf: vec![sys::EpollEvent { events: 0, data: 0 }; Self::MAX_EVENTS],
         })
     }
 
-    fn ctl(&self, op: std::os::raw::c_int, fd: RawFd, interest: Option<Interest>) -> io::Result<()> {
+    fn ctl(
+        &self,
+        op: std::os::raw::c_int,
+        fd: RawFd,
+        interest: Option<Interest>,
+    ) -> io::Result<()> {
         let mut event = sys::EpollEvent {
             events: interest.map_or(0, interest_to_epoll),
             data: 0,
@@ -321,7 +323,12 @@ impl Poller for EpollPoller {
             let token = raw.data as usize;
             events.push(Event {
                 token,
-                readable: mask & (sys::EPOLLIN | sys::EPOLLPRI | sys::EPOLLHUP | sys::EPOLLRDHUP | sys::EPOLLERR)
+                readable: mask
+                    & (sys::EPOLLIN
+                        | sys::EPOLLPRI
+                        | sys::EPOLLHUP
+                        | sys::EPOLLRDHUP
+                        | sys::EPOLLERR)
                     != 0,
                 writable: mask & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0,
             });
@@ -363,7 +370,9 @@ impl PollFallback {
     }
 
     fn position(&self, fd: RawFd) -> Option<usize> {
-        self.entries.iter().position(|&(entry_fd, _, _)| entry_fd == fd)
+        self.entries
+            .iter()
+            .position(|&(entry_fd, _, _)| entry_fd == fd)
     }
 }
 
@@ -526,7 +535,10 @@ mod tests {
         poller
             .poll(&mut events, Some(Duration::from_millis(1000)))
             .expect("poll");
-        assert!(events.iter().any(|e| e.token == 7 && e.readable), "{events:?}");
+        assert!(
+            events.iter().any(|e| e.token == 7 && e.readable),
+            "{events:?}"
+        );
         receiver.drain();
 
         // Level-triggered: an undrained byte would re-report, a drained
@@ -544,7 +556,10 @@ mod tests {
         poller
             .poll(&mut events, Some(Duration::from_millis(1000)))
             .expect("poll");
-        assert!(events.iter().any(|e| e.token == 9 && e.writable), "{events:?}");
+        assert!(
+            events.iter().any(|e| e.token == 9 && e.writable),
+            "{events:?}"
+        );
 
         poller.deregister(receiver.fd()).expect("deregister");
         poller
@@ -573,7 +588,9 @@ mod tests {
         poller
             .register(receiver.fd(), 1, Interest::READABLE)
             .expect("register");
-        assert!(poller.register(receiver.fd(), 2, Interest::READABLE).is_err());
+        assert!(poller
+            .register(receiver.fd(), 2, Interest::READABLE)
+            .is_err());
         assert!(poller.reregister(9999, 1, Interest::READABLE).is_err());
         assert!(poller.deregister(9999).is_err());
     }

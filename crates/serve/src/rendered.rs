@@ -115,7 +115,11 @@ impl RenderedCache {
     /// Number of rendered responses currently held (for tests).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.inner.lock().expect("rendered cache poisoned").map.len()
+        self.inner
+            .lock()
+            .expect("rendered cache poisoned")
+            .map
+            .len()
     }
 }
 
@@ -155,13 +159,20 @@ mod tests {
         let model = ArrayFlexModel::new(8, 8).unwrap();
         for network in [cnn::models::resnet18(), cnn::models::resnet34()] {
             model
-                .plan_cached(&cache, &network, DepthwiseMapping::default(), PlanKind::ArrayFlex)
+                .plan_cached(
+                    &cache,
+                    &network,
+                    DepthwiseMapping::default(),
+                    PlanKind::ArrayFlex,
+                )
                 .unwrap();
         }
         assert_eq!(cache.evictions(), 1);
         // Planning is pure, so the rendered bytes are still the answer:
         // the entry survives and keeps serving.
-        let (found, _) = rendered.lookup(&cache, &body(1)).expect("entry survives churn");
+        let (found, _) = rendered
+            .lookup(&cache, &body(1))
+            .expect("entry survives churn");
         assert!(Arc::ptr_eq(&found, &stored));
         assert_eq!(rendered.len(), 1);
     }

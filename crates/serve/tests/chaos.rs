@@ -196,8 +196,14 @@ fn overload_sheds_with_a_structured_503_and_retry_after() {
             other => panic!("unexpected status {other}"),
         }
     }
-    assert!(sheds > 0, "8 concurrent jobs against a 1-deep queue must shed");
-    assert!(responses.iter().any(|r| r.status == 200), "some work is admitted");
+    assert!(
+        sheds > 0,
+        "8 concurrent jobs against a 1-deep queue must shed"
+    );
+    assert!(
+        responses.iter().any(|r| r.status == 200),
+        "some work is admitted"
+    );
     assert_eq!(handle.state().metrics().total_sheds(), sheds);
 
     // The shed counter is visible per route in /metrics.

@@ -55,7 +55,9 @@ fn request_stream(count: usize, seed: u64) -> Vec<u8> {
     let mut stream = Vec::new();
     for index in 0..count {
         let body_len = (rng.next_u64() % 300) as usize;
-        let body: Vec<u8> = (0..body_len).map(|i| b'a' + ((i as u64 + rng.next_u64()) % 26) as u8).collect();
+        let body: Vec<u8> = (0..body_len)
+            .map(|i| b'a' + ((i as u64 + rng.next_u64()) % 26) as u8)
+            .collect();
         let close = index + 1 == count && rng.next_u64() % 2 == 0;
         let mut head = format!("POST /v1/plan{index} HTTP/1.1\r\ncontent-length: {body_len}\r\n");
         if rng.next_u64() % 2 == 0 {
@@ -78,7 +80,9 @@ fn random_cuts(len: usize, seed: u64) -> Vec<usize> {
     }
     let mut rng = SplitMix64::new(seed);
     let n = (rng.next_u64() % 24) as usize;
-    let mut cuts: Vec<usize> = (0..n).map(|_| (rng.next_u64() % len as u64) as usize).collect();
+    let mut cuts: Vec<usize> = (0..n)
+        .map(|_| (rng.next_u64() % len as u64) as usize)
+        .collect();
     cuts.sort_unstable();
     cuts
 }

@@ -32,7 +32,10 @@ fn conflicting_content_length_headers_are_rejected() {
     .expect("a structured response, not a closed socket");
     assert_eq!(response.status, 400);
     assert!(
-        response.text().unwrap().contains("conflicting content-length"),
+        response
+            .text()
+            .unwrap()
+            .contains("conflicting content-length"),
         "{:?}",
         response.text()
     );
@@ -101,8 +104,8 @@ fn an_overlong_head_line_is_a_431() {
     let mut request = Vec::from(&b"GET /"[..]);
     request.extend(std::iter::repeat(b'a').take(17 * 1024));
     request.extend_from_slice(b" HTTP/1.1\r\n\r\n");
-    let response = raw_request(&handle, &request)
-        .expect("a structured response, not a closed socket");
+    let response =
+        raw_request(&handle, &request).expect("a structured response, not a closed socket");
     assert_eq!(response.status, 431);
     assert!(
         response.text().unwrap().contains("too long"),

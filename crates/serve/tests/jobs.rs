@@ -19,10 +19,8 @@ struct TempJobDir(PathBuf);
 
 impl TempJobDir {
     fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "arrayflex-jobs-it-{tag}-{}",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("arrayflex-jobs-it-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         Self(path)
     }
@@ -54,7 +52,10 @@ fn await_completed(addr: SocketAddr, id: &str) -> serde::Value {
             "failed" => panic!("job failed: {doc:?}"),
             _ => {}
         }
-        assert!(Instant::now() < deadline, "job {id} never completed: {doc:?}");
+        assert!(
+            Instant::now() < deadline,
+            "job {id} never completed: {doc:?}"
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -194,7 +195,15 @@ fn the_token_bucket_sheds_only_the_over_budget_tenant() {
     // Two requests fit tenant-a's burst; the third is shed with 429 +
     // Retry-After before it ever reaches a worker.
     let responses: Vec<ClientResponse> = (0..3)
-        .map(|_| tenant_request(handle.addr(), "tenant-a", "POST", "/v1/plan", Some(PLAN_BODY)))
+        .map(|_| {
+            tenant_request(
+                handle.addr(),
+                "tenant-a",
+                "POST",
+                "/v1/plan",
+                Some(PLAN_BODY),
+            )
+        })
         .collect();
     assert_eq!(responses[0].status, 200);
     assert_eq!(responses[1].status, 200);
@@ -205,7 +214,13 @@ fn the_token_bucket_sheds_only_the_over_budget_tenant() {
     );
 
     // Buckets are per tenant: tenant-b is untouched by tenant-a's spend.
-    let other = tenant_request(handle.addr(), "tenant-b", "POST", "/v1/plan", Some(PLAN_BODY));
+    let other = tenant_request(
+        handle.addr(),
+        "tenant-b",
+        "POST",
+        "/v1/plan",
+        Some(PLAN_BODY),
+    );
     assert_eq!(other.status, 200);
     // Probes stay exempt so an over-quota tenant still looks alive to
     // its load balancer.

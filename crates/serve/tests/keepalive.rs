@@ -126,7 +126,9 @@ fn backpressured_pipeline_drains_in_order_once_the_reader_catches_up() {
     }
     std::thread::sleep(Duration::from_millis(200));
     for index in 0..depth {
-        let response = conn.recv().unwrap_or_else(|e| panic!("response {index}: {e}"));
+        let response = conn
+            .recv()
+            .unwrap_or_else(|e| panic!("response {index}: {e}"));
         assert_eq!(response.status, 200, "response {index}");
         assert_eq!(response.body, expected, "response {index}");
     }
@@ -157,7 +159,10 @@ fn identical_concurrent_plans_coalesce_to_identical_bytes() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for body in &bodies {
-        assert_eq!(body, &expected, "coalesced responses must be byte-identical");
+        assert_eq!(
+            body, &expected,
+            "coalesced responses must be byte-identical"
+        );
     }
     let metrics = handle.state().metrics();
     let cache = handle.state().cache();

@@ -85,7 +85,10 @@ fn sweep_and_simulate_over_the_wire() {
     }
     .run(&[cnn::models::mobilenet_v1()])
     .unwrap();
-    assert_eq!(sweep.body, serde_json::to_string(&direct).unwrap().into_bytes());
+    assert_eq!(
+        sweep.body,
+        serde_json::to_string(&direct).unwrap().into_bytes()
+    );
 
     let simulate = client::post_json(
         handle.addr(),
@@ -161,7 +164,10 @@ fn oversized_body_larger_than_socket_buffers_still_receives_the_413() {
     let big = format!(r#"{{"pad":"{}"}}"#, "x".repeat(4 * 1024 * 1024));
     let response = client::post_json(handle.addr(), "/v1/plan", &big).unwrap();
     assert_eq!(response.status, 413);
-    assert!(response.text().unwrap().starts_with("{\"error\":{\"code\":413,"));
+    assert!(response
+        .text()
+        .unwrap()
+        .starts_with("{\"error\":{\"code\":413,"));
     handle.shutdown();
 }
 
@@ -210,7 +216,10 @@ fn sweep_thread_autodetection_is_capped() {
     }
     .run(&[cnn::models::resnet34()])
     .unwrap();
-    assert_eq!(response.body, serde_json::to_string(&direct).unwrap().into_bytes());
+    assert_eq!(
+        response.body,
+        serde_json::to_string(&direct).unwrap().into_bytes()
+    );
     handle.shutdown();
 }
 
@@ -315,10 +324,16 @@ fn loadgen_sustains_one_thousand_requests_with_zero_errors() {
     // identical in-flight request (singleflight). The first few racing
     // clients may each miss once (the plan is computed outside the shard
     // lock), but the steady state is all hits.
-    let (hits, misses) = (handle.state().cache().hits(), handle.state().cache().misses());
+    let (hits, misses) = (
+        handle.state().cache().hits(),
+        handle.state().cache().misses(),
+    );
     let coalesced = handle.state().metrics().coalesced("/v1/plan");
     assert_eq!(hits + misses + coalesced, 1000);
-    assert!(misses <= 4, "expected at most one miss per client, got {misses}");
+    assert!(
+        misses <= 4,
+        "expected at most one miss per client, got {misses}"
+    );
     assert_eq!(handle.state().cache().len(), 1);
     handle.shutdown();
 }
