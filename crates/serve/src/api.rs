@@ -192,7 +192,7 @@ impl AppState {
         self.max_body_bytes
     }
 
-    /// Number of connections the acceptor has handed to the worker pool.
+    /// Number of connections accepted so far.
     #[must_use]
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::SeqCst)
