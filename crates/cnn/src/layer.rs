@@ -170,11 +170,7 @@ impl Layer {
                         DepthwiseMapping::BlockDiagonal => {
                             let per_group = shape.gemm_dims();
                             (
-                                GemmDims::new(
-                                    shape.out_channels as u64,
-                                    per_group.n,
-                                    per_group.t,
-                                ),
+                                GemmDims::new(shape.out_channels as u64, per_group.n, per_group.t),
                                 1,
                             )
                         }
@@ -208,7 +204,13 @@ impl Layer {
 
 impl fmt::Display for Layer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "#{:<3} {:<16} {}", self.index, self.name, self.gemm_dims())
+        write!(
+            f,
+            "#{:<3} {:<16} {}",
+            self.index,
+            self.name,
+            self.gemm_dims()
+        )
     }
 }
 

@@ -262,7 +262,10 @@ mod tests {
     #[test]
     fn spatial_sizes_decrease_monotonically_through_stages() {
         let net = resnet34();
-        let t_values: Vec<u64> = net.layers()[1..33].iter().map(|l| l.gemm_dims().t).collect();
+        let t_values: Vec<u64> = net.layers()[1..33]
+            .iter()
+            .map(|l| l.gemm_dims().t)
+            .collect();
         // Stage outputs are 56^2, 28^2, 14^2, 7^2.
         assert!(t_values.contains(&3136));
         assert!(t_values.contains(&784));

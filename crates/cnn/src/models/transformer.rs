@@ -149,8 +149,14 @@ mod tests {
     fn bert_base_has_six_gemms_per_layer() {
         let net = bert_base(128);
         assert_eq!(net.len(), 12 * 6);
-        assert_eq!(net.layer(1).unwrap().gemm_dims(), GemmDims::new(2304, 768, 128));
-        assert_eq!(net.layer(5).unwrap().gemm_dims(), GemmDims::new(3072, 768, 128));
+        assert_eq!(
+            net.layer(1).unwrap().gemm_dims(),
+            GemmDims::new(2304, 768, 128)
+        );
+        assert_eq!(
+            net.layer(5).unwrap().gemm_dims(),
+            GemmDims::new(3072, 768, 128)
+        );
     }
 
     #[test]

@@ -90,7 +90,11 @@ impl Network {
     /// model constructors call this in debug builds and the test suite calls
     /// it for every built-in network.
     pub fn assert_valid(&self) {
-        assert!(!self.layers.is_empty(), "network {} has no layers", self.name);
+        assert!(
+            !self.layers.is_empty(),
+            "network {} has no layers",
+            self.name
+        );
         let mut previous = 0;
         for layer in &self.layers {
             assert!(
