@@ -155,7 +155,13 @@ impl ConvShape {
 
     /// Creates a depthwise convolution shape (`groups == in_channels`).
     #[must_use]
-    pub fn depthwise(channels: usize, kernel: usize, stride: usize, padding: usize, input_size: usize) -> Self {
+    pub fn depthwise(
+        channels: usize,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+        input_size: usize,
+    ) -> Self {
         Self {
             in_channels: channels,
             out_channels: channels,
@@ -546,7 +552,11 @@ mod tests {
         let mut staging = Matrix::<i32>::zeros(9, 9); // wrong shape on purpose
         for group in 0..4 {
             im2col_into(&input, shape, group, &mut staging).unwrap();
-            assert_eq!(staging, im2col(&input, shape, group).unwrap(), "group {group}");
+            assert_eq!(
+                staging,
+                im2col(&input, shape, group).unwrap(),
+                "group {group}"
+            );
         }
         // Errors leave the call rejected, not partially applied.
         assert!(im2col_into(&input, shape, 9, &mut staging).is_err());

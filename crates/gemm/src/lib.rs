@@ -58,9 +58,9 @@ pub mod workload;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use error::GemmError;
-pub use parallel::ParallelExecutor;
 pub use im2col::{ConvShape, ConvWeights, Tensor3};
 pub use matrix::{accumulate, multiply, multiply_into, Matrix};
+pub use parallel::ParallelExecutor;
 pub use problem::GemmDims;
 pub use quantize::QuantParams;
 pub use tiling::{tiled_multiply, tiled_multiply_with, Tile, TileGrid};

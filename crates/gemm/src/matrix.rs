@@ -261,7 +261,12 @@ impl<T: Copy + Default + fmt::Display> fmt::Display for Matrix<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "[{}x{}]", self.rows, self.cols)?;
         for r in 0..self.rows.min(8) {
-            let row: Vec<String> = self.row(r).iter().take(8).map(ToString::to_string).collect();
+            let row: Vec<String> = self
+                .row(r)
+                .iter()
+                .take(8)
+                .map(ToString::to_string)
+                .collect();
             writeln!(f, "  {}", row.join(" "))?;
         }
         if self.rows > 8 || self.cols > 8 {
@@ -547,10 +552,7 @@ mod tests {
     fn iter_visits_all_elements_in_order() {
         let m = Matrix::from_vec(2, 2, vec![1, 2, 3, 4]).unwrap();
         let collected: Vec<_> = m.iter().collect();
-        assert_eq!(
-            collected,
-            vec![(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
-        );
+        assert_eq!(collected, vec![(0, 0, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]);
     }
 
     #[test]

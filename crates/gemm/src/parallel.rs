@@ -328,14 +328,13 @@ mod tests {
     #[test]
     fn try_run_reports_the_first_error_in_item_order() {
         let executor = ParallelExecutor::new(4);
-        let result: Result<Vec<u32>, String> =
-            executor.try_run((0u32..50).collect(), |x| {
-                if x % 10 == 3 {
-                    Err(format!("bad {x}"))
-                } else {
-                    Ok(x)
-                }
-            });
+        let result: Result<Vec<u32>, String> = executor.try_run((0u32..50).collect(), |x| {
+            if x % 10 == 3 {
+                Err(format!("bad {x}"))
+            } else {
+                Ok(x)
+            }
+        });
         // Items 3, 13, 23, ... all fail; the reported error is item 3's
         // regardless of which worker finished first.
         assert_eq!(result.unwrap_err(), "bad 3");
@@ -379,7 +378,11 @@ mod tests {
             let fresh = executor.run((0u32..8).collect(), |x| x + 1);
             assert_eq!(fresh, (1..9).collect::<Vec<u32>>());
         }
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "no item ran after pre-cancel");
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            0,
+            "no item ran after pre-cancel"
+        );
     }
 
     #[test]
@@ -432,8 +435,9 @@ mod tests {
         }
         let token = CancelToken::new();
         token.cancel("cancelled wins");
-        let result: Result<Vec<u32>, TestError> = ParallelExecutor::new(4)
-            .try_run_cancellable((0u32..50).collect(), &token, |x| Err(TestError::Item(x)));
+        let result: Result<Vec<u32>, TestError> =
+            ParallelExecutor::new(4)
+                .try_run_cancellable((0u32..50).collect(), &token, |x| Err(TestError::Item(x)));
         assert_eq!(
             result.unwrap_err(),
             TestError::Cancelled("cancelled wins".to_owned())
@@ -441,8 +445,8 @@ mod tests {
 
         // Without cancellation the behavior is exactly try_run's.
         let fresh = CancelToken::new();
-        let result: Result<Vec<u32>, TestError> = ParallelExecutor::new(4)
-            .try_run_cancellable((0u32..50).collect(), &fresh, |x| {
+        let result: Result<Vec<u32>, TestError> =
+            ParallelExecutor::new(4).try_run_cancellable((0u32..50).collect(), &fresh, |x| {
                 if x == 3 {
                     Err(TestError::Item(x))
                 } else {

@@ -131,7 +131,10 @@ mod tests {
         for _ in 0..1_000 {
             let x = (rng.next_f64() - 0.5) * 4.0;
             let err = (p.dequantize(p.quantize(x)) - x).abs();
-            assert!(err <= p.scale / 2.0 + 1e-12, "error {err} exceeds half step");
+            assert!(
+                err <= p.scale / 2.0 + 1e-12,
+                "error {err} exceeds half step"
+            );
         }
     }
 

@@ -169,9 +169,8 @@ impl TileGrid {
     #[must_use]
     pub fn spatial_utilization(&self) -> f64 {
         let useful = (self.dims.n * self.dims.m) as f64;
-        let allocated = (self.tile_count()
-            * u64::from(self.array_rows)
-            * u64::from(self.array_cols)) as f64;
+        let allocated =
+            (self.tile_count() * u64::from(self.array_rows) * u64::from(self.array_cols)) as f64;
         useful / allocated
     }
 
@@ -331,7 +330,10 @@ mod tests {
             let b = Matrix::random(n, m, &mut rng, -50, 50);
             let expected = multiply(&a, &b).unwrap();
             let tiled = tiled_multiply(&a, &b, r, c).unwrap();
-            assert_eq!(tiled, expected, "mismatch for T={t} N={n} M={m} R={r} C={c}");
+            assert_eq!(
+                tiled, expected,
+                "mismatch for T={t} N={n} M={m} R={r} C={c}"
+            );
         }
     }
 
