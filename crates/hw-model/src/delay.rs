@@ -83,10 +83,7 @@ impl DatapathDelays {
     /// # Errors
     ///
     /// Returns [`HwModelError::ZeroBitWidth`] if `input_bits` is zero.
-    pub fn for_technology(
-        tech: &TechnologyParams,
-        input_bits: u32,
-    ) -> Result<Self, HwModelError> {
+    pub fn for_technology(tech: &TechnologyParams, input_bits: u32) -> Result<Self, HwModelError> {
         if input_bits == 0 {
             return Err(HwModelError::ZeroBitWidth);
         }

@@ -137,10 +137,7 @@ impl PeEnergyParams {
     /// # Errors
     ///
     /// Returns [`HwModelError::ZeroBitWidth`] if `input_bits` is zero.
-    pub fn for_technology(
-        tech: &TechnologyParams,
-        input_bits: u32,
-    ) -> Result<Self, HwModelError> {
+    pub fn for_technology(tech: &TechnologyParams, input_bits: u32) -> Result<Self, HwModelError> {
         if input_bits == 0 {
             return Err(HwModelError::ZeroBitWidth);
         }
@@ -363,7 +360,9 @@ impl PowerModel {
         cols: u32,
     ) -> Result<Milliwatts, HwModelError> {
         let area = self.area.array_area(design, rows, cols)?;
-        Ok(Milliwatts::new(area.value() * self.leakage_density_mw_per_um2))
+        Ok(Milliwatts::new(
+            area.value() * self.leakage_density_mw_per_um2,
+        ))
     }
 
     /// Total (dynamic plus leakage) power of an array in one operating point.
@@ -411,7 +410,9 @@ mod tests {
         let conv = m
             .pe_energy_per_cycle(Design::Conventional, 1, dense())
             .unwrap();
-        let af = m.pe_energy_per_cycle(Design::ArrayFlex, 1, dense()).unwrap();
+        let af = m
+            .pe_energy_per_cycle(Design::ArrayFlex, 1, dense())
+            .unwrap();
         assert!(
             af > conv,
             "ArrayFlex k=1 per-cycle energy ({af}) must exceed conventional ({conv})"
@@ -461,7 +462,10 @@ mod tests {
             .array_power(Design::ArrayFlex, 4, 128, 128, Gigahertz::new(1.4), dense())
             .unwrap()
             .total();
-        assert!(k2 < conv, "k=2 power {k2} should be below conventional {conv}");
+        assert!(
+            k2 < conv,
+            "k=2 power {k2} should be below conventional {conv}"
+        );
         assert!(k4 < k2, "k=4 power {k4} should be below k=2 power {k2}");
         // The k=4 saving should be substantial (paper: shallow modes drive
         // overall savings of 13%-23%).
@@ -472,9 +476,15 @@ mod tests {
     #[test]
     fn energy_decreases_with_deeper_collapsing_at_fixed_activity() {
         let m = model();
-        let e1 = m.pe_energy_per_cycle(Design::ArrayFlex, 1, dense()).unwrap();
-        let e2 = m.pe_energy_per_cycle(Design::ArrayFlex, 2, dense()).unwrap();
-        let e4 = m.pe_energy_per_cycle(Design::ArrayFlex, 4, dense()).unwrap();
+        let e1 = m
+            .pe_energy_per_cycle(Design::ArrayFlex, 1, dense())
+            .unwrap();
+        let e2 = m
+            .pe_energy_per_cycle(Design::ArrayFlex, 2, dense())
+            .unwrap();
+        let e4 = m
+            .pe_energy_per_cycle(Design::ArrayFlex, 4, dense())
+            .unwrap();
         assert!(e2 < e1);
         assert!(e4 < e2);
     }
@@ -482,9 +492,7 @@ mod tests {
     #[test]
     fn leakage_scales_with_area_overhead() {
         let m = model();
-        let conv = m
-            .array_leakage_power(Design::Conventional, 64, 64)
-            .unwrap();
+        let conv = m.array_leakage_power(Design::Conventional, 64, 64).unwrap();
         let af = m.array_leakage_power(Design::ArrayFlex, 64, 64).unwrap();
         let ratio = af.value() / conv.value();
         let overhead = 1.0 + m.area_model().overhead_fraction();
@@ -531,7 +539,9 @@ mod tests {
     #[test]
     fn invalid_inputs_are_rejected() {
         let m = model();
-        assert!(m.pe_energy_per_cycle(Design::ArrayFlex, 0, dense()).is_err());
+        assert!(m
+            .pe_energy_per_cycle(Design::ArrayFlex, 0, dense())
+            .is_err());
         assert!(m
             .array_dynamic_power(Design::ArrayFlex, 1, 0, 8, Gigahertz::new(1.0), dense())
             .is_err());
@@ -544,17 +554,27 @@ mod tests {
             mac_utilization: 0.5,
             data_toggle_rate: -0.1,
         };
-        assert!(m.pe_energy_per_cycle(Design::ArrayFlex, 1, bad_toggle).is_err());
+        assert!(m
+            .pe_energy_per_cycle(Design::ArrayFlex, 1, bad_toggle)
+            .is_err());
     }
 
     #[test]
     fn utilization_clamps_and_lowers_energy() {
         let m = model();
         let busy = m
-            .pe_energy_per_cycle(Design::Conventional, 1, ActivityProfile::with_utilization(1.0))
+            .pe_energy_per_cycle(
+                Design::Conventional,
+                1,
+                ActivityProfile::with_utilization(1.0),
+            )
             .unwrap();
         let idle = m
-            .pe_energy_per_cycle(Design::Conventional, 1, ActivityProfile::with_utilization(0.0))
+            .pe_energy_per_cycle(
+                Design::Conventional,
+                1,
+                ActivityProfile::with_utilization(0.0),
+            )
             .unwrap();
         assert!(idle < busy);
         // Idle PEs still pay register clocking power.

@@ -372,8 +372,14 @@ mod tests {
             .sum();
         assert_eq!(total, Picoseconds::new(60.0));
         assert!(Picoseconds::new(10.0) < Picoseconds::new(20.0));
-        assert_eq!(Picoseconds::new(5.0).max(Picoseconds::new(7.0)), Picoseconds::new(7.0));
-        assert_eq!(Picoseconds::new(5.0).min(Picoseconds::new(7.0)), Picoseconds::new(5.0));
+        assert_eq!(
+            Picoseconds::new(5.0).max(Picoseconds::new(7.0)),
+            Picoseconds::new(7.0)
+        );
+        assert_eq!(
+            Picoseconds::new(5.0).min(Picoseconds::new(7.0)),
+            Picoseconds::new(5.0)
+        );
     }
 
     #[test]
