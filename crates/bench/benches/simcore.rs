@@ -67,7 +67,9 @@ fn bench_run_cycles(c: &mut Criterion) {
             array.reset_for_tile();
             array.load_weights(&b).unwrap();
             let mut collector = OutputCollector::new(config, 4);
-            array.run_cycles(&feeder, 0, cycles, &mut collector).unwrap();
+            array
+                .run_cycles(&feeder, 0, cycles, &mut collector)
+                .unwrap();
             collector.into_output().unwrap()
         })
     });

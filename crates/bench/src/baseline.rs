@@ -209,7 +209,12 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
             .run_tile(&a_steady, &b_steady)
             .expect("steady tile");
     });
-    benches.push(record("simcore/tile_16x16_steady_k2", iters, Some(cycles), ns));
+    benches.push(record(
+        "simcore/tile_16x16_steady_k2",
+        iters,
+        Some(cycles),
+        ns,
+    ));
 
     // 4. The output-stationary twin of the steady-state tile: the same
     // 16x16 array and collapse depth streaming a 64-deep reduction with
@@ -365,9 +370,7 @@ pub fn validate_report(report: &BaselineReport) -> Result<(), String> {
         match (bench.cycles_per_iter, bench.cycles_per_sec) {
             (Some(cycles), Some(rate)) => {
                 let expected = cycles as f64 * 1e9 / bench.ns_per_iter;
-                if !(rate.is_finite() && rate > 0.0)
-                    || (rate - expected).abs() > expected * 1e-6
-                {
+                if !(rate.is_finite() && rate > 0.0) || (rate - expected).abs() > expected * 1e-6 {
                     return Err(format!(
                         "bench {}: cycles_per_sec {rate} inconsistent with \
                          {cycles} cycles at {} ns/iter",
@@ -507,13 +510,8 @@ pub fn compare_reports(
 /// Renders the report as an aligned text table.
 #[must_use]
 pub fn baseline_text(report: &BaselineReport) -> String {
-    let mut table = crate::TextTable::new(vec![
-        "bench",
-        "threads",
-        "iters",
-        "ns/iter",
-        "cycles/sec",
-    ]);
+    let mut table =
+        crate::TextTable::new(vec!["bench", "threads", "iters", "ns/iter", "cycles/sec"]);
     for bench in &report.benches {
         table.push_row(vec![
             bench.name.clone(),

@@ -8,10 +8,10 @@
 //! experiment's code path.
 
 use crate::tables::TextTable;
-use arrayflex::{compare_network, ArrayFlexModel, ArrayFlexError, EvaluationSweep};
+use arrayflex::{compare_network, ArrayFlexError, ArrayFlexModel, EvaluationSweep};
 use cnn::models::{convnext_tiny, paper_evaluation_networks, resnet34};
 use cnn::DepthwiseMapping;
-use gemm::{GemmDims, Matrix, WorkloadGenerator, DimBounds};
+use gemm::{DimBounds, GemmDims, Matrix, WorkloadGenerator};
 use hw_model::{AreaModel, ClockPlan, DatapathDelays, Design};
 use sa_sim::{ArrayConfig, Simulator, SystolicArray};
 use serde::Serialize;
@@ -54,7 +54,10 @@ pub fn frequency_table() -> Vec<FrequencyRow> {
     for k in 1..=4u32 {
         let calibrated_points = calibrated.calibrated_depths();
         let (freq, source) = if calibrated_points.contains(&k) {
-            (calibrated.arrayflex_frequency(k).expect("k <= k_max"), "paper")
+            (
+                calibrated.arrayflex_frequency(k).expect("k <= k_max"),
+                "paper",
+            )
         } else {
             (
                 analytical.arrayflex_frequency(k).expect("k >= 1"),
@@ -132,7 +135,13 @@ impl DepthSweep {
     /// Renders the sweep as a table.
     #[must_use]
     pub fn table(&self) -> String {
-        let mut table = TextTable::new(vec!["k", "cycles", "frequency (GHz)", "time (us)", "vs conventional"]);
+        let mut table = TextTable::new(vec![
+            "k",
+            "cycles",
+            "frequency (GHz)",
+            "time (us)",
+            "vs conventional",
+        ]);
         table.push_row(vec![
             "conv".to_owned(),
             String::new(),
@@ -149,7 +158,14 @@ impl DepthSweep {
                 format!("{:.3}", p.time_us / self.conventional_time_us),
             ]);
         }
-        format!("{} {} on a {}x{} SA\n{}", self.label, self.dims, self.array, self.array, table.render())
+        format!(
+            "{} {} on a {}x{} SA\n{}",
+            self.label,
+            self.dims,
+            self.array,
+            self.array,
+            table.render()
+        )
     }
 }
 
@@ -244,12 +260,36 @@ pub fn fig6_text(cmp: &AreaComparison) -> String {
     let af = area.pe_breakdown(Design::ArrayFlex);
     let rows: [(&str, f64, f64); 8] = [
         ("multiplier", conv.multiplier.value(), af.multiplier.value()),
-        ("carry-propagate adder", conv.carry_propagate_adder.value(), af.carry_propagate_adder.value()),
-        ("carry-save adder", conv.carry_save_adder.value(), af.carry_save_adder.value()),
-        ("bypass muxes", conv.bypass_muxes.value(), af.bypass_muxes.value()),
-        ("pipeline registers", conv.pipeline_registers.value(), af.pipeline_registers.value()),
-        ("weight register", conv.weight_register.value(), af.weight_register.value()),
-        ("configuration", conv.configuration.value(), af.configuration.value()),
+        (
+            "carry-propagate adder",
+            conv.carry_propagate_adder.value(),
+            af.carry_propagate_adder.value(),
+        ),
+        (
+            "carry-save adder",
+            conv.carry_save_adder.value(),
+            af.carry_save_adder.value(),
+        ),
+        (
+            "bypass muxes",
+            conv.bypass_muxes.value(),
+            af.bypass_muxes.value(),
+        ),
+        (
+            "pipeline registers",
+            conv.pipeline_registers.value(),
+            af.pipeline_registers.value(),
+        ),
+        (
+            "weight register",
+            conv.weight_register.value(),
+            af.weight_register.value(),
+        ),
+        (
+            "configuration",
+            conv.configuration.value(),
+            af.configuration.value(),
+        ),
         ("routing overhead", conv.routing.value(), af.routing.value()),
     ];
     for (name, c, a) in rows {
@@ -324,7 +364,16 @@ impl PerLayerReport {
     #[must_use]
     pub fn table(&self) -> String {
         let mut table = TextTable::new(vec![
-            "layer", "name", "M", "N", "T", "k", "k_hat", "conv (us)", "arrayflex (us)", "saving",
+            "layer",
+            "name",
+            "M",
+            "N",
+            "T",
+            "k",
+            "k_hat",
+            "conv (us)",
+            "arrayflex (us)",
+            "saving",
         ]);
         for row in &self.rows {
             table.push_row(vec![
@@ -518,7 +567,10 @@ pub fn fig8_text(entries: &[NetworkEntry]) -> String {
                 format!("{:.1}%", (1.0 - e.normalized_arrayflex) * 100.0),
             ]);
         }
-        out.push_str(&format!("Fig. 8: {array}x{array} SAs\n{}\n", table.render()));
+        out.push_str(&format!(
+            "Fig. 8: {array}x{array} SAs\n{}\n",
+            table.render()
+        ));
     }
     out
 }
@@ -539,7 +591,12 @@ pub fn fig9_text(entries: &[NetworkEntry]) -> String {
             let modes = e
                 .mode_breakdown
                 .iter()
-                .map(|m| format!("k={}: {} layers, {:.1} us, {:.0} mW", m.k, m.layers, m.time_us, m.power_mw))
+                .map(|m| {
+                    format!(
+                        "k={}: {} layers, {:.1} us, {:.0} mW",
+                        m.k, m.layers, m.time_us, m.power_mw
+                    )
+                })
                 .collect::<Vec<_>>()
                 .join(" | ");
             table.push_row(vec![
@@ -550,7 +607,10 @@ pub fn fig9_text(entries: &[NetworkEntry]) -> String {
                 modes,
             ]);
         }
-        out.push_str(&format!("Fig. 9: {array}x{array} SAs\n{}\n", table.render()));
+        out.push_str(&format!(
+            "Fig. 9: {array}x{array} SAs\n{}\n",
+            table.render()
+        ));
     }
     out
 }
@@ -558,7 +618,13 @@ pub fn fig9_text(entries: &[NetworkEntry]) -> String {
 /// Renders the energy-delay-product summary table (Section IV-B text).
 #[must_use]
 pub fn edp_text(entries: &[NetworkEntry]) -> String {
-    let mut table = TextTable::new(vec!["network", "array", "time saving", "power saving", "EDP gain"]);
+    let mut table = TextTable::new(vec![
+        "network",
+        "array",
+        "time saving",
+        "power saving",
+        "EDP gain",
+    ]);
     for e in entries {
         table.push_row(vec![
             e.network.clone(),
@@ -568,7 +634,10 @@ pub fn edp_text(entries: &[NetworkEntry]) -> String {
             format!("{:.2}x", e.edp_gain),
         ]);
     }
-    format!("{}\npaper: 1.4x-1.8x combined EDP efficiency\n", table.render())
+    format!(
+        "{}\npaper: 1.4x-1.8x combined EDP efficiency\n",
+        table.render()
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -706,7 +775,15 @@ pub fn sim_validation_threads(
 /// Renders the simulator validation table.
 #[must_use]
 pub fn sim_validation_text(rows: &[SimValidationRow]) -> String {
-    let mut table = TextTable::new(vec!["array", "k", "dims", "simulated", "analytical", "match", "functional"]);
+    let mut table = TextTable::new(vec![
+        "array",
+        "k",
+        "dims",
+        "simulated",
+        "analytical",
+        "match",
+        "functional",
+    ]);
     for row in rows {
         table.push_row(vec![
             format!("{0}x{0}", row.array),
@@ -767,9 +844,20 @@ pub fn ablation_global_k(array: u32) -> Result<Vec<GlobalKRow>, ArrayFlexError> 
 /// Renders the global-k ablation table.
 #[must_use]
 pub fn ablation_global_k_text(rows: &[GlobalKRow]) -> String {
-    let mut table = TextTable::new(vec!["network", "array", "per-layer (us)", "k=1 (us)", "k=2 (us)", "k=4 (us)"]);
+    let mut table = TextTable::new(vec![
+        "network",
+        "array",
+        "per-layer (us)",
+        "k=1 (us)",
+        "k=2 (us)",
+        "k=4 (us)",
+    ]);
     for row in rows {
-        let fixed: Vec<String> = row.fixed_us.iter().map(|(_, t)| format!("{t:.1}")).collect();
+        let fixed: Vec<String> = row
+            .fixed_us
+            .iter()
+            .map(|(_, t)| format!("{t:.1}"))
+            .collect();
         table.push_row(vec![
             row.network.clone(),
             format!("{0}x{0}", row.array),
@@ -820,7 +908,12 @@ pub fn ablation_csa() -> Vec<CsaAblationRow> {
 /// Renders the carry-save ablation table.
 #[must_use]
 pub fn ablation_csa_text(rows: &[CsaAblationRow]) -> String {
-    let mut table = TextTable::new(vec!["k", "carry-save period (ps)", "ripple period (ps)", "ratio"]);
+    let mut table = TextTable::new(vec![
+        "k",
+        "carry-save period (ps)",
+        "ripple period (ps)",
+        "ratio",
+    ]);
     for row in rows {
         table.push_row(vec![
             row.k.to_string(),
@@ -897,7 +990,10 @@ pub fn ablation_clock_gating_text(rows: &[ClockGatingRow]) -> String {
             format!("{:.0}", row.gated_mw),
             format!("{:.0}", row.ungated_mw),
             format!("{:.1}%", (1.0 - row.gated_mw / row.conventional_mw) * 100.0),
-            format!("{:.1}%", (1.0 - row.ungated_mw / row.conventional_mw) * 100.0),
+            format!(
+                "{:.1}%",
+                (1.0 - row.ungated_mw / row.conventional_mw) * 100.0
+            ),
         ]);
     }
     table.render()
@@ -1103,7 +1199,13 @@ pub fn ablation_objective(array: u32) -> Result<Vec<ObjectiveRow>, ArrayFlexErro
 /// Renders the objective ablation table.
 #[must_use]
 pub fn ablation_objective_text(rows: &[ObjectiveRow]) -> String {
-    let mut table = TextTable::new(vec!["network", "objective", "time (us)", "energy (uJ)", "EDP"]);
+    let mut table = TextTable::new(vec![
+        "network",
+        "objective",
+        "time (us)",
+        "energy (uJ)",
+        "EDP",
+    ]);
     for row in rows {
         table.push_row(vec![
             row.network.clone(),
@@ -1244,7 +1346,9 @@ pub fn throughput(threads: usize) -> Result<Vec<ThroughputRow>, ArrayFlexError> 
         .map_err(ArrayFlexError::from)?;
     let parallel_sim = serial_sim.threads(threads);
     assert_eq!(
-        parallel_sim.run_gemm(&a, &b).map_err(ArrayFlexError::from)?,
+        parallel_sim
+            .run_gemm(&a, &b)
+            .map_err(ArrayFlexError::from)?,
         serial_sim.run_gemm(&a, &b).map_err(ArrayFlexError::from)?,
         "tile-parallel simulation diverged from serial"
     );
@@ -1300,13 +1404,7 @@ pub fn throughput(threads: usize) -> Result<Vec<ThroughputRow>, ArrayFlexError> 
 /// Renders the throughput table.
 #[must_use]
 pub fn throughput_text(rows: &[ThroughputRow]) -> String {
-    let mut table = TextTable::new(vec![
-        "workload",
-        "mode",
-        "threads",
-        "wall (ms)",
-        "speedup",
-    ]);
+    let mut table = TextTable::new(vec!["workload", "mode", "threads", "wall (ms)", "speedup"]);
     for row in rows {
         table.push_row(vec![
             row.workload.clone(),
@@ -1531,7 +1629,11 @@ mod tests {
         assert_eq!(rows.len(), 3);
         // Short sequences (hard-to-batch, latency-critical inference) are
         // where ArrayFlex pays off clearly ...
-        assert!(rows[0].saving > 0.10, "saving at seq 64: {}", rows[0].saving);
+        assert!(
+            rows[0].saving > 0.10,
+            "saving at seq 64: {}",
+            rows[0].saving
+        );
         // ... and the benefit shrinks monotonically as the sequence (and
         // therefore the streaming dimension T) grows; at very long
         // sequences the conventional array's higher clock can even win.
