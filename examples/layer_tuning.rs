@@ -33,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for size in [128u32, 256] {
         let model = ArrayFlexModel::new(size, size)?;
         let conventional = model.execute_conventional(dims)?;
-        println!("--- {size}x{size} PEs (conventional: {:.2} us) ---", conventional.time.value());
+        println!(
+            "--- {size}x{size} PEs (conventional: {:.2} us) ---",
+            conventional.time.value()
+        );
         println!("  k   cycles      f (GHz)   time (us)   vs conventional");
         for execution in model.depth_sweep(dims)? {
             println!(

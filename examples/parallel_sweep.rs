@@ -57,7 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     assert_eq!(parallel_run, serial_run, "tile-parallel must match serial");
     println!("\ncycle-accurate 192x96 GEMM on a 32x32 array (k=2):");
-    println!("  serial tiles    {serial_ms:8.3} ms   {}", serial_run.stats);
+    println!(
+        "  serial tiles    {serial_ms:8.3} ms   {}",
+        serial_run.stats
+    );
     println!(
         "  {cores:2} thread(s)    {parallel_ms:8.3} ms  ({:.2}x, bit-identical)",
         serial_ms / parallel_ms

@@ -16,7 +16,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Ask it to plan ResNet-34 on a 128x128 ArrayFlex array.
     let request = r#"{"network":"resnet34","rows":128,"cols":128}"#;
     let response = client::post_json(handle.addr(), "/v1/plan", request)?;
-    println!("POST /v1/plan -> {} ({} bytes)", response.status, response.body.len());
+    println!(
+        "POST /v1/plan -> {} ({} bytes)",
+        response.status,
+        response.body.len()
+    );
     assert_eq!(response.status, 200);
 
     // 3. The response is byte-identical to the direct library call.

@@ -89,7 +89,9 @@ fn serve_client_round_trip_logic() {
 fn all_examples_compile() {
     let manifest_dir = env!("CARGO_MANIFEST_DIR");
     assert!(
-        Path::new(manifest_dir).join("examples/quickstart.rs").exists(),
+        Path::new(manifest_dir)
+            .join("examples/quickstart.rs")
+            .exists(),
         "examples/ directory moved; update this test"
     );
     let status = Command::new(env!("CARGO"))

@@ -70,8 +70,11 @@ fn extra_workloads_plan_cleanly_on_both_designs() {
             .unwrap();
         assert_eq!(conventional.layers.len(), network.len());
         assert_eq!(arrayflex.layers.len(), network.len());
-        assert!(arrayflex.total_time() <= conventional.total_time() * 1.12,
-            "{}: per-layer optimum should never lose badly", network.name());
+        assert!(
+            arrayflex.total_time() <= conventional.total_time() * 1.12,
+            "{}: per-layer optimum should never lose badly",
+            network.name()
+        );
         assert!(arrayflex.total_cycles() <= conventional.total_cycles());
     }
 }
