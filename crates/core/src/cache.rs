@@ -5,9 +5,9 @@
 //! depthwise mapping and the pipeline-selection policy. [`PlanCache`]
 //! memoizes that function: [`PlanKey`] canonicalizes the full input tuple
 //! into a deterministic byte string (via the JSON emission of every
-//! component) and hashes it, and the cache stores the resulting
-//! [`NetworkPlan`]s in independently locked shards with least-recently-used
-//! eviction, bounded by entry count. Because the key covers *all* inputs, a
+//! component) and hashes it with fixed-key SipHash to pick a shard, and
+//! the cache stores the resulting [`NetworkPlan`]s in independently locked
+//! shards with least-recently-used eviction, bounded by entry count. Because the key covers *all* inputs, a
 //! cache hit is guaranteed to be byte-identical to recomputing the plan —
 //! the serving layer relies on this to keep cached HTTP responses
 //! indistinguishable from direct library calls (see `DESIGN.md` §6).
@@ -16,8 +16,10 @@ use crate::error::ArrayFlexError;
 use crate::model::ArrayFlexModel;
 use crate::plan::NetworkPlan;
 use cnn::{DepthwiseMapping, Network};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -43,11 +45,13 @@ impl fmt::Display for PlanKind {
 }
 
 /// Canonical cache key: a deterministic serialization of every input the
-/// plan depends on, plus its 64-bit FNV-1a hash for shard selection.
+/// plan depends on, plus its 64-bit hash for shard selection.
 ///
-/// The canonical form is kept alongside the hash, so hash collisions can
-/// never alias two different planning problems — lookups always compare
-/// the full canonical string.
+/// The hash is std's SipHash with fixed keys
+/// (`DefaultHasher::new()`), so it is the same in every process of one
+/// build; nothing persists it. The canonical form is kept alongside the
+/// hash, so hash collisions can never alias two different planning
+/// problems — lookups always compare the full canonical string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanKey {
     hash: u64,
@@ -68,7 +72,7 @@ impl PlanKey {
         let canonical = serde_json::to_string(&(kind.to_string(), mapping, model, network))
             .expect("plan inputs serialize to JSON");
         Self {
-            hash: fnv1a(canonical.as_bytes()),
+            hash: key_hash(&canonical),
             canonical,
         }
     }
@@ -86,14 +90,11 @@ impl PlanKey {
     }
 }
 
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The fixed-key SipHash of a canonical form.
+fn key_hash(canonical: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    hasher.write(canonical.as_bytes());
+    hasher.finish()
 }
 
 /// How one lookup was served.
@@ -556,7 +557,7 @@ mod tests {
             PlanKey::new(&m, &net, mapping, PlanKind::Fixed(4))
         );
         assert!(base.canonical().contains("resnet34"));
-        assert_eq!(base.hash(), fnv1a(base.canonical().as_bytes()));
+        assert_eq!(base.hash(), key_hash(base.canonical()));
     }
 
     #[test]
