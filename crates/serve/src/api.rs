@@ -166,10 +166,10 @@ impl AppState {
     /// The pool of simulator arrays `/v1/simulate` reuses across requests
     /// (constructing and zero-initializing a
     /// [`SystolicArray`](arrayflex::sa_sim::SystolicArray) per request is
-    /// measurable churn under load; results are unchanged). Each pooled
-    /// array also owns its west/south staging scratch, so a worker
-    /// serving simulate traffic reuses the same staging buffers request
-    /// after request instead of allocating them per request.
+    /// measurable churn under load; results are unchanged). A reused
+    /// array keeps its state buffers (weights, pipeline registers and
+    /// their validity), so a worker serving simulate traffic resets them
+    /// request after request instead of allocating them per request.
     #[must_use]
     pub fn sim_pool(&self) -> &ArrayPool {
         &self.sim_pool
