@@ -7,10 +7,11 @@
 //! into a deterministic byte string (via the JSON emission of every
 //! component) and hashes it with fixed-key SipHash to pick a shard, and
 //! the cache stores the resulting [`NetworkPlan`]s in independently locked
-//! shards with least-recently-used eviction, bounded by entry count. Because the key covers *all* inputs, a
-//! cache hit is guaranteed to be byte-identical to recomputing the plan —
-//! the serving layer relies on this to keep cached HTTP responses
-//! indistinguishable from direct library calls (see `DESIGN.md` §6).
+//! shards with least-recently-used eviction, bounded by entry count.
+//! Because the key covers *all* inputs, a cache hit is guaranteed to be
+//! byte-identical to recomputing the plan — the serving layer relies on
+//! this to keep cached HTTP responses indistinguishable from direct
+//! library calls (see `DESIGN.md` §6).
 
 use crate::error::ArrayFlexError;
 use crate::model::ArrayFlexModel;
