@@ -5,7 +5,7 @@
 //! Loops do no application work: they read bytes, run the incremental
 //! parser ([`crate::conn::RequestParser`]), and hand complete requests to
 //! a shared handler worker pool as [`Job`]s. Workers route jobs through
-//! [`crate::admission`] (singleflight + gather-window batching) and mail
+//! [`crate::worker`] (singleflight + gather-window batching) and mail
 //! finished [`Completion`]s back to the owning loop's [`Mailbox`], which
 //! wakes the loop through its [`crate::poll::Waker`].
 //!
@@ -30,7 +30,6 @@
 //!   mid-request connections finish their request, flushes every write
 //!   queue, and exits once the last connection drains.
 
-use crate::admission::{self, Admission, Completion, Job, SharedResponse};
 use crate::api::{self, AppState};
 use crate::conn::{
     FaultyStream, FlushProgress, Parsed, ParsedRequest, RecvBuffer, RequestParser, TimerWheel,
@@ -41,6 +40,7 @@ use crate::http::{
     log_line, render_head, resolve_threads, HttpResponse, ServerConfig, RETRY_AFTER_HEADER,
 };
 use crate::poll::{self, Event, Interest, Poller};
+use crate::worker::{self, Admission, Completion, Job, SharedResponse};
 use gemm::CancelToken;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read};
@@ -271,7 +271,7 @@ pub(crate) fn start(
                     // panics the worker thread must survive — a dead
                     // worker is permanently lost capacity.
                     if catch_unwind(AssertUnwindSafe(|| {
-                        admission::handle_job(&state, &admission, &sinks, job);
+                        worker::handle_job(&state, &admission, &sinks, job);
                     }))
                     .is_err()
                     {
@@ -907,7 +907,7 @@ impl EventLoop {
         // still waits on it.
         if !conn.cancels.is_empty() {
             for cancel in conn.cancels.values() {
-                cancel.cancel(admission::DISCONNECT_REASON);
+                cancel.cancel(worker::DISCONNECT_REASON);
             }
             self.admission
                 .disconnected(self.id, index + CONN_BASE, generation);

@@ -49,7 +49,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod admission;
 pub mod api;
 pub mod client;
 pub mod conn;
@@ -61,6 +60,7 @@ pub mod loadgen;
 pub mod metrics;
 pub mod poll;
 mod rendered;
+mod worker;
 
 pub use api::{AppState, RequestTrace, SimulateResponse};
 pub use fault::{FaultConfig, FaultPlan};
