@@ -182,15 +182,13 @@ impl Shard {
         // O(shard) per evicted entry: capacities are small (tens of plans),
         // and a plan computation dwarfs the scan by orders of magnitude.
         while self.entries.len() > capacity {
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
+            let Some(oldest) = self.entries.values().map(|e| e.last_used).min() else {
                 break;
             };
-            self.entries.remove(&oldest);
+            // Stamps are unique within a shard (the clock advances before
+            // every stamp), so this drops exactly the oldest entry without
+            // copying or re-hashing its key.
+            self.entries.retain(|_, e| e.last_used != oldest);
             evicted += 1;
         }
         self.evictions += evicted;
