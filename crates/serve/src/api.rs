@@ -22,9 +22,9 @@
 //! [`HttpResponse`] over shared [`AppState`], so the whole API surface is
 //! testable without sockets. Long-running handlers (sweep, simulate)
 //! observe a per-request [`CancelToken`] between job items: the serving
-//! layer arms it with the request deadline and fires it when every
-//! waiting client disconnects, and a cancelled handler answers a
-//! structured `503` reporting partial progress instead of computing on.
+//! layer arms it with the request deadline and fires it when the client
+//! disconnects, and a cancelled handler answers a structured `503`
+//! reporting partial progress instead of computing on.
 
 use crate::http::{HttpRequest, HttpResponse, ServerConfig};
 use crate::jobs::{JobEntry, JobStore, TenantQuota};
@@ -379,7 +379,7 @@ impl ApiError {
     }
 
     /// The structured error response this failure renders to.
-    pub(crate) fn into_response(self) -> HttpResponse {
+    fn into_response(self) -> HttpResponse {
         HttpResponse::error(self.status, &self.message)
     }
 }
@@ -387,7 +387,7 @@ impl ApiError {
 impl From<arrayflex::ArrayFlexError> for ApiError {
     fn from(e: arrayflex::ArrayFlexError) -> Self {
         // A cancelled run is a server-side abandonment (deadline passed,
-        // every waiter disconnected), not a client error: a structured
+        // client disconnected), not a client error: a structured
         // 503 reporting the partial progress — "run cancelled after k/n
         // items: <reason>" — so a retrying client knows the request was
         // valid and how far it got.
@@ -888,14 +888,9 @@ pub struct SimulateResponse {
     pub tiles: u64,
 }
 
-/// One fully decoded and validated `/v1/simulate` request. Extracted from
-/// the handler so the admission layer's gather window can decode requests
-/// up front, group them by [`SimRequest::batch_key`] and run a whole batch
-/// through `ParallelExecutor` — while the plain handler path stays the
-/// composition of the same two steps, keeping responses byte-identical
-/// whether a request was batched or not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct SimRequest {
+/// One fully decoded and validated `/v1/simulate` request.
+#[derive(Debug)]
+struct SimRequest {
     rows: u32,
     cols: u32,
     k: u32,
@@ -906,16 +901,8 @@ pub(crate) struct SimRequest {
     dataflow: Dataflow,
 }
 
-impl SimRequest {
-    /// Requests sharing this key simulate the same array configuration,
-    /// so one batch can reuse one pooled-array working set.
-    pub(crate) fn batch_key(self) -> (u32, u32, u32, Dataflow) {
-        (self.rows, self.cols, self.k, self.dataflow)
-    }
-}
-
 /// Decodes and validates one simulate request body.
-pub(crate) fn decode_simulate(value: &Value) -> Result<SimRequest, ApiError> {
+fn decode_simulate(value: &Value) -> Result<SimRequest, ApiError> {
     let rows: u32 = decode(value, "rows")?;
     let cols: u32 = decode(value, "cols")?;
     let k: u32 = decode(value, "k")?;
@@ -954,7 +941,7 @@ pub(crate) fn decode_simulate(value: &Value) -> Result<SimRequest, ApiError> {
 /// cancel token is observed between simulated tiles, so an abandoned
 /// simulation stops within one tile (and its pooled array is still
 /// checked back in).
-pub(crate) fn run_simulate(
+fn run_simulate(
     state: &AppState,
     req: SimRequest,
     cancel: &CancelToken,
@@ -983,16 +970,6 @@ pub(crate) fn run_simulate(
     Ok(HttpResponse::json(
         state.sized_json_body(BodyRoute::Simulate, &response),
     ))
-}
-
-/// [`run_simulate`] with errors rendered to their wire responses (the
-/// shape batch workers need).
-pub(crate) fn simulate_response(
-    state: &AppState,
-    req: SimRequest,
-    cancel: &CancelToken,
-) -> HttpResponse {
-    run_simulate(state, req, cancel).unwrap_or_else(ApiError::into_response)
 }
 
 fn simulate(

@@ -2,16 +2,12 @@
 //!
 //! ```text
 //! cargo run --release -p arrayflex-serve --bin serve -- [--addr 127.0.0.1:8080]
-//!     [--threads N] [--loops N] [--gather-window-us N]
-//!     [--cache N] [--max-body BYTES] [--log]
+//!     [--threads N] [--loops N] [--cache N] [--max-body BYTES] [--log]
 //! ```
 //!
 //! The server is a keep-alive event loop: `--loops N` sets the number of
 //! event-loop threads (0 auto-detects) and `--threads N` sizes the
-//! handler worker pool behind them. `--gather-window-us N` turns on
-//! `/v1/simulate` batch admission: the first simulate request of an array
-//! configuration waits up to N microseconds for same-configuration
-//! requests, then the group runs as one pooled batch.
+//! handler worker pool behind them.
 //!
 //! `--cache N` bounds the plan cache at N plans (LRU eviction); `--log`
 //! emits one structured log line per request on stdout.
@@ -52,10 +48,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--addr" => config.addr = value_of("--addr")?,
             "--threads" => config.threads = value_of("--threads")?.parse()?,
             "--loops" => config.event_loops = value_of("--loops")?.parse()?,
-            "--gather-window-us" => {
-                config.gather_window =
-                    std::time::Duration::from_micros(value_of("--gather-window-us")?.parse()?);
-            }
             "--cache" => config.cache_capacity = value_of("--cache")?.parse()?,
             "--max-body" => config.max_body_bytes = value_of("--max-body")?.parse()?,
             "--log" => config.log_requests = true,
@@ -79,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--help" | "-h" => {
                 println!(
                     "usage: serve [--addr HOST:PORT] [--threads N] [--loops N] \
-                     [--gather-window-us N] [--cache N] [--max-body BYTES] [--log] \
+                     [--cache N] [--max-body BYTES] [--log] \
                      [--queue-limit N] [--request-deadline-ms N] [--fault-seed N] \
                      [--job-dir PATH] [--tenant-rate N] [--tenant-burst N] \
                      [--tenant-max-jobs N]"

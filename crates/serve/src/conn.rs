@@ -517,10 +517,9 @@ pub const WRITE_LOW_WATERMARK: usize = 64 * 1024;
 /// fronts keep a cursor so a `WouldBlock` mid-segment resumes where it
 /// stopped.
 ///
-/// Segments come in two flavors: owned byte vectors (response heads,
-/// uncoalesced bodies) and shared [`std::sync::Arc`] bodies, so a
-/// singleflight response fanned out to N waiting connections is queued N
-/// times without copying the bytes N times.
+/// Segments come in two flavors: owned byte vectors (response heads) and
+/// shared [`std::sync::Arc`] bodies, so a response body the rendered
+/// memo also holds is queued without copying its bytes.
 #[derive(Debug, Default)]
 pub struct WriteQueue {
     segments: std::collections::VecDeque<Segment>,
@@ -568,9 +567,9 @@ impl WriteQueue {
         self.segments.push_back(Segment::Owned(bytes));
     }
 
-    /// Queues a shared response body without copying it: coalesced
-    /// responses delivered to many connections all reference one
-    /// allocation.
+    /// Queues a shared response body without copying it: every
+    /// connection a rendered-memo entry is written to references the
+    /// memo's one allocation.
     pub fn push_shared(&mut self, bytes: std::sync::Arc<Vec<u8>>) {
         self.queued_bytes += bytes.len();
         self.segments.push_back(Segment::Shared(bytes));

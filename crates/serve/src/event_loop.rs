@@ -4,9 +4,9 @@
 //! non-blocking connections; loop 0 additionally owns the listener.
 //! Loops do no application work: they read bytes, run the incremental
 //! parser ([`crate::conn::RequestParser`]), and hand complete requests to
-//! a shared handler worker pool as [`Job`]s. Workers route jobs through
-//! [`crate::worker`] (singleflight + gather-window batching) and mail
-//! finished [`Completion`]s back to the owning loop's [`Mailbox`], which
+//! a shared handler worker pool as [`Job`]s. A worker runs each job under
+//! its request's own cancellation token ([`crate::worker`]) and mails the
+//! finished [`Completion`] back to the owning loop's [`Mailbox`], which
 //! wakes the loop through its [`crate::poll::Waker`].
 //!
 //! Per-connection invariants:
@@ -36,11 +36,9 @@ use crate::conn::{
     WriteQueue, TIMER_TICK_MS,
 };
 use crate::fault::{FaultPlan, FaultyPoller};
-use crate::http::{
-    log_line, render_head, resolve_threads, HttpResponse, ServerConfig, RETRY_AFTER_HEADER,
-};
+use crate::http::{log_line, render_head, resolve_threads, HttpResponse, ServerConfig};
 use crate::poll::{self, Event, Interest, Poller};
-use crate::worker::{self, Admission, Completion, Job, SharedResponse};
+use crate::worker::{self, Completion, Job, SharedResponse};
 use gemm::CancelToken;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read};
@@ -163,9 +161,8 @@ struct Conn {
     /// direction; the idle deadline measures from here.
     last_progress_ms: u64,
     /// Cancellation tokens of the connection's in-flight requests, keyed
-    /// by sequence. Fired (and the admission layer notified) if the
-    /// connection closes before the response lands, so abandoned compute
-    /// stops at its next job-item boundary.
+    /// by sequence. Fired if the connection closes before the response
+    /// lands, so abandoned compute stops at its next job-item boundary.
     cancels: BTreeMap<u64, CancelToken>,
 }
 
@@ -201,9 +198,6 @@ struct EventLoop {
     queue_depth: Arc<AtomicUsize>,
     /// `ServerConfig::queue_limit`; `0` disables shedding.
     queue_limit: usize,
-    /// The admission layer, shared with the workers; the loop notifies it
-    /// when a connection with in-flight requests closes.
-    admission: Arc<Admission>,
     /// Active fault-injection plan (`ServerConfig::faults`).
     faults: Option<Arc<FaultPlan>>,
     /// While `Some`, accepting is paused (listener deregistered) until
@@ -221,7 +215,6 @@ pub(crate) fn start(
     listener.set_nonblocking(true)?;
     let nloops = resolve_threads(config.event_loops);
     let nworkers = resolve_threads(config.threads);
-    let admission = Arc::new(Admission::new(config.gather_window));
     let queue_depth = Arc::new(AtomicUsize::new(0));
     let faults = config.faults.clone().map(|fc| {
         let plan = Arc::new(FaultPlan::new(fc));
@@ -247,7 +240,6 @@ pub(crate) fn start(
     let mut threads = Vec::with_capacity(nloops + nworkers);
     for worker in 0..nworkers {
         let state = Arc::clone(&state);
-        let admission = Arc::clone(&admission);
         let sinks = mailboxes.clone();
         let job_rx = Arc::clone(&job_rx);
         let queue_depth = Arc::clone(&queue_depth);
@@ -266,12 +258,12 @@ pub(crate) fn start(
                     };
                     queue_depth.fetch_sub(1, Ordering::Relaxed);
                     // Backstop panic isolation: `handle_job` guards the
-                    // handler calls itself (so waiters get structured
-                    // 500s), but if anything else in the admission path
-                    // panics the worker thread must survive — a dead
+                    // handler call itself (so the client gets a
+                    // structured 500), but if anything else on the worker
+                    // path panics the worker thread must survive — a dead
                     // worker is permanently lost capacity.
                     if catch_unwind(AssertUnwindSafe(|| {
-                        worker::handle_job(&state, &admission, &sinks, job);
+                        worker::handle_job(&state, &sinks, job);
                     }))
                     .is_err()
                     {
@@ -308,7 +300,6 @@ pub(crate) fn start(
             epoch: Instant::now(),
             queue_depth: Arc::clone(&queue_depth),
             queue_limit: config.queue_limit,
-            admission: Arc::clone(&admission),
             faults: faults.clone(),
             accept_resume_at: None,
         };
@@ -664,11 +655,10 @@ impl EventLoop {
                                         )
                                     );
                                 }
-                                let mut response = SharedResponse::from(HttpResponse::error(
+                                let response = SharedResponse::from(HttpResponse::error(
                                     429,
                                     "tenant request quota exceeded, retry after backoff",
                                 ));
-                                response.extra_headers = RETRY_AFTER_HEADER;
                                 conn.pending.insert(
                                     seq,
                                     Delivery {
@@ -792,7 +782,6 @@ impl EventLoop {
                 delivery.response.content_type,
                 delivery.response.body.len(),
                 keep_alive,
-                delivery.response.extra_headers,
             );
             conn.writes.push(head.into_bytes());
             conn.writes.push_shared(Arc::clone(&delivery.response.body));
@@ -895,22 +884,14 @@ impl EventLoop {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        let generation = slot.generation;
         slot.generation += 1;
         self.free.push(index);
         self.live -= 1;
         self.state.metrics().note_connection_closed();
         // The connection died owing responses: fire each in-flight
-        // request's token (stops work only this client waited for) and
-        // let the admission layer decide about shared flights — a
-        // coalesced computation keeps running while any other client
-        // still waits on it.
-        if !conn.cancels.is_empty() {
-            for cancel in conn.cancels.values() {
-                cancel.cancel(worker::DISCONNECT_REASON);
-            }
-            self.admission
-                .disconnected(self.id, index + CONN_BASE, generation);
+        // request's token, so work only this client waited for stops.
+        for cancel in conn.cancels.values() {
+            cancel.cancel(worker::DISCONNECT_REASON);
         }
     }
 }
@@ -953,7 +934,6 @@ fn inline_response(state: &AppState, request: &ParsedRequest) -> Option<SharedRe
                     status: 200,
                     content_type: "application/json",
                     body,
-                    extra_headers: "",
                 },
                 trace,
             )
@@ -982,10 +962,8 @@ fn shed_response(state: &AppState, request: &ParsedRequest) -> SharedResponse {
             log_line(route, 503, Duration::ZERO, api::RequestTrace::default())
         );
     }
-    let mut response = SharedResponse::from(HttpResponse::error(
+    SharedResponse::from(HttpResponse::error(
         503,
         "server overloaded, retry after backoff",
-    ));
-    response.extra_headers = RETRY_AFTER_HEADER;
-    response
+    ))
 }

@@ -41,13 +41,6 @@ pub struct ServerConfig {
     /// [`ServerConfig::threads`] then sizes the handler worker pool the
     /// loops hand parsed requests to.
     pub event_loops: usize,
-    /// Gather window for `/v1/simulate` batch admission: the first
-    /// simulate request of a configuration waits up to this long for
-    /// same-configuration requests to arrive, then the whole group runs
-    /// as one pooled-array batch through `ParallelExecutor`.
-    /// `Duration::ZERO` (the default) disables gathering — sequential
-    /// callers never pay the window as added latency.
-    pub gather_window: Duration,
     /// Bound on the worker job queue (parsed requests dispatched but not
     /// yet picked up). At or beyond this depth new worker-bound requests
     /// are **shed**: answered `503` + `Retry-After` on the loop thread
@@ -105,7 +98,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             log_requests: false,
             event_loops: 1,
-            gather_window: Duration::ZERO,
             queue_limit: 1024,
             request_deadline: None,
             job_dir: None,
@@ -302,20 +294,15 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Extra head lines carried by shed and deadline-expired 503s: the
-/// client should retry, with backoff, after this many seconds.
-pub(crate) const RETRY_AFTER_HEADER: &str = "retry-after: 1\r\n";
-
 /// Renders one response head. The `connection` header is always explicit
-/// so clients never have to apply HTTP-version defaulting rules. `extra`
-/// is zero or more complete `name: value\r\n` lines (e.g.
-/// [`RETRY_AFTER_HEADER`]) spliced in before the terminating CRLF.
+/// so clients never have to apply HTTP-version defaulting rules. Every
+/// 429 and 503 (tenant quota, shed, expired or cancelled work) tells the
+/// client to retry, with backoff, after one second.
 pub(crate) fn render_head(
     status: u16,
     content_type: &str,
     content_length: usize,
     keep_alive: bool,
-    extra: &str,
 ) -> String {
     format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n{}\r\n",
@@ -324,7 +311,11 @@ pub(crate) fn render_head(
         content_type,
         content_length,
         if keep_alive { "keep-alive" } else { "close" },
-        extra,
+        if matches!(status, 429 | 503) {
+            "retry-after: 1\r\n"
+        } else {
+            ""
+        },
     )
 }
 
@@ -367,11 +358,13 @@ mod tests {
         );
     }
 
+    /// Every status the server emits.
+    const EMITTED_STATUSES: [u16; 12] =
+        [200, 202, 400, 404, 405, 409, 413, 429, 431, 500, 501, 503];
+
     #[test]
     fn reason_phrases_cover_every_emitted_status() {
-        for status in [
-            200u16, 202, 400, 404, 405, 409, 413, 429, 431, 500, 501, 503,
-        ] {
+        for status in EMITTED_STATUSES {
             assert_ne!(reason(status), "Unknown", "status {status}");
         }
         assert_eq!(reason(599), "Unknown");
@@ -379,12 +372,12 @@ mod tests {
 
     #[test]
     fn response_heads_are_explicit_about_connection_reuse() {
-        let head = render_head(200, "application/json", 42, true, "");
+        let head = render_head(200, "application/json", 42, true);
         assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
         assert!(head.contains("content-length: 42\r\n"), "{head}");
         assert!(head.contains("connection: keep-alive\r\n"), "{head}");
         assert!(head.ends_with("\r\n\r\n"), "{head}");
-        let head = render_head(501, "application/json", 0, false, "");
+        let head = render_head(501, "application/json", 0, false);
         assert!(
             head.starts_with("HTTP/1.1 501 Not Implemented\r\n"),
             "{head}"
@@ -393,13 +386,13 @@ mod tests {
     }
 
     #[test]
-    fn extra_head_lines_splice_in_before_the_terminator() {
-        let head = render_head(503, "application/json", 7, true, RETRY_AFTER_HEADER);
-        assert!(
-            head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
-            "{head}"
-        );
-        assert!(head.contains("\r\nretry-after: 1\r\n"), "{head}");
-        assert!(head.ends_with("retry-after: 1\r\n\r\n"), "{head}");
+    fn retry_after_marks_exactly_the_429_and_503_heads() {
+        for status in EMITTED_STATUSES {
+            let head = render_head(status, "application/json", 7, true);
+            let lines = head.matches("\r\nretry-after: 1\r\n").count();
+            let expected = usize::from(matches!(status, 429 | 503));
+            assert_eq!(lines, expected, "status {status}: {head}");
+            assert!(head.ends_with("\r\n\r\n"), "{head}");
+        }
     }
 }

@@ -7,10 +7,9 @@
 //! the standard library alone (the build environment has no crates.io
 //! access): a readiness-driven event-loop HTTP/1.1 server with keep-alive
 //! and pipelining (a vendored epoll/poll abstraction in [`poll`], the
-//! per-connection state machine in [`conn`], singleflight and gather-window
-//! batch admission in front of the handlers; configured and started
-//! through [`http`]), JSON request parsing through the vendored
-//! `serde_json` parser, a sharded LRU plan cache
+//! per-connection state machine in [`conn`] and a handler worker pool;
+//! configured and started through [`http`]), JSON request parsing through
+//! the vendored `serde_json` parser, a sharded LRU plan cache
 //! ([`arrayflex::PlanCache`]) fronted by a memo of rendered `/v1/plan`
 //! responses so repeated plans never recompute, request metrics in
 //! Prometheus text format ([`metrics`]), a tiny blocking client

@@ -1087,9 +1087,8 @@ struct ChaosItem {
 }
 
 /// The chaos workload: a few `/v1/plan` bodies (exercising the rendered
-/// memo) and several distinct `/v1/simulate`
-/// bodies (distinct seeds defeat coalescing, so concurrent clients
-/// genuinely pressure the worker queue into shedding). Reference bodies
+/// memo) and several `/v1/simulate` bodies with distinct seeds, whose
+/// simulations pressure the worker queue into shedding. Reference bodies
 /// come from [`api::handle`] against a fresh default server state — the
 /// true no-faults, no-concurrency answer.
 fn chaos_items() -> Vec<ChaosItem> {

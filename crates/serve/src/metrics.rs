@@ -40,11 +40,6 @@ pub struct Metrics {
     open_connections: AtomicU64,
     accept_queue: AtomicU64,
     idle_closed: AtomicU64,
-    /// Singleflight-coalesced requests per coalescable route:
-    /// `[/v1/plan, /v1/sweep, /v1/simulate]`.
-    coalesced: [AtomicU64; COALESCE_ROUTES.len()],
-    sim_batches: AtomicU64,
-    sim_batched_requests: AtomicU64,
     rendered_hits: AtomicU64,
     sheds: Mutex<BTreeMap<String, u64>>,
     panics: AtomicU64,
@@ -68,10 +63,6 @@ pub struct Metrics {
 fn lock_counters<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
-
-/// The routes whose identical concurrent requests the admission layer may
-/// coalesce, in label order.
-pub const COALESCE_ROUTES: [&str; 3] = ["/v1/plan", "/v1/sweep", "/v1/simulate"];
 
 impl Metrics {
     /// Creates empty metrics.
@@ -154,21 +145,13 @@ impl Metrics {
         self.idle_closed.load(Ordering::Relaxed)
     }
 
-    /// Records one request that was coalesced onto another in-flight
-    /// identical request (the leader itself is not counted).
-    pub fn note_coalesced(&self, route: &str) {
-        if let Some(index) = COALESCE_ROUTES.iter().position(|&r| r == route) {
-            self.coalesced[index].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Coalesced requests recorded for one route label.
+    /// Requests coalesced onto an identical in-flight request: always 0.
+    /// The server runs every request on its own, so nothing coalesces;
+    /// the accessor stays because `perfbench` reads it for its
+    /// `admission.coalesced` metric.
     #[must_use]
-    pub fn coalesced(&self, route: &str) -> u64 {
-        COALESCE_ROUTES
-            .iter()
-            .position(|&r| r == route)
-            .map_or(0, |index| self.coalesced[index].load(Ordering::Relaxed))
+    pub fn coalesced(&self, _route: &str) -> u64 {
+        0
     }
 
     /// Records one `/v1/plan` request answered from the rendered-response
@@ -181,21 +164,6 @@ impl Metrics {
     #[must_use]
     pub fn rendered_hits(&self) -> u64 {
         self.rendered_hits.load(Ordering::Relaxed)
-    }
-
-    /// Records one gather-window simulate batch of `size` requests.
-    pub fn note_sim_batch(&self, size: u64) {
-        self.sim_batches.fetch_add(1, Ordering::Relaxed);
-        self.sim_batched_requests.fetch_add(size, Ordering::Relaxed);
-    }
-
-    /// `(batches, batched_requests)` executed by the gather window.
-    #[must_use]
-    pub fn sim_batches(&self) -> (u64, u64) {
-        (
-            self.sim_batches.load(Ordering::Relaxed),
-            self.sim_batched_requests.load(Ordering::Relaxed),
-        )
     }
 
     /// Records one request shed by admission control (answered 503
@@ -483,37 +451,12 @@ impl Metrics {
             "arrayflex_serve_idle_closed_total {}",
             self.idle_closed.load(Ordering::Relaxed)
         );
-        out.push_str("# HELP arrayflex_serve_coalesced_requests_total Requests coalesced onto an identical in-flight computation, by route.\n");
-        out.push_str("# TYPE arrayflex_serve_coalesced_requests_total counter\n");
-        for (index, route) in COALESCE_ROUTES.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "arrayflex_serve_coalesced_requests_total{{route=\"{route}\"}} {}",
-                self.coalesced[index].load(Ordering::Relaxed)
-            );
-        }
         out.push_str("# HELP arrayflex_serve_rendered_hits_total Plan requests answered from the rendered-response memo.\n");
         out.push_str("# TYPE arrayflex_serve_rendered_hits_total counter\n");
         let _ = writeln!(
             out,
             "arrayflex_serve_rendered_hits_total {}",
             self.rendered_hits.load(Ordering::Relaxed)
-        );
-        out.push_str(
-            "# HELP arrayflex_serve_sim_batches_total Gather-window simulate batches executed.\n",
-        );
-        out.push_str("# TYPE arrayflex_serve_sim_batches_total counter\n");
-        let _ = writeln!(
-            out,
-            "arrayflex_serve_sim_batches_total {}",
-            self.sim_batches.load(Ordering::Relaxed)
-        );
-        out.push_str("# HELP arrayflex_serve_sim_batched_requests_total Simulate requests served through gather-window batches.\n");
-        out.push_str("# TYPE arrayflex_serve_sim_batched_requests_total counter\n");
-        let _ = writeln!(
-            out,
-            "arrayflex_serve_sim_batched_requests_total {}",
-            self.sim_batched_requests.load(Ordering::Relaxed)
         );
         out.push_str("# HELP arrayflex_serve_sim_lane_kernel_info Multiply-accumulate lane kernel the simulator runs on this host (avx2 or scalar).\n");
         out.push_str("# TYPE arrayflex_serve_sim_lane_kernel_info gauge\n");
@@ -675,16 +618,8 @@ mod tests {
         assert_eq!(metrics.accept_queue_depth(), 0);
         metrics.note_idle_closed();
         assert_eq!(metrics.idle_closed(), 1);
-        metrics.note_coalesced("/v1/plan");
-        metrics.note_coalesced("/v1/plan");
-        metrics.note_coalesced("/v1/simulate");
-        metrics.note_coalesced("/healthz"); // not coalescable: ignored
-        assert_eq!(metrics.coalesced("/v1/plan"), 2);
-        assert_eq!(metrics.coalesced("/v1/simulate"), 1);
-        assert_eq!(metrics.coalesced("/healthz"), 0);
-        metrics.note_sim_batch(3);
-        metrics.note_sim_batch(1);
-        assert_eq!(metrics.sim_batches(), (2, 4));
+        // Nothing coalesces; the accessor `perfbench` reads stays at 0.
+        assert_eq!(metrics.coalesced("/v1/plan"), 0);
         metrics.note_shed("/v1/plan");
         metrics.note_shed("/v1/plan");
         metrics.note_shed("/v1/simulate");
@@ -730,8 +665,6 @@ mod tests {
         let cache = PlanCache::new(4);
         let text = metrics.render_prometheus(&cache);
         assert!(text.contains("arrayflex_serve_open_connections 1"));
-        assert!(text.contains("arrayflex_serve_coalesced_requests_total{route=\"/v1/plan\"} 2"));
-        assert!(text.contains("arrayflex_serve_sim_batched_requests_total 4"));
         assert!(text.contains("arrayflex_serve_shed_total{route=\"/v1/plan\"} 2"));
         assert!(text.contains("arrayflex_serve_shed_total{route=\"/v1/simulate\"} 1"));
         assert!(text.contains("arrayflex_serve_panics_total 1"));
@@ -782,8 +715,6 @@ mod tests {
         assert!(text.contains("arrayflex_serve_open_connections 0"));
         assert!(text.contains("arrayflex_serve_accept_queue_depth 0"));
         assert!(text.contains("arrayflex_serve_idle_closed_total 0"));
-        assert!(text.contains("arrayflex_serve_sim_batches_total 0"));
-        assert!(text.contains("arrayflex_serve_sim_batched_requests_total 0"));
         assert!(text.contains("arrayflex_serve_rendered_hits_total 0"));
         assert!(text.contains("arrayflex_serve_panics_total 0"));
         assert!(text.contains("arrayflex_serve_deadline_expired_total 0"));
@@ -800,11 +731,6 @@ mod tests {
                 gemm::lanes::kernel()
             )]
         );
-        for route in COALESCE_ROUTES {
-            assert!(text.contains(&format!(
-                "arrayflex_serve_coalesced_requests_total{{route=\"{route}\"}} 0"
-            )));
-        }
         // Every non-comment line is `name{labels} value` or `name value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.rsplitn(2, ' ');

@@ -148,8 +148,8 @@ fn vanished_job_submitters_leave_a_drainable_server() {
 
 #[test]
 fn overload_sheds_with_a_structured_503_and_retry_after() {
-    // One worker, a one-deep queue: concurrent distinct simulate requests
-    // (distinct so singleflight cannot coalesce them) must overflow it.
+    // One worker, a one-deep queue: concurrent simulate requests must
+    // overflow it.
     let handle = serve(ServerConfig {
         threads: 1,
         queue_limit: 1,
@@ -251,6 +251,7 @@ fn a_panicking_handler_is_isolated_to_a_structured_500() {
     .expect("bind loopback");
     let poisoned = client::post_json(handle.addr(), "/__test/panic", "{}").unwrap();
     assert_eq!(poisoned.status, 500);
+    assert_eq!(poisoned.retry_after, None);
     let (code, _) = error_fields(&poisoned.body);
     assert_eq!(code, 500);
     assert!(handle.state().metrics().panics() >= 1);

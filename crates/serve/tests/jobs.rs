@@ -4,8 +4,13 @@
 //! failures, per-tenant token-bucket admission, and disconnect
 //! propagation into the worker queue.
 
+use arrayflex::sa_sim::Dataflow;
+use arrayflex::ArrayFlexModel;
 use arrayflex_serve::client::{self, read_response, ClientResponse, PersistentClient};
 use arrayflex_serve::http::{serve, ServerConfig};
+use arrayflex_serve::SimulateResponse;
+use gemm::rng::SplitMix64;
+use gemm::Matrix;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -248,13 +253,13 @@ fn a_disconnected_queued_request_is_skipped_and_counted() {
     })
     .expect("bind loopback");
 
-    // Occupy the worker with a run of cycle-accurate simulations (the
-    // seeds differ so no two coalesce into one flight) long enough that
-    // the doomed request is still queued when its connection dies. How
-    // long one simulation takes depends on the build profile and the
-    // host, so time it on this server first (the faster of two runs; the
-    // first also warms the server up) and queue enough of them to keep
-    // the worker busy for several times the two 50 ms sleeps below.
+    // Occupy the worker with a run of cycle-accurate simulations long
+    // enough that the doomed request is still queued when its connection
+    // dies. How long one simulation takes depends on the build profile
+    // and the host, so time it on this server first (the faster of two
+    // runs; the first also warms the server up) and queue enough of them
+    // to keep the worker busy for several times the two 50 ms sleeps
+    // below.
     let slow = |seed: usize| {
         format!(r#"{{"rows":32,"cols":32,"k":2,"t":64,"n":128,"m":128,"seed":{seed}}}"#)
     };
@@ -285,29 +290,8 @@ fn a_disconnected_queued_request_is_skipped_and_counted() {
     }
     std::thread::sleep(Duration::from_millis(50));
 
-    // Queue an uncached plan behind it, then abort the connection. A
-    // plain close would only half-close (FIN), which the server honors
-    // by finishing owed work — so pipeline a /healthz first, never read
-    // its (inline, already-written) response, and close with it sitting
-    // unread in the receive buffer: the kernel then answers with RST,
-    // which the loop sees as a dead connection.
-    {
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .write_all(
-                format!(
-                    "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n\
-                     POST /v1/plan HTTP/1.1\r\nhost: t\r\n\
-                     content-type: application/json\r\ncontent-length: {}\r\n\r\n{}",
-                    PLAN_BODY.len(),
-                    PLAN_BODY
-                )
-                .as_bytes(),
-            )
-            .unwrap();
-        stream.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    // Queue an uncached plan behind it, then abort the connection.
+    send_then_reset(handle.addr(), "/v1/plan", PLAN_BODY);
 
     for i in 0..blockers {
         let response = connections[i / PER_CONNECTION].recv().unwrap();
@@ -329,5 +313,87 @@ fn a_disconnected_queued_request_is_skipped_and_counted() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+    handle.shutdown();
+}
+
+/// Sends `path` with `body` behind a pipelined `/healthz`, then drops the
+/// connection with the (inline, already-written) `/healthz` response
+/// unread in its receive buffer. A plain close would only half-close
+/// (FIN), which the server honors by finishing owed work; closing over
+/// unread bytes makes the kernel answer with RST, which the loop sees as
+/// a dead connection.
+fn send_then_reset(addr: SocketAddr, path: &str, body: &str) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(
+            format!(
+                "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n\
+                 POST {path} HTTP/1.1\r\nhost: t\r\n\
+                 content-type: application/json\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len(),
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+}
+
+#[test]
+fn a_disconnecting_client_cancels_only_its_own_request() {
+    // One worker: B's identical request waits behind A's while A
+    // computes.
+    let handle = serve(ServerConfig {
+        threads: 1,
+        event_loops: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+
+    // A 2x2 array runs the 128^3 GEMM as 4096 tiles: about 0.1 s in a
+    // release build, much longer in debug, so B connects, sends and
+    // dies (about 70 ms in) while A is still computing.
+    let (rows, cols, k, t, n, m, seed) = (2, 2, 1, 128, 128, 128, 5);
+    let body =
+        format!(r#"{{"rows":{rows},"cols":{cols},"k":{k},"t":{t},"n":{n},"m":{m},"seed":{seed}}}"#);
+
+    let mut a = PersistentClient::connect(handle.addr()).unwrap();
+    a.send("POST", "/v1/simulate", Some(body.as_bytes()))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    send_then_reset(handle.addr(), "/v1/simulate", &body);
+
+    let response = a.recv().unwrap();
+    assert_eq!(response.status, 200, "{:?}", response.text());
+
+    let model = ArrayFlexModel::new(rows, cols).unwrap();
+    let mut rng = SplitMix64::new(seed);
+    let lhs = Matrix::random(t as usize, n as usize, &mut rng, -64, 63);
+    let rhs = Matrix::random(n as usize, m as usize, &mut rng, -64, 63);
+    let run = model.simulate_gemm(&lhs, &rhs, k).unwrap();
+    let direct = SimulateResponse {
+        rows,
+        cols,
+        k,
+        dataflow: Dataflow::WeightStationary,
+        t,
+        n,
+        m,
+        seed,
+        simulated_cycles: run.stats.total_cycles(),
+        predicted_cycles: run.predicted.cycles,
+        cycles_match: run.cycles_match(),
+        functionally_correct: run.functionally_correct,
+        macs: run.stats.macs,
+        tiles: run.stats.tiles,
+    };
+    assert_eq!(
+        response.body,
+        serde_json::to_string(&direct).unwrap().into_bytes(),
+        "A's response must be byte-identical to the direct library call"
+    );
+    // Only B's own request may have been cancelled by its disconnect.
+    let cancelled = handle.state().metrics().cancelled("disconnect");
+    assert!(cancelled <= 1, "{cancelled} disconnect cancellations");
     handle.shutdown();
 }

@@ -1,6 +1,6 @@
 //! Integration tests of the keep-alive event-loop serving path:
 //! connection reuse, pipelining, idle deadlines, write-queue
-//! backpressure, singleflight coalescing and gather-window batching.
+//! backpressure and concurrent identical requests.
 
 use arrayflex::ArrayFlexModel;
 use arrayflex_serve::client::{self, read_response, PersistentClient};
@@ -139,7 +139,7 @@ fn backpressured_pipeline_drains_in_order_once_the_reader_catches_up() {
 }
 
 #[test]
-fn identical_concurrent_plans_coalesce_to_identical_bytes() {
+fn identical_concurrent_plans_get_identical_bytes() {
     let handle = serve(ServerConfig::default()).expect("bind loopback");
     let addr = handle.addr();
     let expected = direct_plan_bytes();
@@ -161,67 +161,12 @@ fn identical_concurrent_plans_coalesce_to_identical_bytes() {
     for body in &bodies {
         assert_eq!(
             body, &expected,
-            "coalesced responses must be byte-identical"
+            "concurrent responses must be byte-identical"
         );
     }
-    let metrics = handle.state().metrics();
     let cache = handle.state().cache();
-    // Every request either consulted the cache or coalesced onto an
-    // identical in-flight computation — none were dropped or double
-    // counted.
-    assert_eq!(
-        cache.hits() + cache.misses() + metrics.coalesced("/v1/plan"),
-        16
-    );
+    // Every request consulted the cache exactly once — none were dropped
+    // or double counted.
+    assert_eq!(cache.hits() + cache.misses(), 16);
     handle.shutdown();
-}
-
-#[test]
-fn gather_window_batches_are_byte_identical_to_unbatched_serving() {
-    let batched = serve(ServerConfig {
-        gather_window: Duration::from_millis(200),
-        ..ServerConfig::default()
-    })
-    .expect("bind loopback");
-    let plain = serve(ServerConfig::default()).expect("bind loopback");
-
-    // Same array configuration, different operands: batchable together.
-    let bodies = [
-        r#"{"rows":16,"cols":16,"k":2,"t":8,"n":48,"m":24,"seed":7}"#,
-        r#"{"rows":16,"cols":16,"k":2,"t":8,"n":48,"m":24,"seed":8}"#,
-    ];
-    let addr = batched.addr();
-    let results: Vec<Vec<u8>> = std::thread::scope(|scope| {
-        // The collect is what makes the requests concurrent: a lazy
-        // iterator would spawn and join one thread at a time, so the
-        // two requests could never land in one gather window.
-        #[allow(clippy::needless_collect)]
-        let handles: Vec<_> = bodies
-            .iter()
-            .map(|body| {
-                scope.spawn(move || {
-                    client::post_json(addr, "/v1/simulate", body)
-                        .expect("request succeeds")
-                        .body
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (body, result) in bodies.iter().zip(&results) {
-        let reference = client::post_json(plain.addr(), "/v1/simulate", body).unwrap();
-        assert_eq!(reference.status, 200);
-        assert_eq!(
-            result, &reference.body,
-            "batched response must be byte-identical to unbatched"
-        );
-    }
-    let (batches, batched_requests) = batched.state().metrics().sim_batches();
-    assert!(batches >= 1, "at least one gather batch must have run");
-    assert!(
-        batched_requests >= 2,
-        "both simulate requests should have ridden batches, saw {batched_requests}"
-    );
-    plain.shutdown();
-    batched.shutdown();
 }
