@@ -1,11 +1,11 @@
 //! The handler worker pool's unit of work.
 //!
-//! Event loops answer `/healthz` and rendered-memo hits themselves and
-//! hand every other parsed request to a shared pool of worker threads as
-//! a [`Job`]. A worker runs it through [`handle_job`] and mails the
-//! response back to the owning loop's mailbox as a [`Completion`];
-//! request metrics and log lines are recorded here, with each request's
-//! end-to-end latency.
+//! Event loops answer `/healthz`, rendered-memo hits, quota rejections
+//! and sheds themselves, and hand every request that needs computation
+//! to a shared pool of worker threads as a [`Job`]. A worker runs it
+//! through [`handle_job`] and mails the response back to the owning
+//! loop's mailbox as a [`Completion`]; request metrics and log lines are
+//! recorded here, with each request's end-to-end latency.
 //!
 //! **Cancellation.** Every job carries its request's own [`CancelToken`],
 //! armed with the request deadline at dispatch; the event loop fires it
