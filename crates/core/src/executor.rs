@@ -9,7 +9,7 @@
 
 use crate::error::ArrayFlexError;
 use crate::model::{ArrayFlexModel, LayerExecution};
-use gemm::{multiply, GemmDims, Matrix};
+use gemm::{multiply, CancelToken, GemmDims, Matrix};
 use sa_sim::{ArrayPool, RunStats, Simulator};
 
 /// Result of executing a GEMM on the cycle-accurate simulator alongside the
@@ -114,26 +114,15 @@ impl ArrayFlexModel {
         k: u32,
         threads: usize,
     ) -> Result<SimulatedExecution, ArrayFlexError> {
-        let dims = GemmDims::new(b.cols() as u64, a.cols() as u64, a.rows() as u64);
-        let predicted = self.execute_arrayflex(dims, k)?;
-        let simulator = Simulator::new(self.array_config(k))?.threads(threads);
-        let run = simulator.run_gemm_pooled(pool, a, b)?;
-        let reference = multiply(a, b)?;
-        let functionally_correct = run.output == reference;
-        Ok(SimulatedExecution {
-            output: run.output,
-            stats: run.stats,
-            predicted,
-            functionally_correct,
-        })
+        self.simulate_gemm_cancellable(pool, a, b, k, threads, &CancelToken::new())
     }
 
-    /// [`ArrayFlexModel::simulate_gemm_pooled`] polling a
-    /// [`CancelToken`](gemm::CancelToken) between tiles, so a serving layer
-    /// can stop an abandoned or deadline-expired simulation within one tile
-    /// boundary. Pooled arrays are checked back in inside each tile job, so
-    /// cancellation never leaks pool slots; an uncancelled run is
-    /// bit-identical to the plain pooled call.
+    /// [`ArrayFlexModel::simulate_gemm_pooled`] polling a [`CancelToken`]
+    /// between tiles, so a serving layer can stop an abandoned or
+    /// deadline-expired simulation within one tile boundary. Pooled arrays
+    /// are checked back in inside each tile job, so cancellation never
+    /// leaks pool slots; an uncancelled run is bit-identical to the plain
+    /// pooled call.
     ///
     /// # Errors
     ///
@@ -147,7 +136,7 @@ impl ArrayFlexModel {
         b: &Matrix<i32>,
         k: u32,
         threads: usize,
-        token: &gemm::CancelToken,
+        token: &CancelToken,
     ) -> Result<SimulatedExecution, ArrayFlexError> {
         let dims = GemmDims::new(b.cols() as u64, a.cols() as u64, a.rows() as u64);
         let predicted = self.execute_arrayflex(dims, k)?;

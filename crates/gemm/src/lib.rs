@@ -63,7 +63,7 @@ pub use matrix::{accumulate, multiply, multiply_into, Matrix};
 pub use parallel::ParallelExecutor;
 pub use problem::GemmDims;
 pub use quantize::QuantParams;
-pub use tiling::{tiled_multiply, tiled_multiply_with, Tile, TileGrid};
+pub use tiling::{tiled_multiply, Tile, TileGrid};
 pub use workload::{DimBounds, GemmWorkload, WorkloadGenerator};
 
 #[cfg(test)]

@@ -84,9 +84,10 @@ impl ParallelExecutor {
     /// Runs `f` over every item and returns the results **in item order**.
     ///
     /// In serial mode this is exactly `items.into_iter().map(f).collect()`.
-    /// Otherwise `min(threads, items)` scoped workers drain a shared job
-    /// queue; each result is routed back to the slot of the item that
-    /// produced it, so the output is independent of scheduling.
+    /// Otherwise it is [`ParallelExecutor::run_cancellable`] with a token
+    /// nothing can fire: `min(threads, items)` scoped workers drain a
+    /// shared job queue, and each result is routed back to the slot of the
+    /// item that produced it, so the output is independent of scheduling.
     ///
     /// # Panics
     ///
@@ -98,42 +99,11 @@ impl ParallelExecutor {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        let jobs = items.len();
-        if self.is_serial() || jobs <= 1 {
+        if self.is_serial() || items.len() <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let queue = Mutex::new(items.into_iter().enumerate());
-        let (sender, receiver) = mpsc::channel::<(usize, R)>();
-        let workers = self.threads.min(jobs);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(jobs);
-        slots.resize_with(jobs, || None);
-        thread::scope(|scope| {
-            let queue = &queue;
-            let f = &f;
-            for _ in 0..workers {
-                let sender = sender.clone();
-                scope.spawn(move || loop {
-                    // Hold the queue lock only while popping, never while
-                    // running the job.
-                    let job = queue.lock().expect("job queue poisoned").next();
-                    let Some((index, item)) = job else { break };
-                    if sender.send((index, f(item))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(sender);
-            // The receive loop ends when the last worker drops its sender,
-            // including when a worker panicked mid-run (its sender is
-            // dropped during unwinding, and the scope re-raises the panic).
-            for (index, result) in receiver {
-                slots[index] = Some(result);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every sharded job reports exactly one result"))
-            .collect()
+        self.run_cancellable(items, &CancelToken::new(), f)
+            .expect("a token no one else holds never fires")
     }
 
     /// Runs a fallible `f` over every item, collecting either all results
@@ -210,7 +180,8 @@ impl ParallelExecutor {
                 scope.spawn(move || loop {
                     // The token check sits before the pop: a fired token
                     // stops every worker at its next item boundary while
-                    // in-flight items run to completion.
+                    // in-flight items run to completion. The queue lock is
+                    // held only while popping, never while running the job.
                     if token.is_cancelled() {
                         break;
                     }
@@ -222,6 +193,9 @@ impl ParallelExecutor {
                 });
             }
             drop(sender);
+            // The receive loop ends when the last worker drops its sender,
+            // including when a worker panicked mid-run (its sender is
+            // dropped during unwinding, and the scope re-raises the panic).
             for (index, result) in receiver {
                 slots[index] = Some(result);
                 completed += 1;

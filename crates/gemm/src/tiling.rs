@@ -43,10 +43,6 @@ impl Tile {
     /// Extracts this tile's operand slices from the full matrices,
     /// zero-padded at the edges to the array size: the `T x R` slice of `A`
     /// and the `R x C` slice of `B` a tile-level kernel consumes.
-    ///
-    /// Both the serial tiled GEMM ([`tiled_multiply_with`]) and the
-    /// tile-parallel simulator path share this extraction, so the two can
-    /// never drift apart.
     #[must_use]
     pub fn padded_operands(
         &self,
@@ -75,8 +71,7 @@ impl Tile {
     ///
     /// The accumulation wraps, as the array's adders do. Wrapping addition
     /// is associative and commutative, so accumulating tiles in any order
-    /// produces identical results — the property the tile-parallel
-    /// simulator relies on.
+    /// produces identical results.
     pub fn accumulate_partial(&self, out: &mut Matrix<i64>, partial: &Matrix<i64>) {
         let m_range = self.m_range.start as usize..self.m_range.end as usize;
         for t in 0..out.rows() {
@@ -190,48 +185,9 @@ impl TileGrid {
     }
 }
 
-/// Executes a tiled GEMM, delegating each tile-level multiplication to a
-/// caller-supplied kernel.
-///
-/// The kernel receives the `T x R` slice of `A` and the `R x C` slice of `B`
-/// for one tile (zero-padded at the edges to the full array size) and must
-/// return the `T x C` partial product. This is the hook through which the
-/// cycle-accurate systolic-array simulator executes whole-layer GEMMs; the
-/// default kernel is simply the reference [`multiply`].
-///
-/// # Errors
-///
-/// Returns dimension errors from tiling or accumulation, or any error the
-/// kernel reports.
-pub fn tiled_multiply_with<E, F>(
-    a: &Matrix<i32>,
-    b: &Matrix<i32>,
-    array_rows: u32,
-    array_cols: u32,
-    mut kernel: F,
-) -> Result<Matrix<i64>, E>
-where
-    E: From<GemmError>,
-    F: FnMut(&Tile, &Matrix<i32>, &Matrix<i32>) -> Result<Matrix<i64>, E>,
-{
-    let dims = GemmDims::new(b.cols() as u64, a.cols() as u64, a.rows() as u64);
-    if a.cols() != b.rows() {
-        return Err(E::from(GemmError::IncompatibleDimensions {
-            left_cols: a.cols(),
-            right_rows: b.rows(),
-        }));
-    }
-    let grid = TileGrid::new(dims, array_rows, array_cols)?;
-    let mut out = Matrix::<i64>::zeros(a.rows(), b.cols());
-    for tile in grid.iter() {
-        let (a_sub, b_sub) = tile.padded_operands(a, b, array_rows, array_cols);
-        let partial = kernel(&tile, &a_sub, &b_sub)?;
-        tile.accumulate_partial(&mut out, &partial);
-    }
-    Ok(out)
-}
-
-/// Tiled GEMM using the reference per-tile kernel. Produces exactly the same
+/// The reference tiled GEMM: walks the weight-stationary tile grid, multiplies
+/// each tile's zero-padded `T x R` slice of `A` by its `R x C` slice of `B`
+/// with [`multiply`] and accumulates the partials. Produces exactly the same
 /// result as [`multiply`], which is what the tests assert.
 ///
 /// # Errors
@@ -243,9 +199,20 @@ pub fn tiled_multiply(
     array_rows: u32,
     array_cols: u32,
 ) -> Result<Matrix<i64>, GemmError> {
-    tiled_multiply_with(a, b, array_rows, array_cols, |_, a_sub, b_sub| {
-        multiply(a_sub, b_sub)
-    })
+    let dims = GemmDims::new(b.cols() as u64, a.cols() as u64, a.rows() as u64);
+    if a.cols() != b.rows() {
+        return Err(GemmError::IncompatibleDimensions {
+            left_cols: a.cols(),
+            right_rows: b.rows(),
+        });
+    }
+    let grid = TileGrid::new(dims, array_rows, array_cols)?;
+    let mut out = Matrix::<i64>::zeros(a.rows(), b.cols());
+    for tile in grid.iter() {
+        let (a_sub, b_sub) = tile.padded_operands(a, b, array_rows, array_cols);
+        tile.accumulate_partial(&mut out, &multiply(&a_sub, &b_sub)?);
+    }
+    Ok(out)
 }
 
 /// Verifies that `accumulate` composes with tiling: exposed mainly for the
@@ -349,17 +316,19 @@ mod tests {
         let mut rng = SplitMix64::new(7);
         let a = Matrix::random(3, 10, &mut rng, -5, 5);
         let b = Matrix::random(10, 6, &mut rng, -5, 5);
+        let grid = TileGrid::new(GemmDims::new(6, 10, 3), 8, 8).unwrap();
         let mut seen = 0u32;
-        let result = tiled_multiply_with::<GemmError, _>(&a, &b, 8, 8, |tile, a_sub, b_sub| {
+        let mut result = Matrix::<i64>::zeros(3, 6);
+        for tile in grid.iter() {
+            let (a_sub, b_sub) = tile.padded_operands(&a, &b, 8, 8);
             seen += 1;
             assert_eq!(a_sub.rows(), 3);
             assert_eq!(a_sub.cols(), 8);
             assert_eq!(b_sub.rows(), 8);
             assert_eq!(b_sub.cols(), 8);
             assert!(tile.n_len() <= 8 && tile.m_len() <= 8);
-            multiply(a_sub, b_sub)
-        })
-        .unwrap();
+            tile.accumulate_partial(&mut result, &multiply(&a_sub, &b_sub).unwrap());
+        }
         assert_eq!(seen, 2); // ceil(10/8) * ceil(6/8) = 2 x 1
         assert_eq!(result, multiply(&a, &b).unwrap());
     }

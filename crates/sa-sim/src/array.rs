@@ -198,10 +198,10 @@ impl SystolicArray {
     /// exception: the stationary weight buffer keeps its previous contents
     /// (still visible through [`SystolicArray::pe`]) until the next
     /// [`SystolicArray::load_weights`] — which must happen before the
-    /// array can step again — overwrites it. The tile loops of
-    /// [`Simulator`](crate::Simulator) reuse one array across all tiles
-    /// of a GEMM through this method instead of constructing and dropping
-    /// one per tile.
+    /// array can step again — overwrites it. The tile loop of
+    /// [`Simulator`](crate::Simulator) reuses pooled arrays across the
+    /// tiles of a GEMM through this method instead of constructing and
+    /// dropping one per tile.
     pub fn reset_for_tile(&mut self) {
         self.clear_pipelines();
         self.weights_loaded = false;
@@ -525,8 +525,8 @@ impl SystolicArray {
 
     /// Advances the array by `cycles` compute clock cycles
     /// (`first_cycle..first_cycle + cycles` in the feeder's and
-    /// collector's schedule), the multi-cycle entry point the tile loops
-    /// of [`Simulator`](crate::Simulator) drive.
+    /// collector's schedule), the multi-cycle entry point the tile loop
+    /// of [`Simulator`](crate::Simulator) drives.
     ///
     /// Semantically this is exactly `cycles` calls to
     /// [`SystolicArray::step_into`] with

@@ -1,6 +1,6 @@
 //! The dataflow-generic tile engine.
 //!
-//! [`TileEngine`] is the unit the tile loops of
+//! [`TileEngine`] is the unit the tile loop of
 //! [`Simulator`](crate::Simulator) and the [`ArrayPool`](crate::ArrayPool)
 //! work with: an array of either dataflow — the weight-stationary
 //! [`SystolicArray`] or the output-stationary [`OutputStationaryArray`] —

@@ -138,7 +138,7 @@ impl<'a> InputFeeder<'a> {
 
     /// Writes the west-edge operands for the given compute cycle into a
     /// caller-provided buffer (one slot per SA row), the allocation-free
-    /// form of [`InputFeeder::west_inputs`] used by the tile loops.
+    /// form of [`InputFeeder::west_inputs`] used by the tile loop.
     ///
     /// # Panics
     ///

@@ -276,8 +276,8 @@ impl OutputStationaryArray {
 
     /// Advances the array by `cycles` compute clock cycles
     /// (`first_cycle..first_cycle + cycles` in the feeders' and collector's
-    /// schedule) — the multi-cycle entry point the tile loops of
-    /// [`Simulator`](crate::Simulator) drive.
+    /// schedule) — the multi-cycle entry point the tile loop of
+    /// [`Simulator`](crate::Simulator) drives.
     ///
     /// Semantically this is `cycles` calls to
     /// [`OutputStationaryArray::step`] with the two feeders' scheduled
