@@ -599,54 +599,17 @@ impl WriteQueue {
         self.queued_bytes <= WRITE_LOW_WATERMARK
     }
 
-    /// Writes as much queued data as `sink` accepts. `WouldBlock` (and
-    /// `Interrupted`) stop the flush without error; other I/O errors
-    /// propagate (the connection is then closed by the caller).
+    /// Writes as much queued data as `sink` accepts, gathering up to
+    /// [`MAX_IOV_SEGMENTS`] segments into one vectored write per syscall —
+    /// a pipelined burst of head+body pairs drains in one `writev` instead
+    /// of one `write` per segment. `WouldBlock` (and `Interrupted`) stop
+    /// the flush without error; other I/O errors propagate (the connection
+    /// is then closed by the caller).
     ///
     /// # Errors
     ///
     /// Returns any I/O error other than `WouldBlock` / `Interrupted`.
     pub fn flush_into(&mut self, sink: &mut impl std::io::Write) -> std::io::Result<FlushProgress> {
-        let mut wrote_any = false;
-        while let Some(front) = self.segments.front() {
-            let pending = &front.bytes()[self.front_written..];
-            match sink.write(pending) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    ))
-                }
-                Ok(n) => {
-                    wrote_any = true;
-                    self.advance(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    return Ok(if wrote_any {
-                        FlushProgress::Partial
-                    } else {
-                        FlushProgress::Blocked
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(FlushProgress::Drained)
-    }
-
-    /// Like [`WriteQueue::flush_into`], but gathers up to
-    /// [`MAX_IOV_SEGMENTS`] segments into one vectored write per syscall —
-    /// a pipelined burst of head+body pairs drains in one `writev` instead
-    /// of one `write` per segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error other than `WouldBlock` / `Interrupted`.
-    pub fn flush_into_vectored(
-        &mut self,
-        sink: &mut impl std::io::Write,
-    ) -> std::io::Result<FlushProgress> {
         let mut wrote_any = false;
         while !self.segments.is_empty() {
             let mut slices: Vec<std::io::IoSlice<'_>> =
@@ -1167,7 +1130,7 @@ mod tests {
             out: Vec::new(),
             per_call: 7,
         };
-        while queue.flush_into_vectored(&mut sink).unwrap() != FlushProgress::Drained {}
+        while queue.flush_into(&mut sink).unwrap() != FlushProgress::Drained {}
         assert_eq!(sink.out, expected);
         assert!(queue.is_empty());
         assert_eq!(queue.queued_bytes(), 0);

@@ -790,7 +790,7 @@ impl EventLoop {
         // --- flush ---
         if !conn.writes.is_empty() {
             let mut sink = FaultyStream::new(&conn.stream, self.faults.as_deref());
-            match conn.writes.flush_into_vectored(&mut sink) {
+            match conn.writes.flush_into(&mut sink) {
                 Ok(FlushProgress::Drained | FlushProgress::Partial) => {
                     conn.last_progress_ms = now;
                 }

@@ -12,8 +12,8 @@
 //!   wrappers (`epoll_create1` / `epoll_ctl` / `epoll_wait`), O(ready)
 //!   per poll. Used by default on Linux.
 //! * [`PollFallback`] — portable `poll(2)`, O(registered) per poll. Used
-//!   on non-Linux targets and when `ARRAYFLEX_FORCE_POLL=1` is set (the
-//!   test suite exercises both backends through the same trait).
+//!   on non-Linux targets (the test suite exercises both backends through
+//!   the same trait).
 //!
 //! Both backends are **level-triggered**: a descriptor with unread bytes
 //! (or writable space) is reported again on every poll until the
@@ -101,17 +101,13 @@ pub trait Poller: Send {
     fn poll(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
 }
 
-/// Builds the preferred poller for this platform: epoll on Linux, the
-/// portable `poll(2)` fallback elsewhere or when `ARRAYFLEX_FORCE_POLL=1`
-/// is set.
+/// Builds the poller for this platform: epoll on Linux, the portable
+/// `poll(2)` fallback elsewhere.
 ///
 /// # Errors
 ///
 /// Propagates the epoll-instance creation failure.
 pub fn new_poller() -> io::Result<Box<dyn Poller>> {
-    if std::env::var_os("ARRAYFLEX_FORCE_POLL").is_some_and(|v| v == "1") {
-        return Ok(Box::new(PollFallback::new()));
-    }
     #[cfg(target_os = "linux")]
     {
         Ok(Box::new(EpollPoller::new()?))
