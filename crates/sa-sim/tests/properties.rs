@@ -3,7 +3,7 @@
 use gemm::rng::SplitMix64;
 use gemm::{multiply, CancelToken, Matrix, ParallelExecutor};
 use proptest::prelude::*;
-use sa_sim::{ArrayConfig, ArrayPool, CarrySaveValue, SimError, Simulator};
+use sa_sim::{ArrayConfig, ArrayPool, CarrySaveValue, Dataflow, SimError, Simulator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 proptest! {
@@ -108,7 +108,8 @@ proptest! {
     /// Cooperative cancellation never leaks a pooled array and never
     /// poisons the executor: wherever the token fires, every checked-out
     /// array goes back into the pool, and the same pool and simulator
-    /// then reproduce the uncancelled result bit for bit.
+    /// then reproduce the uncancelled result bit for bit. Both dataflows
+    /// run the same tile loop, so both are drawn.
     #[test]
     fn cancellation_leaves_the_pool_whole_and_the_simulator_reusable(
         threads in 1usize..=3,
@@ -116,9 +117,17 @@ proptest! {
         m in 8usize..=16,
         t in 1usize..=6,
         cancel_at in 0usize..24,
+        output_stationary in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let config = ArrayConfig::new(4, 4).with_collapse_depth(2);
+        let dataflow = if output_stationary {
+            Dataflow::OutputStationary
+        } else {
+            Dataflow::WeightStationary
+        };
+        let config = ArrayConfig::new(4, 4)
+            .with_collapse_depth(2)
+            .with_dataflow(dataflow);
         let mut rng = SplitMix64::new(seed);
         let a = Matrix::random(t, n, &mut rng, -100, 100);
         let b = Matrix::random(n, m, &mut rng, -100, 100);
