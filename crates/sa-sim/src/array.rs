@@ -16,14 +16,24 @@
 //! depth `k`, the horizontal (operand) pipeline has one register per
 //! (row, column block) and the vertical (partial-sum) pipeline one per
 //! (row block, column). The horizontal pipeline is a pure shift register,
-//! so no operand moves once staged: it is stored per row in k-expanded,
-//! mirrored lanes (`soa::RowLanes`, shared with the output-stationary `A`
-//! pipeline), so the operands one PE row sees in a cycle are one
-//! contiguous slice indexed by array column, and column block `cb` reads
-//! the stage from `cb` cycles ago. Partial sums live in a flat
-//! row-block-major buffer with packed `u64` validity bitsets (one
-//! word-aligned segment per row block), and the stationary weights in one
-//! row-major buffer.
+//! so no operand moves once it enters the west edge. Its registers live in
+//! one of two stores, laid out so that the operands one PE row sees in a
+//! cycle are one contiguous slice indexed by array column:
+//!
+//! * while a feeder stream runs on the analytic kernel, in the tile's
+//!   **row streams** (`soa::RowStreams`, shared with the output-stationary
+//!   `A` pipeline): every row's whole skewed stream, built once at cycle 0
+//!   straight from the operand matrix, reversed in time and k-expanded, so
+//!   a cycle's registers are a window that slides one stage per cycle;
+//! * otherwise in k-expanded, mirrored **row lanes** (`soa::RowLanes`),
+//!   into which the naive scan stages each cycle's west edge, with
+//!   validity bits; column block `cb` reads the stage from `cb` cycles ago.
+//!
+//! Whenever a stream hands over to the naive scan, the registers its
+//! streams stand for are restaged into the row lanes first. Partial sums
+//! live in a flat row-block-major buffer with packed `u64` validity
+//! bitsets (one word-aligned segment per row block), and the stationary
+//! weights in one row-major buffer.
 //!
 //! # Kernels
 //!
@@ -33,17 +43,17 @@
 //!   Under the feeder schedule, row block `rb` is fed by column block `cb`
 //!   exactly during cycles `rb + cb ..= rb + cb + T - 1`, always with its
 //!   full row range, so each active row block sweeps its rows over one
-//!   contiguous column range with one [`lanes::mac`] per block row. The
-//!   kernel applies only while the operands in flight are provably that
-//!   schedule from a clean pipeline, which a purity guard tracks: it
-//!   records the stream length and the next expected cycle,
-//!   `reset_for_tile` and `load_weights` make it clean again, and
-//!   `step_into` poisons it;
-//! * the **naive scan**, which evaluates the carry-save chain of every
-//!   pipeline block of every column. It runs for
-//!   [`SystolicArray::step_into`], and `run_cycles` calls the guard
-//!   rejects (a different stream length, a skipped or repeated cycle,
-//!   anything after `step_into`) loop over `step_into`.
+//!   contiguous column range with one [`lanes::mac`] per block row, reading
+//!   its operands from the row streams. The kernel applies only while the
+//!   operands in flight are provably that schedule from a clean pipeline,
+//!   which a purity guard tracks: it records the stream length and the
+//!   next expected cycle, `reset_for_tile` and `load_weights` make it
+//!   clean again, and `step_into` poisons it;
+//! * the **naive scan**, which stages the west edge into the row lanes and
+//!   evaluates the carry-save chain of every pipeline block of every
+//!   column. It runs for [`SystolicArray::step_into`], and `run_cycles`
+//!   calls the guard rejects (a different stream length, a skipped or
+//!   repeated cycle, anything after `step_into`) loop over `step_into`.
 //!
 //! Both kernels leave bit-identical outputs and statistics, which the
 //! differential suites check cycle for cycle against an array-of-structs
@@ -56,7 +66,9 @@ use crate::config::ArrayConfig;
 use crate::dataflow::{InputFeeder, OutputCollector};
 use crate::error::SimError;
 use crate::pe::ProcessingElement;
-use crate::soa::{get_bit, set_bit, set_range, words_for, RowLanes, StreamPurity};
+use crate::soa::{
+    get_bit, set_bit, set_range, words_for, RowLanes, RowStreams, StreamPurity, TileOperand,
+};
 use crate::stats::RunStats;
 use gemm::{lanes, Matrix};
 
@@ -86,12 +98,17 @@ pub struct SystolicArray {
     /// wavefront kernel reads one contiguous lane of weights per block row.
     weights: Vec<i32>,
     /// Horizontal (operand) pipeline registers, one per (row, column
-    /// block), with their validity: the staged west edge of cycle `c` is
-    /// written once and column block `cb` *reads* the stage from `cb`
-    /// cycles ago, so no operand moves. Invalid operands are always stored
-    /// as zero — which is what keeps the branch-free wavefront panels and
-    /// the carry-save chains exact.
+    /// block), with their validity, as the naive scan stages them: the
+    /// west edge of cycle `c` is written once and column block `cb`
+    /// *reads* the stage from `cb` cycles ago, so no operand moves.
+    /// Invalid operands are always stored as zero — which is what keeps
+    /// the carry-save chains exact. Only the naive scan reads them, so a
+    /// clean pipeline clears them when the naive scan first runs.
     h_lanes: RowLanes,
+    /// The horizontal pipeline registers while the purity guard tracks a
+    /// feeder stream: that stream's row streams, built when it started.
+    /// Dropped whenever the pipelines are cleared.
+    streams: Option<RowStreams>,
     /// Vertical (partial-sum) pipeline registers, one per (row block,
     /// column), row-block-major (`rb * cols + col`).
     v_regs: Vec<i64>,
@@ -133,6 +150,7 @@ impl SystolicArray {
             config,
             weights: vec![0; rows * cols],
             h_lanes: RowLanes::new(rows, cols, config.collapse_depth as usize),
+            streams: None,
             v_regs: vec![0; row_blocks * cols],
             v_next: vec![0; row_blocks * cols],
             v_valid: vec![0; row_blocks * vw],
@@ -209,7 +227,12 @@ impl SystolicArray {
     }
 
     fn clear_pipelines(&mut self) {
-        self.h_lanes.clear();
+        // Only a cycle leaves the guard anything but clean, so a clean
+        // pipeline holds nothing to clear.
+        if self.purity == StreamPurity::Clean {
+            return;
+        }
+        self.streams = None;
         self.v_regs.fill(0);
         self.v_valid.fill(0);
         self.purity = StreamPurity::Clean;
@@ -241,6 +264,11 @@ impl SystolicArray {
     /// Returns [`SimError::DimensionMismatch`] if the weight matrix does not
     /// match the array dimensions.
     pub fn load_weights(&mut self, weights: &Matrix<i32>) -> Result<(), SimError> {
+        self.load_tile_weights(TileOperand::whole(weights))
+    }
+
+    /// [`SystolicArray::load_weights`] for a weight block read in place.
+    pub(crate) fn load_tile_weights(&mut self, weights: TileOperand<'_>) -> Result<(), SimError> {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         if weights.rows() != rows || weights.cols() != cols {
@@ -257,7 +285,7 @@ impl SystolicArray {
             // One row of weights enters the array per cycle; the
             // configuration bits ride along and are implied by the block
             // structure (see `SystolicArray::pe`).
-            self.weights[row * cols..(row + 1) * cols].copy_from_slice(weights.row(row));
+            weights.copy_row(row, 0, &mut self.weights[row * cols..(row + 1) * cols]);
             self.stats.load_cycles += 1;
         }
         self.weights_loaded = true;
@@ -277,7 +305,9 @@ impl SystolicArray {
     ///
     /// The cycle runs the naive scan, and the arbitrary operands it stages
     /// keep later [`SystolicArray::run_cycles`] calls on the per-cycle
-    /// fallback until the pipelines are cleared.
+    /// fallback until the pipelines are cleared. A stream `run_cycles` left
+    /// on the analytic kernel continues from exactly the registers it
+    /// left.
     ///
     /// # Errors
     ///
@@ -311,7 +341,7 @@ impl SystolicArray {
             });
         }
 
-        self.purity = StreamPurity::Poisoned;
+        self.settle();
         let macs = self.cycle_naive(west_inputs, south_outputs);
         self.commit_cycle_stats(macs);
         Ok(())
@@ -333,9 +363,10 @@ impl SystolicArray {
     }
 
     /// One cycle of the **analytic wavefront kernel** for a pure feeder
-    /// stream. Returns the MAC count of the cycle and the column range
-    /// that registered a result at the south edge, if any; the results
-    /// themselves stay in the last row block's registers.
+    /// stream of length `t`, reading the operand registers from the
+    /// stream's row streams. Returns the MAC count of the cycle and the
+    /// column range that registered a result at the south edge, if any;
+    /// the results themselves stay in the last row block's registers.
     ///
     /// When every operand in flight followed one deterministic feeder
     /// schedule from a clean pipeline (tracked by [`StreamPurity`]), the
@@ -346,11 +377,12 @@ impl SystolicArray {
     /// block** over its contiguous active column range — one contiguous
     /// `i64` partial-sum panel in `v_next` seeded from the previous row
     /// block's lane, then one [`lanes::mac`] per block row over it, the
-    /// row's contiguous row-major weight lane and its operand lane, and one
-    /// validity range-set per row block.
+    /// row's contiguous row-major weight lane and its stream window, and
+    /// one validity range-set per row block.
     fn cycle_wavefront(
         &mut self,
-        feeder: &InputFeeder<'_>,
+        streams: &RowStreams,
+        t: u64,
         cycle: u64,
     ) -> (u64, Option<(u32, u32)>) {
         let rows = self.config.rows as usize;
@@ -359,13 +391,8 @@ impl SystolicArray {
         let row_blocks = self.config.row_blocks() as usize;
         let col_blocks = self.config.col_blocks() as usize;
 
-        self.h_lanes
-            .stage_feeder(feeder.active_rows(cycle).is_none(), |values| {
-                feeder.stage_values_into(cycle, values)
-            });
         self.v_valid_next.fill(0);
-
-        let t = feeder.stream_length() as i64;
+        let t = t as i64;
         let c = i64::try_from(cycle).expect("cycle fits i64");
         let cb_max = col_blocks as i64 - 1;
         let rb_lo = (c - cb_max - (t - 1)).max(0);
@@ -397,14 +424,10 @@ impl SystolicArray {
                 panel.copy_from_slice(&self.v_regs[src + col_lo..=src + col_hi]);
             }
             for row in r0..r1 {
-                debug_assert!(
-                    (cb_lo..=cb_hi).all(|cb| self.h_lanes.is_valid(row, cb)),
-                    "misaligned operand wavefront at cycle {cycle}, row {row}"
-                );
                 lanes::mac(
                     panel,
                     &self.weights[row * cols + col_lo..=row * cols + col_hi],
-                    &self.h_lanes.operands(row, cols)[col_lo..=col_hi],
+                    &streams.window(row, cycle)[col_lo..=col_hi],
                 );
             }
             set_range(
@@ -419,6 +442,21 @@ impl SystolicArray {
         std::mem::swap(&mut self.v_regs, &mut self.v_next);
         std::mem::swap(&mut self.v_valid, &mut self.v_valid_next);
         (macs, produced)
+    }
+
+    /// Leaves the analytic kernel for good until the pipelines are
+    /// cleared, handing the horizontal registers to the row lanes the
+    /// naive scan reads: restaged exactly as a tracked stream's row
+    /// streams hold them, or cleared on a clean pipeline.
+    fn settle(&mut self) {
+        match (self.purity, self.streams.take()) {
+            (StreamPurity::Tracked { next, .. }, Some(streams)) => {
+                streams.restage(&mut self.h_lanes, next);
+            }
+            (StreamPurity::Clean, _) => self.h_lanes.clear(),
+            _ => {}
+        }
+        self.purity = StreamPurity::Poisoned;
     }
 
     /// One naive-scan cycle: stages the west edge, then evaluates the
@@ -541,8 +579,11 @@ impl SystolicArray {
     /// analytic wavefront kernel with the per-cycle overhead hoisted out
     /// of the loop:
     ///
-    /// * west operands are staged straight from the streamed matrix into
-    ///   the row lanes — no `Option<i32>` staging buffer;
+    /// * the west operands are never staged per cycle: the call that
+    ///   starts the stream builds its row streams once, straight from the
+    ///   streamed matrix, and each cycle reads its operand registers as a
+    ///   window of them (a call that continues the stream refills only
+    ///   the edges still to come, from its own feeder);
     /// * south results are harvested through
     ///   [`OutputCollector::collect_produced`] as one produced column
     ///   range;
@@ -554,7 +595,8 @@ impl SystolicArray {
     /// * the dimension and weights-loaded checks run once per call, not
     ///   once per cycle.
     ///
-    /// Any other call literally loops `step_into` and `collect`.
+    /// Any other call literally loops `step_into` and `collect`, starting
+    /// from the registers the stream left.
     ///
     /// # Errors
     ///
@@ -595,10 +637,12 @@ impl SystolicArray {
             });
         }
         let end = first_cycle.saturating_add(cycles);
+        let t = feeder.stream_length();
 
-        if !self.purity.admit(feeder.stream_length(), first_cycle, end) {
+        if !self.purity.admits(t, first_cycle) {
             // The in-flight data is not provably this feeder's
             // uninterrupted schedule: run the literal per-cycle loop.
+            self.settle();
             let mut west = vec![None; rows];
             let mut south = vec![None; cols];
             for cycle in first_cycle..end {
@@ -609,23 +653,26 @@ impl SystolicArray {
             return Ok(());
         }
 
+        let mut streams = self
+            .streams
+            .take()
+            .unwrap_or_else(|| RowStreams::new(self.config, t));
+        // Row `n` streams column `n` of `A`.
+        let a = feeder.operand();
+        streams.fill(first_cycle, |row, operands| a.copy_col(row, operands));
+        self.purity = StreamPurity::Tracked { t, next: end };
         let last_rb_base = (self.config.row_blocks() as usize - 1) * cols;
-        let idle_from = feeder.idle_from();
+        let drained_from = streams.drained_from();
         let last_due = collector.last_due_cycle();
         for cycle in first_cycle..end {
             // Bulk dead-cycle skip: the west edge stays idle from here on,
             // nothing is in flight and nothing is due — every remaining
             // cycle is pure bookkeeping.
-            if self.h_lanes.cursor.is_drained()
-                && cycle >= idle_from
-                && last_due.map_or(true, |due| cycle > due)
-            {
-                // A drained pipeline holds an empty stage in every slot,
-                // so skipping the stage writes leaves nothing stale.
+            if cycle >= drained_from && last_due.map_or(true, |due| cycle > due) {
                 self.record_dead_cycles(end - cycle);
                 break;
             }
-            let (macs, produced) = self.cycle_wavefront(feeder, cycle);
+            let (macs, produced) = self.cycle_wavefront(&streams, t, cycle);
             self.commit_cycle_stats(macs);
             let result = collector.collect_produced(
                 cycle,
@@ -633,10 +680,13 @@ impl SystolicArray {
                 &self.v_regs[last_rb_base..last_rb_base + cols],
             );
             if let Err(e) = result {
-                self.purity = StreamPurity::Poisoned;
+                self.streams = Some(streams);
+                self.purity = StreamPurity::Tracked { t, next: cycle + 1 };
+                self.settle();
                 return Err(e);
             }
         }
+        self.streams = Some(streams);
         Ok(())
     }
 

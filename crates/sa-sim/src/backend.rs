@@ -18,7 +18,11 @@
 //!   the reduction streamed), `B_sub` is `N x C`; the tile produces the
 //!   full `R x C` result block.
 //!
-//! In both cases `execute_tile` computes exactly `A_sub x B_sub`.
+//! In both cases `execute_tile` computes exactly `A_sub x B_sub`. The
+//! GEMM tile loop runs the same code on operand blocks read in place: each
+//! tile's `A_sub` and `B_sub` are the blocks of the whole `A` and `B` at
+//! the tile's origin, with zeros past the matrices' edges, so no tile
+//! copies its operands; `execute_tile` is the origin-zero case.
 
 use crate::array::SystolicArray;
 use crate::config::{ArrayConfig, Dataflow};
@@ -27,6 +31,7 @@ use crate::error::SimError;
 use crate::os_array::OutputStationaryArray;
 use crate::os_dataflow::{OsCollector, OsNorthFeeder, OsWestFeeder};
 use crate::sim::TileResult;
+use crate::soa::TileOperand;
 use crate::stats::RunStats;
 use gemm::Matrix;
 
@@ -106,6 +111,15 @@ impl TileEngine {
         a_sub: &Matrix<i32>,
         b_sub: &Matrix<i32>,
     ) -> Result<TileResult, SimError> {
+        self.execute_operands(TileOperand::whole(a_sub), TileOperand::whole(b_sub))
+    }
+
+    /// [`TileEngine::execute_tile`] on operand blocks read in place.
+    pub(crate) fn execute_operands(
+        &mut self,
+        a_sub: TileOperand<'_>,
+        b_sub: TileOperand<'_>,
+    ) -> Result<TileResult, SimError> {
         match self {
             Self::Ws(array) => execute_ws_tile(array, a_sub, b_sub),
             Self::Os(array) => execute_os_tile(array, a_sub, b_sub),
@@ -118,13 +132,13 @@ impl TileEngine {
 /// the south edge.
 fn execute_ws_tile(
     array: &mut SystolicArray,
-    a_sub: &Matrix<i32>,
-    b_sub: &Matrix<i32>,
+    a_sub: TileOperand<'_>,
+    b_sub: TileOperand<'_>,
 ) -> Result<TileResult, SimError> {
     let config = array.config();
     array.reset_for_tile();
-    array.load_weights(b_sub)?;
-    let feeder = InputFeeder::new(a_sub, config)?;
+    array.load_tile_weights(b_sub)?;
+    let feeder = InputFeeder::from_operand(a_sub, config)?;
     let t = a_sub.rows();
     let mut collector = OutputCollector::new(config, t);
     array.run_cycles(&feeder, 0, config.compute_cycles(t as u64), &mut collector)?;
@@ -139,13 +153,13 @@ fn execute_ws_tile(
 /// resident accumulators on the collector schedule.
 fn execute_os_tile(
     array: &mut OutputStationaryArray,
-    a_sub: &Matrix<i32>,
-    b_sub: &Matrix<i32>,
+    a_sub: TileOperand<'_>,
+    b_sub: TileOperand<'_>,
 ) -> Result<TileResult, SimError> {
     let config = array.config();
     array.reset_for_tile();
-    let west = OsWestFeeder::new(a_sub, config)?;
-    let north = OsNorthFeeder::new(b_sub, config)?;
+    let west = OsWestFeeder::from_operand(a_sub, config)?;
+    let north = OsNorthFeeder::from_operand(b_sub, config)?;
     let n = west.stream_length();
     let mut collector = OsCollector::new(config, n);
     array.run_cycles(&west, &north, 0, config.os_tile_cycles(n), &mut collector)?;

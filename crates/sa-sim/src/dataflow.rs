@@ -12,12 +12,13 @@
 
 use crate::config::ArrayConfig;
 use crate::error::SimError;
+use crate::soa::{skewed_edge_into, TileOperand};
 use gemm::Matrix;
 
 /// Produces the skewed west-edge input stream for one tile.
 #[derive(Debug, Clone)]
 pub struct InputFeeder<'a> {
-    a: &'a Matrix<i32>,
+    a: TileOperand<'a>,
     config: ArrayConfig,
 }
 
@@ -29,6 +30,11 @@ impl<'a> InputFeeder<'a> {
     /// Returns [`SimError::DimensionMismatch`] if `A` does not have exactly
     /// one column per array row.
     pub fn new(a: &'a Matrix<i32>, config: ArrayConfig) -> Result<Self, SimError> {
+        Self::from_operand(TileOperand::whole(a), config)
+    }
+
+    /// [`InputFeeder::new`] for an operand read in place.
+    pub(crate) fn from_operand(a: TileOperand<'a>, config: ArrayConfig) -> Result<Self, SimError> {
         if a.cols() != config.rows as usize {
             return Err(SimError::DimensionMismatch {
                 reason: format!(
@@ -39,6 +45,11 @@ impl<'a> InputFeeder<'a> {
             });
         }
         Ok(Self { a, config })
+    }
+
+    /// The streamed operand.
+    pub(crate) fn operand(&self) -> TileOperand<'a> {
+        self.a
     }
 
     /// Number of `A` rows that will be streamed.
@@ -53,79 +64,6 @@ impl<'a> InputFeeder<'a> {
         self.config
     }
 
-    /// The contiguous range of SA rows that receive a valid operand at
-    /// `cycle`, or `None` when the edge is idle — the O(1) frontier form
-    /// of the schedule.
-    ///
-    /// Row `n` carries `A[t][n]` with `t = cycle - floor(n / k)`, so the
-    /// rows with `0 <= t < T` are exactly
-    /// `k * (cycle - T + 1) ..= k * (cycle + 1) - 1` clamped to the array
-    /// — always dense, which is what lets the wavefront kernel stage the
-    /// edge's validity as one range.
-    #[must_use]
-    pub fn active_rows(&self, cycle: u64) -> Option<(u32, u32)> {
-        let k = u64::from(self.config.collapse_depth);
-        let t = self.a.rows() as u64;
-        let rows = u64::from(self.config.rows);
-        if t == 0 {
-            return None;
-        }
-        let first = (cycle + 1).saturating_sub(t).saturating_mul(k);
-        if first >= rows {
-            return None;
-        }
-        let last = cycle
-            .saturating_add(1)
-            .saturating_mul(k)
-            .saturating_sub(1)
-            .min(rows - 1);
-        Some((first as u32, last as u32))
-    }
-
-    /// The first cycle from which the west edge stays idle forever: every
-    /// cycle at or past this index has no valid operand on any row.
-    #[must_use]
-    pub fn idle_from(&self) -> u64 {
-        let t = self.a.rows() as u64;
-        if t == 0 {
-            0
-        } else {
-            t + u64::from((self.config.rows - 1) / self.config.collapse_depth)
-        }
-    }
-
-    /// Writes the west-edge operands for `cycle` as **dense values** (one
-    /// `i32` per SA row, invalid rows driven as zero — exactly the value
-    /// the array's edge registers latch) and returns the valid row range,
-    /// or `None` when the edge is idle. This is the staging form
-    /// [`SystolicArray::run_cycles`](crate::SystolicArray::run_cycles)
-    /// uses: no `Option` decoding, and the values of one skew group are
-    /// copied as contiguous slices of `A`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` does not have exactly one slot per array row.
-    pub fn stage_values_into(&self, cycle: u64, values: &mut [i32]) -> Option<(u32, u32)> {
-        assert_eq!(
-            values.len(),
-            self.config.rows as usize,
-            "west value buffer must have one slot per array row"
-        );
-        values.fill(0);
-        let (first, last) = self.active_rows(cycle)?;
-        let k = self.config.collapse_depth;
-        let mut n = first;
-        while n <= last {
-            let skew = n / k;
-            let group_last = ((skew + 1) * k - 1).min(last);
-            let t = (cycle - u64::from(skew)) as usize;
-            values[n as usize..=group_last as usize]
-                .copy_from_slice(&self.a.row(t)[n as usize..=group_last as usize]);
-            n = group_last + 1;
-        }
-        Some((first, last))
-    }
-
     /// The west-edge operands for the given compute cycle: for SA row `n`
     /// the element `A[t][n]` with `t = cycle - floor(n / k)`, or `None` if
     /// that row's stream has not started or is already finished.
@@ -138,7 +76,7 @@ impl<'a> InputFeeder<'a> {
 
     /// Writes the west-edge operands for the given compute cycle into a
     /// caller-provided buffer (one slot per SA row), the allocation-free
-    /// form of [`InputFeeder::west_inputs`] used by the tile loop.
+    /// form of [`InputFeeder::west_inputs`] the naive scan's loops use.
     ///
     /// # Panics
     ///
@@ -149,15 +87,14 @@ impl<'a> InputFeeder<'a> {
             self.config.rows as usize,
             "west buffer must have one slot per array row"
         );
-        let k = u64::from(self.config.collapse_depth);
-        for (n, slot) in west.iter_mut().enumerate() {
-            let skew = n as u64 / k;
-            *slot = if cycle < skew {
-                None
-            } else {
-                self.a.get((cycle - skew) as usize, n)
-            };
-        }
+        let a = self.a;
+        skewed_edge_into(
+            cycle,
+            self.stream_length(),
+            self.config.collapse_depth as usize,
+            west,
+            |n, t| a.get(t, n),
+        );
     }
 }
 
@@ -166,7 +103,8 @@ impl<'a> InputFeeder<'a> {
 pub struct OutputCollector {
     config: ArrayConfig,
     t: usize,
-    output: Matrix<i64>,
+    /// The `T x C` result, row-major.
+    output: Vec<i64>,
     collected: usize,
 }
 
@@ -177,7 +115,7 @@ impl OutputCollector {
         Self {
             config,
             t,
-            output: Matrix::zeros(t, config.cols as usize),
+            output: vec![0; t * config.cols as usize],
             collected: 0,
         }
     }
@@ -209,7 +147,7 @@ impl OutputCollector {
             match (expected, value) {
                 (true, Some(v)) => {
                     let t = (cycle - start) as usize;
-                    self.output[(t, m)] = *v;
+                    self.output[t * south_outputs.len() + m] = *v;
                     self.collected += 1;
                 }
                 (false, None) => {}
@@ -288,8 +226,8 @@ impl OutputCollector {
     /// (`values`, one `i64` per column, only the produced range
     /// meaningful). The schedule cross-check of
     /// [`OutputCollector::collect`] collapses to one O(1) range
-    /// comparison, and the values of one column group are copied as
-    /// contiguous slices — the harvest form
+    /// comparison, and each due result is written straight into its
+    /// output element — the harvest form
     /// [`SystolicArray::run_cycles`](crate::SystolicArray::run_cycles)
     /// uses.
     ///
@@ -305,13 +243,10 @@ impl OutputCollector {
         produced: Option<(u32, u32)>,
         values: &[i64],
     ) -> Result<(), SimError> {
-        if values.len() != self.config.cols as usize {
+        let cols = self.config.cols as usize;
+        if values.len() != cols {
             return Err(SimError::DimensionMismatch {
-                reason: format!(
-                    "expected {} south values, got {}",
-                    self.config.cols,
-                    values.len()
-                ),
+                reason: format!("expected {cols} south values, got {}", values.len()),
             });
         }
         let due = self.due_range(cycle);
@@ -325,17 +260,22 @@ impl OutputCollector {
         let Some((first, last)) = due else {
             return Ok(());
         };
-        let k = self.config.collapse_depth;
+        // The due range is block-aligned, and column block `cb` registers
+        // output row `cycle - fill_latency - cb`: walking the range from
+        // its last column, the row moves down one per block.
+        let k = self.config.collapse_depth as usize;
+        let (first, last) = (first as usize, last as usize);
         let fill_latency = u64::from(self.config.row_blocks()) - 1;
-        let mut m = first;
-        while m <= last {
-            let group_last = ((m / k + 1) * k - 1).min(last);
-            let t = (cycle - fill_latency - u64::from(m / k)) as usize;
-            self.output.row_mut(t)[m as usize..=group_last as usize]
-                .copy_from_slice(&values[m as usize..=group_last as usize]);
-            self.collected += (group_last - m + 1) as usize;
-            m = group_last + 1;
+        let mut row = (cycle - fill_latency) as usize - last / k;
+        let mut left = last % k + 1;
+        for (col, &value) in values[first..=last].iter().enumerate().rev() {
+            self.output[row * cols + first + col] = value;
+            left -= 1;
+            if left == 0 {
+                (row, left) = (row + 1, k);
+            }
         }
+        self.collected += last - first + 1;
         Ok(())
     }
 
@@ -361,7 +301,11 @@ impl OutputCollector {
                 ),
             });
         }
-        Ok(self.output)
+        Ok(Matrix::from_vec(
+            self.t,
+            self.config.cols as usize,
+            self.output,
+        )?)
     }
 }
 

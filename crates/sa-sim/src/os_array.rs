@@ -13,24 +13,32 @@
 //! # Operand layout
 //!
 //! Both operand pipelines are pure shift registers, so no operand ever
-//! moves once staged; each is laid out so that what one PE row sees this
-//! cycle is a contiguous slice indexed by array column:
+//! moves once it enters its edge. Their registers live in one of two
+//! stores, each laid out so that what one PE row sees this cycle is a
+//! contiguous slice indexed by array column:
 //!
-//! * `A` is stored **per row** in k-expanded, mirrored lanes
-//!   (`soa::RowLanes`, shared with the weight-stationary operand pipeline):
-//!   the `C` operands a row's columns see are one contiguous slice.
-//! * `B` is a **ring of edge stages** (`ceil(R/k)` slots of `C` operands):
-//!   row block `rb` reads the stage from `rb` cycles ago.
+//! * while a feeder stream runs on the analytic kernel, in the tile's
+//!   **streams**, built once at cycle 0 straight from the operand
+//!   matrices: `A` as per-row streams (`soa::RowStreams`, shared with the
+//!   weight-stationary operand pipeline), reversed in time and
+//!   k-expanded, so a row's registers are a window that slides one stage
+//!   per cycle; `B` as a `(c_max + 1) x C` matrix whose row `s` is the
+//!   north edge of cycle `s`, so row block `rb` reads row `c - rb`;
+//! * otherwise in the stores the naive scan stages each cycle's edges
+//!   into: `A` in k-expanded, mirrored lanes (`soa::RowLanes`), `B` in a
+//!   **ring of edge stages** (`ceil(R/k)` slots of `C` operands), row
+//!   block `rb` reading the stage from `rb` cycles ago. Validity is one
+//!   bitset per stage for `A` (bit = row) and one flag per stage and
+//!   column for `B`. Invalid operands are stored as zero.
 //!
-//! Validity is one bitset per stage for `A` (bit = row) and one flag per
-//! stage and column for `B`. Invalid operands are stored as zero.
+//! Whenever a stream hands over to the naive scan, the registers its
+//! streams stand for are restaged into the lanes and the ring first.
 //!
 //! # Kernels
 //!
-//! Every cycle stages both edges, performs exactly that cycle's
-//! multiply-accumulates, books [`RunStats`] and lets the collector drain
-//! the accumulators due that cycle. Which PEs multiply is decided by one of
-//! two kernels:
+//! Every cycle performs exactly that cycle's multiply-accumulates, books
+//! [`RunStats`] and lets the collector drain the accumulators due that
+//! cycle. Which PEs multiply is decided by one of two kernels:
 //!
 //! * the **analytic wavefront kernel** of
 //!   [`OutputStationaryArray::run_cycles`]. Under the feeder schedule
@@ -39,15 +47,17 @@
 //!   valid operand pair at cycle `c` exactly when
 //!   `c - N + 1 <= rb + cb <= c`. So each active row block sweeps its rows
 //!   over one contiguous column range with one [`lanes::mac`]
-//!   (`acc += a * b`) over contiguous accumulator, `A`-lane and `B`-stage
-//!   slices. The kernel applies only while the operands in flight are
-//!   provably that schedule from a clean pipeline, which a purity guard
-//!   tracks: it records the stream length and the next expected cycle,
-//!   `reset_for_tile` makes it clean again, and `step` poisons it;
-//! * the **naive scan**, which checks both operands' validity at every
-//!   PE. It runs for [`OutputStationaryArray::step`] and for `run_cycles`
-//!   calls the guard rejects (a different stream length, a skipped or
-//!   repeated cycle, anything after `step`).
+//!   (`acc += a * b`) over contiguous accumulator, `A`-stream and
+//!   `B`-stream slices. The kernel applies only while the operands in
+//!   flight are provably that schedule from a clean pipeline, which a
+//!   purity guard tracks: it records the stream length and the next
+//!   expected cycle, `reset_for_tile` makes it clean again, and `step`
+//!   poisons it;
+//! * the **naive scan**, which stages both edges and checks both
+//!   operands' validity at every PE. It runs for
+//!   [`OutputStationaryArray::step`], and `run_cycles` calls the guard
+//!   rejects (a different stream length, a skipped or repeated cycle,
+//!   anything after `step`) loop over `step`.
 //!
 //! Both kernels leave bit-identical accumulators and statistics, which the
 //! differential suites check cycle for cycle against an array-of-structs
@@ -56,7 +66,7 @@
 use crate::config::{ArrayConfig, Dataflow};
 use crate::error::SimError;
 use crate::os_dataflow::{OsCollector, OsNorthFeeder, OsWestFeeder};
-use crate::soa::{RowLanes, StageCursor, StreamPurity};
+use crate::soa::{skewed_edge_into, RowLanes, RowStreams, StageCursor, StreamPurity};
 use crate::stats::RunStats;
 use gemm::lanes;
 
@@ -88,33 +98,14 @@ impl StageRing {
         self.cursor = StageCursor::new(self.cursor.slots);
     }
 
-    /// The value and validity lanes of the head slot.
-    fn head_mut(&mut self) -> (&mut [i32], &mut [bool]) {
-        let at = self.cursor.head * self.lanes;
-        (
-            &mut self.values[at..at + self.lanes],
-            &mut self.valid[at..at + self.lanes],
-        )
-    }
-
-    /// Stages the north edge of `cycle` from the feeder.
-    fn stage_feeder(&mut self, north: &OsNorthFeeder<'_>, cycle: u64) {
-        if !self.cursor.advance(north.active_cols(cycle).is_none()) {
-            return;
-        }
-        let (values, valid) = self.head_mut();
-        valid.fill(false);
-        if let Some((first, last)) = north.stage_values_into(cycle, values) {
-            valid[first as usize..=last as usize].fill(true);
-        }
-    }
-
     /// Stages one north edge given in `Option` form (`None` = no operand).
     fn stage_options(&mut self, inputs: &[Option<i32>]) {
         if !self.cursor.advance(inputs.iter().all(Option::is_none)) {
             return;
         }
-        let (values, valid) = self.head_mut();
+        let at = self.cursor.head * self.lanes;
+        let values = &mut self.values[at..at + self.lanes];
+        let valid = &mut self.valid[at..at + self.lanes];
         for ((value, valid), input) in values.iter_mut().zip(valid).zip(inputs) {
             *value = input.unwrap_or(0);
             *valid = input.is_some();
@@ -128,6 +119,86 @@ impl StageRing {
             &self.values[at..at + self.lanes],
             &self.valid[at..at + self.lanes],
         )
+    }
+}
+
+/// The operand streams of one tile the analytic wavefront kernel runs,
+/// built when the stream starts at cycle 0.
+#[derive(Debug, Clone)]
+struct Streams {
+    /// The `A` pipeline: one stream per array row.
+    west: RowStreams,
+    /// The `B` pipeline: row `s` (`C` operands) is the north edge of cycle
+    /// `s`, where column `j` carries `B[s - floor(j/k)][j]` and zero where
+    /// idle, for every cycle up to the last multiply-accumulate.
+    north: Vec<i32>,
+    /// The reduction length (`N`).
+    n: u64,
+    cols: usize,
+    k: usize,
+}
+
+impl Streams {
+    /// All-zero streams of an `n`-long reduction on `config`'s array.
+    fn new(config: ArrayConfig, n: u64) -> Self {
+        let west = RowStreams::new(config, n);
+        let cols = config.cols as usize;
+        Self {
+            north: vec![0; (west.last_mac_cycle() as usize + 1) * cols],
+            west,
+            n,
+            cols,
+            k: config.collapse_depth as usize,
+        }
+    }
+
+    /// Writes the operands that enter either edge at cycle `from` or
+    /// later, read from the feeders (see [`RowStreams::fill`]).
+    fn fill(&mut self, from: u64, west: &OsWestFeeder<'_>, north: &OsNorthFeeder<'_>) {
+        // Row `i` streams row `i` of `A`.
+        let a = west.operand();
+        self.west
+            .fill(from, |row, operands| a.copy_row(row, 0, operands));
+        let (b, cols, k) = (north.operand(), self.cols, self.k);
+        let mut b_row = vec![0; cols];
+        for i in 0..self.n as usize {
+            // Column block `cb` of row `i` of `B` enters at cycle `i + cb`.
+            let first_block = (from as usize).saturating_sub(i);
+            let first = (first_block * k).min(cols);
+            b.copy_row(i, first, &mut b_row[first..]);
+            let (mut at, mut left) = ((i + first_block) * cols, k);
+            for (col, &operand) in b_row.iter().enumerate().skip(first) {
+                self.north[at + col] = operand;
+                left -= 1;
+                if left == 0 {
+                    (at, left) = (at + cols, k);
+                }
+            }
+        }
+    }
+
+    /// The `B` operand registers of row block `rb` at `cycle`: the north
+    /// edge of cycle `cycle - rb`.
+    fn north_stage(&self, rb: usize, cycle: u64) -> &[i32] {
+        let at = (cycle as usize - rb) * self.cols;
+        &self.north[at..at + self.cols]
+    }
+
+    /// Writes the registers the streams hold after cycles `0..next` into
+    /// the naive scan's stores: the last `ceil(C/k)` west edges into the
+    /// `A` lanes and the last `ceil(R/k)` north edges into the `B` ring,
+    /// each restaged in order on cleared stores.
+    fn restage(&self, a_lanes: &mut RowLanes, b_ring: &mut StageRing, next: u64) {
+        self.west.restage(a_lanes, next);
+        b_ring.clear();
+        let mut edge = vec![None; self.cols];
+        for cycle in next.saturating_sub(b_ring.cursor.slots as u64)..next {
+            // A valid edge of `cycle` lies within the streams: `cycle <= c_max`.
+            skewed_edge_into(cycle, self.n, self.k, &mut edge, |col, _| {
+                self.north_stage(0, cycle)[col]
+            });
+            b_ring.stage_options(&edge);
+        }
     }
 }
 
@@ -157,10 +228,17 @@ impl StageRing {
 #[derive(Debug, Clone)]
 pub struct OutputStationaryArray {
     config: ArrayConfig,
-    /// `A` operand pipeline, staged west, shifting east.
+    /// `A` operand pipeline as the naive scan stages it, west, shifting
+    /// east.
     a_lanes: RowLanes,
-    /// `B` operand pipeline, staged north, shifting south.
+    /// `B` operand pipeline as the naive scan stages it, north, shifting
+    /// south. Only the naive scan reads either store, so a clean pipeline
+    /// clears them when the naive scan first runs.
     b_ring: StageRing,
+    /// Both operand pipelines' registers while the purity guard tracks a
+    /// feeder stream: that stream's streams, built when it started.
+    /// Dropped whenever the pipelines are cleared.
+    streams: Option<Streams>,
     /// Resident accumulators, one per PE, row-major (`row * cols + col`).
     acc: Vec<i64>,
     /// Whether the operands in flight are one feeder schedule from a clean
@@ -193,6 +271,7 @@ impl OutputStationaryArray {
             config,
             a_lanes: RowLanes::new(rows, cols, k),
             b_ring: StageRing::new(config.row_blocks() as usize, cols),
+            streams: None,
             acc: vec![0; rows * cols],
             purity: StreamPurity::Clean,
             stats: RunStats::default(),
@@ -226,10 +305,13 @@ impl OutputStationaryArray {
     /// constructed [`OutputStationaryArray::new`] of the same
     /// configuration.
     pub fn reset_for_tile(&mut self) {
-        self.a_lanes.clear();
-        self.b_ring.clear();
-        self.acc.fill(0);
-        self.purity = StreamPurity::Clean;
+        // Only a cycle leaves the guard anything but clean, so a clean
+        // pipeline holds nothing to clear.
+        if self.purity != StreamPurity::Clean {
+            self.streams = None;
+            self.acc.fill(0);
+            self.purity = StreamPurity::Clean;
+        }
         self.stats = RunStats::default();
     }
 
@@ -243,7 +325,9 @@ impl OutputStationaryArray {
     ///
     /// The cycle runs the naive scan, and the arbitrary operands it stages
     /// keep later `run_cycles` calls on the naive scan until the next
-    /// [`OutputStationaryArray::reset_for_tile`].
+    /// [`OutputStationaryArray::reset_for_tile`]. A stream `run_cycles`
+    /// left on the analytic kernel continues from exactly the registers it
+    /// left.
     ///
     /// # Errors
     ///
@@ -266,7 +350,7 @@ impl OutputStationaryArray {
                 reason: format!("expected {cols} north inputs, got {}", north_inputs.len()),
             });
         }
-        self.purity = StreamPurity::Poisoned;
+        self.settle();
         self.a_lanes.stage_options(west_inputs);
         self.b_ring.stage_options(north_inputs);
         let macs = self.compute_naive();
@@ -282,18 +366,21 @@ impl OutputStationaryArray {
     /// Semantically this is `cycles` calls to
     /// [`OutputStationaryArray::step`] with the two feeders' scheduled
     /// edges, plus the collector draining the due accumulators each cycle.
-    /// The per-cycle overhead is hoisted: operands are staged straight
-    /// from the feeders' schedules, the configuration checks run once per
-    /// call, and trailing **dead cycles** — both edges idle, both
-    /// pipelines drained, nothing due — fold into O(1) statistics
-    /// bookkeeping via [`RunStats::record_dead_cycles`].
     ///
     /// When the call continues the feeders' schedule from a clean pipeline
     /// (cycle 0 after construction or
     /// [`OutputStationaryArray::reset_for_tile`], or exactly where the
     /// previous call on a stream of the same length stopped), each cycle
-    /// runs the analytic wavefront kernel; otherwise it runs the naive
-    /// scan.
+    /// runs the analytic wavefront kernel with the per-cycle overhead
+    /// hoisted: the call that starts the stream builds both operand
+    /// streams once, straight from the operand matrices (a call that
+    /// continues the stream refills only the edges still to come, from
+    /// its own feeders), the configuration checks run once per call, and
+    /// trailing **dead
+    /// cycles** — both edges idle, both pipelines drained, nothing due —
+    /// fold into O(1) statistics bookkeeping via
+    /// [`RunStats::record_dead_cycles`]. Any other call loops `step` and
+    /// the drain, starting from the registers the stream left.
     ///
     /// # Errors
     ///
@@ -338,40 +425,70 @@ impl OutputStationaryArray {
             });
         }
         let end = first_cycle.saturating_add(cycles);
-        let analytic = self.purity.admit(n, first_cycle, end);
-        let idle_from = west.idle_from().max(north.idle_from());
+
+        if !self.purity.admits(n, first_cycle) {
+            // The in-flight data is not provably this schedule: step the
+            // naive scan through the feeders' edges.
+            self.settle();
+            let mut west_edge = vec![None; self.config.rows as usize];
+            let mut north_edge = vec![None; self.config.cols as usize];
+            for cycle in first_cycle..end {
+                west.west_inputs_into(cycle, &mut west_edge);
+                north.north_inputs_into(cycle, &mut north_edge);
+                self.step(&west_edge, &north_edge)?;
+                collector.collect_due(cycle, &self.acc)?;
+            }
+            return Ok(());
+        }
+
+        let mut streams = self
+            .streams
+            .take()
+            .unwrap_or_else(|| Streams::new(self.config, n));
+        streams.fill(first_cycle, west, north);
+        self.purity = StreamPurity::Tracked { t: n, next: end };
+        let drained_from = streams.west.drained_from();
         let last_due = collector.last_due_cycle();
-        let mut cycle = first_cycle;
-        while cycle < end {
+        for cycle in first_cycle..end {
             // Bulk dead-cycle skip: both edges stay idle from here on,
             // nothing is in flight and nothing is due — every remaining
             // cycle is pure bookkeeping.
-            if cycle >= idle_from
-                && last_due.map_or(true, |due| cycle > due)
-                && self.a_lanes.cursor.is_drained()
-                && self.b_ring.cursor.is_drained()
-            {
+            if cycle >= drained_from && last_due.map_or(true, |due| cycle > due) {
                 self.record_dead_cycles(end - cycle);
                 break;
             }
-            self.a_lanes
-                .stage_feeder(west.active_rows(cycle).is_none(), |edge| {
-                    west.stage_values_into(cycle, edge)
-                });
-            self.b_ring.stage_feeder(north, cycle);
-            let macs = if analytic {
-                self.compute_wavefront(n, cycle)
-            } else {
-                self.compute_naive()
-            };
+            let macs = self.compute_wavefront(&streams, n, cycle);
             self.commit_cycle_stats(macs);
             if let Err(e) = collector.collect_due(cycle, &self.acc) {
-                self.purity = StreamPurity::Poisoned;
+                self.streams = Some(streams);
+                self.purity = StreamPurity::Tracked {
+                    t: n,
+                    next: cycle + 1,
+                };
+                self.settle();
                 return Err(e);
             }
-            cycle += 1;
         }
+        self.streams = Some(streams);
         Ok(())
+    }
+
+    /// Leaves the analytic kernel for good until the next reset, handing
+    /// the operand registers to the lanes and the ring the naive scan
+    /// reads: restaged exactly as a tracked stream's streams hold them, or
+    /// cleared on a clean pipeline.
+    fn settle(&mut self) {
+        match (self.purity, self.streams.take()) {
+            (StreamPurity::Tracked { next, .. }, Some(streams)) => {
+                streams.restage(&mut self.a_lanes, &mut self.b_ring, next);
+            }
+            (StreamPurity::Clean, _) => {
+                self.a_lanes.clear();
+                self.b_ring.clear();
+            }
+            _ => {}
+        }
+        self.purity = StreamPurity::Poisoned;
     }
 
     /// The analytic wavefront kernel: one cycle of a pure feeder stream of
@@ -381,8 +498,8 @@ impl OutputStationaryArray {
     /// `cycle - n + 1 <= rb + cb <= cycle`, so each active row block owns
     /// one contiguous, block-aligned column range, and every row of the
     /// block runs one fused multiply-accumulate over it: its accumulator
-    /// row, its `A` lane window and the `B` stage of the block.
-    fn compute_wavefront(&mut self, n: u64, cycle: u64) -> u64 {
+    /// row, its `A` stream window and the block's `B` stream row.
+    fn compute_wavefront(&mut self, streams: &Streams, n: u64, cycle: u64) -> u64 {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let k = self.config.collapse_depth as usize;
@@ -398,21 +515,12 @@ impl OutputStationaryArray {
             let col0 = lo.saturating_sub(rb) as usize * k;
             let col1 = ((cb_max.min(cycle - rb) as usize + 1) * k).min(cols);
             let rb = rb as usize;
-            let (b_stage, b_valid) = self.b_ring.stage(rb);
-            debug_assert!(
-                b_valid[col0..col1].iter().all(|&v| v),
-                "misaligned B wavefront at cycle {cycle}, row block {rb}"
-            );
-            let b = &b_stage[col0..col1];
+            let b = &streams.north_stage(rb, cycle)[col0..col1];
             let row1 = ((rb + 1) * k).min(rows);
             for row in rb * k..row1 {
-                debug_assert!(
-                    (col0 / k..col1.div_ceil(k)).all(|cb| self.a_lanes.is_valid(row, cb)),
-                    "misaligned A wavefront at cycle {cycle}, row {row}"
-                );
                 lanes::mac(
                     &mut self.acc[row * cols + col0..row * cols + col1],
-                    &self.a_lanes.operands(row, cols)[col0..col1],
+                    &streams.west.window(row, cycle)[col0..col1],
                     b,
                 );
             }

@@ -14,36 +14,20 @@
 //! straight out of the resident accumulators.
 //!
 //! [`OsWestFeeder`], [`OsNorthFeeder`] and [`OsCollector`] implement those
-//! three schedules in the same O(1) frontier form as the weight-stationary
+//! three schedules, like the weight-stationary
 //! [`InputFeeder`](crate::InputFeeder)/[`OutputCollector`](crate::OutputCollector)
-//! pair: active lanes are always one dense range, derived without scanning.
+//! pair; the collector's due columns are always one dense range, derived
+//! without scanning.
 
 use crate::config::ArrayConfig;
 use crate::error::SimError;
+use crate::soa::{skewed_edge_into, TileOperand};
 use gemm::Matrix;
-
-/// The dense lane range `blocks first_block..=last_block` covers, clamped
-/// to `lanes`, for the shared operand schedule of both feeders: lane `l`
-/// (in block `floor(l / k)`) carries element `cycle - floor(l / k)`, so the
-/// active blocks at `cycle` are `max(0, cycle - n + 1) ..= min(cycle, blocks - 1)`.
-fn active_lanes(cycle: u64, n: u64, k: u64, lanes: u64, blocks: u64) -> Option<(u32, u32)> {
-    if n == 0 {
-        return None;
-    }
-    let first_block = (cycle + 1).saturating_sub(n);
-    if first_block >= blocks {
-        return None;
-    }
-    let last_block = cycle.min(blocks - 1);
-    let first = first_block * k;
-    let last = ((last_block + 1) * k).min(lanes) - 1;
-    Some((first as u32, last as u32))
-}
 
 /// Produces the skewed west-edge `A` stream of one output-stationary tile.
 #[derive(Debug, Clone)]
 pub struct OsWestFeeder<'a> {
-    a: &'a Matrix<i32>,
+    a: TileOperand<'a>,
     config: ArrayConfig,
 }
 
@@ -56,6 +40,11 @@ impl<'a> OsWestFeeder<'a> {
     /// Returns [`SimError::DimensionMismatch`] if `A` does not have exactly
     /// one row per array row.
     pub fn new(a: &'a Matrix<i32>, config: ArrayConfig) -> Result<Self, SimError> {
+        Self::from_operand(TileOperand::whole(a), config)
+    }
+
+    /// [`OsWestFeeder::new`] for an operand read in place.
+    pub(crate) fn from_operand(a: TileOperand<'a>, config: ArrayConfig) -> Result<Self, SimError> {
         if a.rows() != config.rows as usize {
             return Err(SimError::DimensionMismatch {
                 reason: format!(
@@ -66,6 +55,11 @@ impl<'a> OsWestFeeder<'a> {
             });
         }
         Ok(Self { a, config })
+    }
+
+    /// The streamed operand.
+    pub(crate) fn operand(&self) -> TileOperand<'a> {
+        self.a
     }
 
     /// Length of the reduction stream (`N`).
@@ -80,61 +74,34 @@ impl<'a> OsWestFeeder<'a> {
         self.config
     }
 
-    /// The contiguous range of SA rows that receive a valid operand at
-    /// `cycle`, or `None` when the edge is idle. Row `i` carries
-    /// `A[i][cycle - floor(i / k)]`, so the active rows are the rows whose
-    /// block index lies in `cycle - N + 1 ..= cycle` — always dense.
-    #[must_use]
-    pub fn active_rows(&self, cycle: u64) -> Option<(u32, u32)> {
-        active_lanes(
-            cycle,
-            self.stream_length(),
-            u64::from(self.config.collapse_depth),
-            u64::from(self.config.rows),
-            u64::from(self.config.row_blocks()),
-        )
-    }
-
-    /// The first cycle from which the west edge stays idle forever:
-    /// `N + ceil(R/k) - 1`.
-    #[must_use]
-    pub fn idle_from(&self) -> u64 {
-        let n = self.stream_length();
-        if n == 0 {
-            0
-        } else {
-            n + u64::from(self.config.row_blocks()) - 1
-        }
-    }
-
-    /// Writes the west-edge operands for `cycle` as dense values (one `i32`
-    /// per SA row, idle rows driven as zero) and returns the valid row
-    /// range, or `None` when the edge is idle.
+    /// Writes the west-edge operands of `cycle` into `west`, one slot per
+    /// SA row: row `i` carries `A[i][cycle - floor(i / k)]`, or `None`
+    /// while its stream has not started or after it ended.
     ///
     /// # Panics
     ///
-    /// Panics if `values` does not have exactly one slot per array row.
-    pub fn stage_values_into(&self, cycle: u64, values: &mut [i32]) -> Option<(u32, u32)> {
+    /// Panics if `west` does not have exactly one slot per array row.
+    pub fn west_inputs_into(&self, cycle: u64, west: &mut [Option<i32>]) {
         assert_eq!(
-            values.len(),
+            west.len(),
             self.config.rows as usize,
-            "west value buffer must have one slot per array row"
+            "west buffer must have one slot per array row"
         );
-        values.fill(0);
-        let (first, last) = self.active_rows(cycle)?;
-        let k = self.config.collapse_depth;
-        for i in first..=last {
-            let n = (cycle - u64::from(i / k)) as usize;
-            values[i as usize] = self.a.row(i as usize)[n];
-        }
-        Some((first, last))
+        let a = self.a;
+        skewed_edge_into(
+            cycle,
+            self.stream_length(),
+            self.config.collapse_depth as usize,
+            west,
+            |i, n| a.get(i, n),
+        );
     }
 }
 
 /// Produces the skewed north-edge `B` stream of one output-stationary tile.
 #[derive(Debug, Clone)]
 pub struct OsNorthFeeder<'a> {
-    b: &'a Matrix<i32>,
+    b: TileOperand<'a>,
     config: ArrayConfig,
 }
 
@@ -147,6 +114,11 @@ impl<'a> OsNorthFeeder<'a> {
     /// Returns [`SimError::DimensionMismatch`] if `B` does not have exactly
     /// one column per array column.
     pub fn new(b: &'a Matrix<i32>, config: ArrayConfig) -> Result<Self, SimError> {
+        Self::from_operand(TileOperand::whole(b), config)
+    }
+
+    /// [`OsNorthFeeder::new`] for an operand read in place.
+    pub(crate) fn from_operand(b: TileOperand<'a>, config: ArrayConfig) -> Result<Self, SimError> {
         if b.cols() != config.cols as usize {
             return Err(SimError::DimensionMismatch {
                 reason: format!(
@@ -157,6 +129,11 @@ impl<'a> OsNorthFeeder<'a> {
             });
         }
         Ok(Self { b, config })
+    }
+
+    /// The streamed operand.
+    pub(crate) fn operand(&self) -> TileOperand<'a> {
+        self.b
     }
 
     /// Length of the reduction stream (`N`).
@@ -171,60 +148,27 @@ impl<'a> OsNorthFeeder<'a> {
         self.config
     }
 
-    /// The contiguous range of SA columns that receive a valid operand at
-    /// `cycle`, or `None` when the edge is idle. Column `j` carries
-    /// `B[cycle - floor(j / k)][j]` — the mirror image of
-    /// [`OsWestFeeder::active_rows`].
-    #[must_use]
-    pub fn active_cols(&self, cycle: u64) -> Option<(u32, u32)> {
-        active_lanes(
-            cycle,
-            self.stream_length(),
-            u64::from(self.config.collapse_depth),
-            u64::from(self.config.cols),
-            u64::from(self.config.col_blocks()),
-        )
-    }
-
-    /// The first cycle from which the north edge stays idle forever:
-    /// `N + ceil(C/k) - 1`.
-    #[must_use]
-    pub fn idle_from(&self) -> u64 {
-        let n = self.stream_length();
-        if n == 0 {
-            0
-        } else {
-            n + u64::from(self.config.col_blocks()) - 1
-        }
-    }
-
-    /// Writes the north-edge operands for `cycle` as dense values (one
-    /// `i32` per SA column, idle columns driven as zero) and returns the
-    /// valid column range, or `None` when the edge is idle. The values of
-    /// one skew group are copied as contiguous slices of a `B` row.
+    /// Writes the north-edge operands of `cycle` into `north`, one slot
+    /// per SA column: column `j` carries `B[cycle - floor(j / k)][j]` — the
+    /// mirror image of [`OsWestFeeder::west_inputs_into`].
     ///
     /// # Panics
     ///
-    /// Panics if `values` does not have exactly one slot per array column.
-    pub fn stage_values_into(&self, cycle: u64, values: &mut [i32]) -> Option<(u32, u32)> {
+    /// Panics if `north` does not have exactly one slot per array column.
+    pub fn north_inputs_into(&self, cycle: u64, north: &mut [Option<i32>]) {
         assert_eq!(
-            values.len(),
+            north.len(),
             self.config.cols as usize,
-            "north value buffer must have one slot per array column"
+            "north buffer must have one slot per array column"
         );
-        values.fill(0);
-        let (first, last) = self.active_cols(cycle)?;
-        let k = self.config.collapse_depth;
-        let mut j = first;
-        while j <= last {
-            let skew = j / k;
-            let group_last = ((skew + 1) * k - 1).min(last);
-            let n = (cycle - u64::from(skew)) as usize;
-            values[j as usize..=group_last as usize]
-                .copy_from_slice(&self.b.row(n)[j as usize..=group_last as usize]);
-            j = group_last + 1;
-        }
-        Some((first, last))
+        let b = self.b;
+        skewed_edge_into(
+            cycle,
+            self.stream_length(),
+            self.config.collapse_depth as usize,
+            north,
+            |j, n| b.get(n, j),
+        );
     }
 }
 
@@ -235,7 +179,8 @@ pub struct OsCollector {
     config: ArrayConfig,
     /// Length of the reduction stream the tile executes (`N`).
     n: u64,
-    output: Matrix<i64>,
+    /// The `R x C` result, row-major like the accumulators.
+    output: Vec<i64>,
     collected: usize,
 }
 
@@ -246,7 +191,7 @@ impl OsCollector {
         Self {
             config,
             n,
-            output: Matrix::zeros(config.rows as usize, config.cols as usize),
+            output: vec![0; config.pe_count() as usize],
             collected: 0,
         }
     }
@@ -341,11 +286,22 @@ impl OsCollector {
         let Some((first, last)) = self.due_cols(cycle) else {
             return Ok(());
         };
-        for j in first..=last {
-            let i = self.due_row(cycle, j);
-            self.output[(i as usize, j as usize)] = accumulators[i as usize * cols + j as usize];
-            self.collected += 1;
+        // The due range is block-aligned, and column block `cb` emits row
+        // `R - 1 - (cycle - N - ceil(R/k) + 1 - cb)`: walking the range,
+        // the row moves down one per block.
+        let k = self.config.collapse_depth as usize;
+        let (first, last) = (first as usize, last as usize);
+        let age = (cycle + 1 - self.n - u64::from(self.config.row_blocks())) as usize;
+        let mut at = (self.config.rows as usize - 1 + first / k - age) * cols;
+        let mut left = k;
+        for col in first..=last {
+            self.output[at + col] = accumulators[at + col];
+            left -= 1;
+            if left == 0 {
+                (at, left) = (at + cols, k);
+            }
         }
+        self.collected += last - first + 1;
         Ok(())
     }
 
@@ -371,7 +327,11 @@ impl OsCollector {
                 ),
             });
         }
-        Ok(self.output)
+        Ok(Matrix::from_vec(
+            self.config.rows as usize,
+            self.config.cols as usize,
+            self.output,
+        )?)
     }
 }
 
@@ -393,15 +353,15 @@ mod tests {
         let a = Matrix::from_rows(vec![vec![1, 2], vec![3, 4], vec![5, 6], vec![7, 8]]).unwrap();
         let feeder = OsWestFeeder::new(&a, os_config(4, 4, 2)).unwrap();
         assert_eq!(feeder.stream_length(), 2);
-        let mut values = [0i32; 4];
-        assert_eq!(feeder.stage_values_into(0, &mut values), Some((0, 1)));
-        assert_eq!(values, [1, 3, 0, 0]);
-        assert_eq!(feeder.stage_values_into(1, &mut values), Some((0, 3)));
-        assert_eq!(values, [2, 4, 5, 7]);
-        assert_eq!(feeder.stage_values_into(2, &mut values), Some((2, 3)));
-        assert_eq!(values, [0, 0, 6, 8]);
-        assert_eq!(feeder.stage_values_into(3, &mut values), None);
-        assert_eq!(feeder.idle_from(), 3);
+        let mut west = [None; 4];
+        feeder.west_inputs_into(0, &mut west);
+        assert_eq!(west, [Some(1), Some(3), None, None]);
+        feeder.west_inputs_into(1, &mut west);
+        assert_eq!(west, [Some(2), Some(4), Some(5), Some(7)]);
+        feeder.west_inputs_into(2, &mut west);
+        assert_eq!(west, [None, None, Some(6), Some(8)]);
+        feeder.west_inputs_into(3, &mut west);
+        assert_eq!(west, [None; 4]);
     }
 
     #[test]
@@ -409,17 +369,17 @@ mod tests {
         // 3 SA columns, k = 1: column j starts at cycle j.
         let b = Matrix::from_rows(vec![vec![1, 2, 3], vec![4, 5, 6]]).unwrap();
         let feeder = OsNorthFeeder::new(&b, os_config(2, 3, 1)).unwrap();
-        let mut values = [0i32; 3];
-        assert_eq!(feeder.stage_values_into(0, &mut values), Some((0, 0)));
-        assert_eq!(values, [1, 0, 0]);
-        assert_eq!(feeder.stage_values_into(1, &mut values), Some((0, 1)));
-        assert_eq!(values, [4, 2, 0]);
-        assert_eq!(feeder.stage_values_into(2, &mut values), Some((1, 2)));
-        assert_eq!(values, [0, 5, 3]);
-        assert_eq!(feeder.stage_values_into(3, &mut values), Some((2, 2)));
-        assert_eq!(values, [0, 0, 6]);
-        assert_eq!(feeder.stage_values_into(4, &mut values), None);
-        assert_eq!(feeder.idle_from(), 4);
+        let mut north = [None; 3];
+        feeder.north_inputs_into(0, &mut north);
+        assert_eq!(north, [Some(1), None, None]);
+        feeder.north_inputs_into(1, &mut north);
+        assert_eq!(north, [Some(4), Some(2), None]);
+        feeder.north_inputs_into(2, &mut north);
+        assert_eq!(north, [None, Some(5), Some(3)]);
+        feeder.north_inputs_into(3, &mut north);
+        assert_eq!(north, [None, None, Some(6)]);
+        feeder.north_inputs_into(4, &mut north);
+        assert_eq!(north, [None; 3]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::backend::TileEngine;
 use crate::config::{ArrayConfig, Dataflow};
 use crate::error::SimError;
+use crate::soa::TileOperand;
 use crate::stats::RunStats;
 use gemm::{multiply, CancelToken, GemmDims, GemmError, Matrix, ParallelExecutor, TileGrid};
 use serde::{Deserialize, Serialize};
@@ -348,7 +349,11 @@ impl Simulator {
     /// next tile boundary with [`SimError::Cancelled`].
     ///
     /// The tiles go to a [`ParallelExecutor`] of the configured thread
-    /// count, which runs them inline and in order at one thread. Each tile
+    /// count, which runs them inline and in order at one thread. No tile
+    /// copies its operands: each reads its blocks of `A` and `B` in place
+    /// at its origin, with zeros past the matrices' edges, exactly the
+    /// blocks `Matrix::padded_block` would copy out for
+    /// [`TileEngine::execute_tile`]. Each tile
     /// checks its array out of `pool` and back in, so cancellation — which
     /// is only ever observed **between** tiles — cannot leak a pooled
     /// array, and the pool and simulator are immediately reusable
@@ -398,10 +403,10 @@ impl Simulator {
         }
         let executor = ParallelExecutor::new(self.threads);
         let results = executor.try_run_cancellable(tiles, token, |(t0, n0, m0)| {
-            let a_sub = a.padded_block(t0, n0, t_len, n_len);
-            let b_sub = b.padded_block(n0, m0, n_len, cols);
+            let a_sub = TileOperand::block(a, t0, n0, t_len, n_len);
+            let b_sub = TileOperand::block(b, n0, m0, n_len, cols);
             let mut engine = pool.acquire(self.config)?;
-            let result = engine.execute_tile(&a_sub, &b_sub);
+            let result = engine.execute_operands(a_sub, b_sub);
             pool.release(engine);
             result.map(|tile| (t0, m0, tile))
         })?;

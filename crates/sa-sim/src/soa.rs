@@ -3,9 +3,16 @@
 //! Both array cores keep their pipeline state as flat register buffers.
 //! Shared here:
 //!
-//! * [`RowLanes`], the west-to-east operand pipeline both arrays have (one
-//!   register per (row, column block)), stored per row so that what one PE
-//!   row sees in a cycle is a contiguous slice indexed by array column, and
+//! * [`TileOperand`], a tile operand read in place from its matrix at the
+//!   tile's origin, with zeros past the matrix's edges, so no tile copies
+//!   its operands before it runs;
+//! * [`RowStreams`], the west-edge operand streams of a tile both arrays'
+//!   analytic wavefront kernels run: every row's whole skewed stream,
+//!   built once when the stream starts, so the operand registers one PE
+//!   row holds in a cycle are one contiguous window indexed by array
+//!   column;
+//! * [`RowLanes`], the same west-to-east operand pipeline (one register per
+//!   (row, column block)) as the naive scan stages it cycle by cycle, and
 //!   the [`StageCursor`] ring position it (and the output-stationary `B`
 //!   pipeline) advances;
 //! * [`StreamPurity`]: both arrays run their analytic wavefront kernel only
@@ -13,6 +20,9 @@
 //! * the packed `u64` bitset helpers of the weight-stationary partial-sum
 //!   validity, which carry the word-boundary invariants its differential
 //!   tests exercise (geometries above 64 lanes).
+
+use crate::config::ArrayConfig;
+use gemm::Matrix;
 
 const WORD_BITS: usize = 64;
 
@@ -102,9 +112,225 @@ impl StageCursor {
     }
 }
 
+/// Writes one edge of a batched-skew schedule in `Option` form: lane `l`
+/// (an array row or column) carries element `n = cycle - floor(l / k)` of
+/// its `len`-long stream, read as `element(l, n)`, and `None` while its
+/// stream has not started or after it ended.
+pub(crate) fn skewed_edge_into(
+    cycle: u64,
+    len: u64,
+    k: usize,
+    edge: &mut [Option<i32>],
+    element: impl Fn(usize, usize) -> i32,
+) {
+    for (lane, slot) in edge.iter_mut().enumerate() {
+        *slot = match cycle.checked_sub((lane / k) as u64) {
+            Some(n) if n < len => Some(element(lane, n as usize)),
+            _ => None,
+        };
+    }
+}
+
+/// One tile operand read in place: the `rows x cols` block of `matrix`
+/// whose top-left element is (`row0`, `col0`), with zeros past the
+/// matrix's edges — the block `Matrix::padded_block` would copy out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileOperand<'a> {
+    matrix: &'a Matrix<i32>,
+    row0: usize,
+    col0: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> TileOperand<'a> {
+    /// The block of `matrix` at (`row0`, `col0`).
+    pub(crate) fn block(
+        matrix: &'a Matrix<i32>,
+        row0: usize,
+        col0: usize,
+        rows: usize,
+        cols: usize,
+    ) -> Self {
+        Self {
+            matrix,
+            row0,
+            col0,
+            rows,
+            cols,
+        }
+    }
+
+    /// The whole of `matrix`: the origin-zero block of its own shape.
+    pub(crate) fn whole(matrix: &'a Matrix<i32>) -> Self {
+        Self::block(matrix, 0, 0, matrix.rows(), matrix.cols())
+    }
+
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Element (`row`, `col`) of the block.
+    pub(crate) fn get(&self, row: usize, col: usize) -> i32 {
+        self.matrix
+            .get(self.row0 + row, self.col0 + col)
+            .unwrap_or(0)
+    }
+
+    /// Copies elements `(0..dst.len(), col)` of the block into `dst`,
+    /// zero past the matrix.
+    pub(crate) fn copy_col(&self, col: usize, dst: &mut [i32]) {
+        let (row, col) = (self.row0, self.col0 + col);
+        let (rows, cols) = (self.matrix.rows(), self.matrix.cols());
+        let inside = if col < cols {
+            rows.saturating_sub(row).min(dst.len())
+        } else {
+            0
+        };
+        if inside > 0 {
+            let column = self.matrix.as_slice()[row * cols + col..]
+                .iter()
+                .step_by(cols);
+            for (slot, &value) in dst[..inside].iter_mut().zip(column) {
+                *slot = value;
+            }
+        }
+        dst[inside..].fill(0);
+    }
+
+    /// Copies elements `(row, col..col + dst.len())` of the block into
+    /// `dst`: the part inside the matrix as one slice, the rest as zeros.
+    pub(crate) fn copy_row(&self, row: usize, col: usize, dst: &mut [i32]) {
+        let (row, col) = (self.row0 + row, self.col0 + col);
+        let inside = if row < self.matrix.rows() {
+            self.matrix.cols().saturating_sub(col).min(dst.len())
+        } else {
+            0
+        };
+        if inside > 0 {
+            dst[..inside].copy_from_slice(&self.matrix.row(row)[col..col + inside]);
+        }
+        dst[inside..].fill(0);
+    }
+}
+
+/// The west-edge operand streams of one tile the analytic wavefront
+/// kernels run, built when the stream starts at cycle 0.
+///
+/// Row `n` of an `R x C` array in collapse mode `k` receives operand `t` of
+/// its stream at cycle `t + floor(n/k)` (the batched skew), and its columns
+/// see that edge for `ceil(C/k)` cycles, column `j` the edge from
+/// `floor(j/k)` cycles ago. The row's lane stores its edges reversed in
+/// time and k-expanded: the edge of cycle `c` fills positions
+/// `(c_max - c) * k .. (c_max - c + 1) * k`, where `c_max` is the last
+/// cycle with a multiply-accumulate, and every position the stream does
+/// not reach holds zero. The operand registers of the row's columns
+/// `0..C` at cycle `c` are then exactly the window starting at
+/// `(c_max - c) * k` — the registers themselves, stored where no operand
+/// ever moves.
+#[derive(Debug, Clone)]
+pub(crate) struct RowStreams {
+    /// Per row, `stride` operands.
+    values: Vec<i32>,
+    /// Positions per row lane: `c_max * k + C`.
+    stride: usize,
+    /// The stream length (`T` or `N`).
+    len: u64,
+    /// The last cycle with a multiply-accumulate,
+    /// `len + ceil(R/k) + ceil(C/k) - 3`.
+    c_max: u64,
+    k: usize,
+    cols: usize,
+}
+
+impl RowStreams {
+    /// All-zero streams of a `len`-long schedule on `config`'s array;
+    /// [`RowStreams::fill`] writes the operands.
+    pub(crate) fn new(config: ArrayConfig, len: u64) -> Self {
+        let (rows, cols) = (config.rows as usize, config.cols as usize);
+        let k = config.collapse_depth as usize;
+        let c_max = (len + u64::from(config.row_blocks()) + u64::from(config.col_blocks()))
+            .saturating_sub(3);
+        let stride = c_max as usize * k + cols;
+        Self {
+            values: vec![0; rows * stride],
+            stride,
+            len,
+            c_max,
+            k,
+            cols,
+        }
+    }
+
+    /// Writes the operands that enter the west edge at cycle `from` or
+    /// later, where `stream(row, operands)` writes the `len` operands of
+    /// array row `row` in stream order. A stream starts with `from = 0`;
+    /// a call that continues it refills only the edges still to come, from
+    /// its own feeder, exactly as staging that feeder's edges would.
+    pub(crate) fn fill(&mut self, from: u64, stream: impl Fn(usize, &mut [i32])) {
+        let (k, c_max) = (self.k, self.c_max as usize);
+        let mut operands = vec![0; self.len as usize];
+        for (row, lane) in self.values.chunks_exact_mut(self.stride).enumerate() {
+            stream(row, &mut operands);
+            // Operand `t` enters at cycle `t + row / k`, so the stream
+            // fills the lane backwards from position `(c_max - row/k) * k`.
+            let skew = row / k;
+            let end = (c_max + 1).saturating_sub(skew) * k;
+            let lane = &mut lane[end.saturating_sub(operands.len() * k)..end];
+            let future = (from as usize).saturating_sub(skew);
+            for (copies, &operand) in lane.chunks_exact_mut(k).rev().zip(&operands).skip(future) {
+                copies.fill(operand);
+            }
+        }
+    }
+
+    /// The last cycle with a multiply-accumulate.
+    pub(crate) fn last_mac_cycle(&self) -> u64 {
+        self.c_max
+    }
+
+    /// The first cycle from which no operand is in flight: the last
+    /// non-idle edge entered `ceil(C/k)` cycles earlier (and the
+    /// output-stationary north edge's `ceil(R/k)` stages drain on the same
+    /// cycle).
+    pub(crate) fn drained_from(&self) -> u64 {
+        if self.len == 0 {
+            0
+        } else {
+            self.c_max + 2
+        }
+    }
+
+    /// The operand registers of columns `0..C` of `row` at `cycle`
+    /// (`cycle <= c_max`).
+    pub(crate) fn window(&self, row: usize, cycle: u64) -> &[i32] {
+        let at = row * self.stride + (self.c_max - cycle) as usize * self.k;
+        &self.values[at..at + self.cols]
+    }
+
+    /// Writes the operand registers the streams hold after cycles
+    /// `0..next` into `lanes`: the edges of the last `ceil(C/k)` cycles,
+    /// restaged in order on cleared lanes.
+    pub(crate) fn restage(&self, lanes: &mut RowLanes, next: u64) {
+        lanes.clear();
+        let mut edge = vec![None; self.values.len() / self.stride];
+        for cycle in next.saturating_sub(lanes.cursor.slots as u64)..next {
+            // A valid edge of `cycle` lies within the streams: `cycle <= c_max`.
+            skewed_edge_into(cycle, self.len, self.k, &mut edge, |row, _| {
+                self.values[row * self.stride + (self.c_max - cycle) as usize * self.k]
+            });
+            lanes.stage_options(&edge);
+        }
+    }
+}
+
 /// The west-to-east operand pipeline of an `R x C` array in collapse mode
-/// `k`: one register per (row, column block), `ceil(C/k)` stages in
-/// flight.
+/// `k` as the naive scan stages it: one register per (row, column block),
+/// `ceil(C/k)` stages in flight.
 ///
 /// The pipeline is a pure shift register, so no operand moves once staged.
 /// Each row owns a lane of `2 * ceil(C/k)` stage slots of `k` operands: the
@@ -123,10 +349,7 @@ pub(crate) struct RowLanes {
     /// Validity: per stage slot, `words` words, bit `row`.
     valid: Vec<u64>,
     words: usize,
-    /// One edge stage, one operand per row: the buffer a feeder stages
-    /// into before the stage is spread over the row lanes.
-    edge: Vec<i32>,
-    pub(crate) cursor: StageCursor,
+    cursor: StageCursor,
     k: usize,
 }
 
@@ -138,7 +361,6 @@ impl RowLanes {
             values: vec![0; rows * 2 * slots * k],
             valid: vec![0; slots * words],
             words,
-            edge: vec![0; rows],
             cursor: StageCursor::new(slots),
             k,
         }
@@ -150,51 +372,23 @@ impl RowLanes {
         self.cursor = StageCursor::new(self.cursor.slots);
     }
 
-    /// Writes the operands of one stage — row `row` carries `value(row)` —
-    /// into the head slot and its mirror, and returns the head slot's
-    /// validity words, cleared. The stage goes in copy by copy, so every
-    /// write is a single store rather than a short fill per row.
-    fn write_stage(&mut self, value: impl Fn(usize) -> i32) -> &mut [u64] {
+    /// Stages one edge given in `Option` form (`None` = no operand): its
+    /// operands go into the head slot and its mirror, copy by copy so every
+    /// write is a single store, and its validity into the head slot's
+    /// bitset. An idle edge entering a drained pipeline writes nothing.
+    pub(crate) fn stage_options(&mut self, inputs: &[Option<i32>]) {
+        if !self.cursor.advance(inputs.iter().all(Option::is_none)) {
+            return;
+        }
         let (k, slots, head) = (self.k, self.cursor.slots, self.cursor.head);
         for copy in head * k..(head + 1) * k {
-            for (row, lane) in self.values.chunks_exact_mut(2 * slots * k).enumerate() {
-                lane[copy] = value(row);
+            for (lane, input) in self.values.chunks_exact_mut(2 * slots * k).zip(inputs) {
+                lane[copy] = input.unwrap_or(0);
                 lane[copy + slots * k] = lane[copy];
             }
         }
         let valid = &mut self.valid[head * self.words..(head + 1) * self.words];
         valid.fill(0);
-        valid
-    }
-
-    /// Stages one edge of a feeder schedule. `idle` says whether the edge
-    /// carries no operand this cycle; `stage` writes the edge's operands
-    /// (one per row, idle rows as zero) and returns the valid row range.
-    /// An idle edge entering a drained pipeline writes nothing.
-    pub(crate) fn stage_feeder(
-        &mut self,
-        idle: bool,
-        stage: impl FnOnce(&mut [i32]) -> Option<(u32, u32)>,
-    ) {
-        if !self.cursor.advance(idle) {
-            return;
-        }
-        let mut edge = std::mem::take(&mut self.edge);
-        let active = stage(&mut edge);
-        let valid = self.write_stage(|row| edge[row]);
-        if let Some((first, last)) = active {
-            set_range(valid, first as usize, last as usize);
-        }
-        self.edge = edge;
-    }
-
-    /// Stages one edge given in `Option` form (`None` = no operand), as
-    /// [`RowLanes::stage_feeder`].
-    pub(crate) fn stage_options(&mut self, inputs: &[Option<i32>]) {
-        if !self.cursor.advance(inputs.iter().all(Option::is_none)) {
-            return;
-        }
-        let valid = self.write_stage(|row| inputs[row].unwrap_or(0));
         for (row, input) in inputs.iter().enumerate() {
             if input.is_some() {
                 set_bit(valid, row);
@@ -233,7 +427,7 @@ pub(crate) enum StreamPurity {
     /// The pipelines are empty; any schedule may start at cycle 0.
     Clean,
     /// Cycles `0..next` of a feeder stream of length `t` have been fed,
-    /// nothing else.
+    /// nothing else. The operand registers live in the array's streams.
     Tracked {
         /// The stream length the in-flight schedule was generated from.
         t: u64,
@@ -246,22 +440,15 @@ pub(crate) enum StreamPurity {
 }
 
 impl StreamPurity {
-    /// Admits a run of cycles `first_cycle..end` of a feeder stream of
-    /// length `t`: returns whether the run continues the tracked schedule
-    /// (so the analytic kernel applies) and records the outcome — the run's
-    /// end as the next expected cycle, or poison.
-    pub(crate) fn admit(&mut self, t: u64, first_cycle: u64, end: u64) -> bool {
-        let pure = match *self {
+    /// Whether a run of cycles from `first_cycle` of a feeder stream of
+    /// length `t` continues the tracked schedule, so the analytic kernel
+    /// applies.
+    pub(crate) fn admits(self, t: u64, first_cycle: u64) -> bool {
+        match self {
             Self::Clean => first_cycle == 0,
             Self::Tracked { t: tracked, next } => tracked == t && first_cycle == next,
             Self::Poisoned => false,
-        };
-        *self = if pure {
-            Self::Tracked { t, next: end }
-        } else {
-            Self::Poisoned
-        };
-        pure
+        }
     }
 }
 
@@ -292,11 +479,7 @@ mod tests {
         // partial. Stage s carries 10 * s + row.
         let mut lanes = RowLanes::new(2, 5, 2);
         for s in 1..=3 {
-            lanes.stage_feeder(false, |edge| {
-                edge[0] = 10 * s;
-                edge[1] = 10 * s + 1;
-                Some((0, 1))
-            });
+            lanes.stage_options(&[Some(10 * s), Some(10 * s + 1)]);
         }
         // Columns 0-1 see the newest stage, 2-3 the one before, 4 the
         // oldest.
@@ -317,10 +500,7 @@ mod tests {
         assert!((0..3).all(|cb| lanes.is_valid(1, cb)));
         // Three idle stages drain the pipeline; a fourth writes nothing.
         for _ in 0..3 {
-            lanes.stage_feeder(true, |edge| {
-                edge.fill(0);
-                None
-            });
+            lanes.stage_options(&[None, None]);
         }
         assert!(lanes.cursor.is_drained());
         let head = lanes.cursor.head;
@@ -331,17 +511,86 @@ mod tests {
     }
 
     #[test]
+    fn row_streams_hold_the_registers_the_staged_lanes_hold() {
+        // Every cycle of a stream, the window of each row equals the
+        // operands the row lanes show after staging the same edges one
+        // by one, and restaging at that cycle rebuilds those lanes.
+        for (rows, cols, k, len) in [(5u32, 7u32, 2u32, 4u64), (3, 3, 1, 1), (6, 4, 3, 9)] {
+            let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
+            let (rows, cols, k) = (rows as usize, cols as usize, k as usize);
+            let operand = |row: usize, t: usize| (100 * row + t + 1) as i32;
+            let mut streams = RowStreams::new(config, len);
+            streams.fill(0, |row, operands| {
+                for (t, slot) in operands.iter_mut().enumerate() {
+                    *slot = operand(row, t);
+                }
+            });
+            let mut staged = RowLanes::new(rows, cols, k);
+            let mut edge = vec![None; rows];
+            for cycle in 0..streams.drained_from() + 2 {
+                skewed_edge_into(cycle, len, k, &mut edge, operand);
+                staged.stage_options(&edge);
+                if cycle <= streams.last_mac_cycle() {
+                    for row in 0..rows {
+                        assert_eq!(
+                            streams.window(row, cycle),
+                            staged.operands(row, cols),
+                            "{config} cycle {cycle} row {row}"
+                        );
+                    }
+                }
+                let mut restaged = RowLanes::new(rows, cols, k);
+                streams.restage(&mut restaged, cycle + 1);
+                assert_eq!(
+                    restaged.cursor.is_drained(),
+                    staged.cursor.is_drained(),
+                    "{config} cycle {cycle}"
+                );
+                for row in 0..rows {
+                    assert_eq!(restaged.operands(row, cols), staged.operands(row, cols));
+                    for cb in 0..cols.div_ceil(k) {
+                        assert_eq!(restaged.is_valid(row, cb), staged.is_valid(row, cb));
+                    }
+                }
+            }
+            assert!(staged.cursor.is_drained(), "{config}");
+        }
+    }
+
+    #[test]
+    fn tile_operands_read_in_place_with_zero_padding() {
+        let matrix = Matrix::from_fn(3, 4, |r, c| (10 * r + c) as i32);
+        let block = TileOperand::block(&matrix, 1, 2, 3, 4);
+        let expected = matrix.padded_block(1, 2, 3, 4);
+        for row in 0..3 {
+            for col in 0..4 {
+                assert_eq!(block.get(row, col), expected[(row, col)]);
+            }
+            let mut dst = [-1; 3];
+            block.copy_row(row, 1, &mut dst);
+            assert_eq!(dst, expected.row(row)[1..4]);
+        }
+        for col in 0..4 {
+            let mut dst = [-1; 3];
+            block.copy_col(col, &mut dst);
+            assert_eq!(dst, [0, 1, 2].map(|row| expected[(row, col)]));
+        }
+        let whole = TileOperand::whole(&matrix);
+        assert_eq!((whole.rows(), whole.cols()), (3, 4));
+        assert_eq!(whole.get(2, 3), 23);
+    }
+
+    #[test]
     fn stream_purity_admits_only_uninterrupted_continuations() {
-        let mut purity = StreamPurity::Clean;
-        assert!(purity.admit(5, 0, 3));
-        assert!(purity.admit(5, 3, 9));
-        // A different stream length poisons, and poison sticks.
-        assert!(!StreamPurity::Tracked { t: 5, next: 9 }.admit(6, 9, 10));
-        let mut skipped = StreamPurity::Tracked { t: 5, next: 9 };
-        assert!(!skipped.admit(5, 10, 12));
-        assert_eq!(skipped, StreamPurity::Poisoned);
-        assert!(!skipped.admit(5, 12, 13));
+        assert!(StreamPurity::Clean.admits(5, 0));
+        assert!(StreamPurity::Tracked { t: 5, next: 3 }.admits(5, 3));
+        // A different stream length, a skipped or repeated cycle, and a
+        // poisoned pipeline are all rejected.
+        assert!(!StreamPurity::Tracked { t: 5, next: 9 }.admits(6, 9));
+        assert!(!StreamPurity::Tracked { t: 5, next: 9 }.admits(5, 10));
+        assert!(!StreamPurity::Tracked { t: 5, next: 9 }.admits(5, 0));
+        assert!(!StreamPurity::Poisoned.admits(5, 0));
         // A clean pipeline only admits a schedule from its first cycle.
-        assert!(!StreamPurity::Clean.admit(5, 1, 2));
+        assert!(!StreamPurity::Clean.admits(5, 1));
     }
 }

@@ -17,7 +17,8 @@
 //!   wavefront kernel cycle range by cycle range rather than by its drained
 //!   output alone — plus the schedules the wavefront kernel must refuse
 //!   (`step` first, a skipped resume cycle, a different stream length, a
-//!   repeated run without a reset), which fall back to the naive scan.
+//!   repeated run without a reset), which fall back to the naive scan, and
+//!   a continuation it admits on other operands.
 //!
 //! On top of the reference, every full tile is checked against the
 //! dataflow-independent oracle: [`multiply`] of the same operands, which
@@ -358,6 +359,23 @@ fn os_run_cycles_with_a_different_stream_length_matches_the_reference() {
             (5, end),
             &[2, 1],
         );
+    }
+}
+
+#[test]
+fn os_run_cycles_continued_on_other_operands_matches_the_reference() {
+    // A continuation the purity guard admits (same reduction length, the
+    // next cycle) streams the edges of the feeders it is given, even when
+    // they read other operands than the call that started the stream.
+    for (rows, cols, k, n) in [(9u32, 7u32, 2u32, 6usize), (70, 66, 4, 5)] {
+        let config = os_config(rows, cols, k);
+        let (a, b) = random_tile(config, n, 37, 20);
+        let (other_a, other_b) = random_tile(config, n, 38, 20);
+        let mut lockstep = Lockstep::new(config);
+        let mut collector = OsCollector::new(config, n as u64);
+        let end = config.os_tile_cycles(n as u64);
+        lockstep.run((&a, &b), &mut collector, 0, 4);
+        lockstep.run_chunked((&other_a, &other_b), &mut collector, (4, end), &[3]);
     }
 }
 

@@ -3,7 +3,9 @@
 use gemm::rng::SplitMix64;
 use gemm::{multiply, CancelToken, Matrix, ParallelExecutor};
 use proptest::prelude::*;
-use sa_sim::{ArrayConfig, ArrayPool, CarrySaveValue, Dataflow, SimError, Simulator};
+use sa_sim::{
+    ArrayConfig, ArrayPool, CarrySaveValue, Dataflow, RunStats, SimError, Simulator, TileEngine,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 proptest! {
@@ -103,6 +105,74 @@ proptest! {
         let second = simulator.run_gemm(&a, &b).unwrap();
         prop_assert_eq!(first.output, second.output);
         prop_assert_eq!(first.stats, second.stats);
+    }
+
+    /// The tile loop, which reads every tile's operands in place, equals
+    /// its per-tile definition: copy each tile's operand blocks out with
+    /// `padded_block`, run them through `TileEngine::execute_tile` on a
+    /// fresh array, add each product at the tile's origin with wrapping
+    /// adds and sum the tiles' statistics.
+    #[test]
+    fn the_tile_loop_equals_padded_tiles_run_one_by_one(
+        rows in 1u32..=9,
+        cols in 1u32..=9,
+        k in 1u32..=4,
+        output_stationary in any::<bool>(),
+        t in 1usize..=20,
+        n in 1usize..=20,
+        m in 1usize..=20,
+        threads in 1usize..=2,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(k <= rows && k <= cols);
+        let dataflow = if output_stationary {
+            Dataflow::OutputStationary
+        } else {
+            Dataflow::WeightStationary
+        };
+        let config = ArrayConfig::new(rows, cols)
+            .with_collapse_depth(k)
+            .with_dataflow(dataflow);
+        let mut rng = SplitMix64::new(seed);
+        let a = Matrix::random(t, n, &mut rng, -100, 100);
+        let b = Matrix::random(n, m, &mut rng, -100, 100);
+        let (rows, cols) = (rows as usize, cols as usize);
+
+        // Weight-stationary tiles stream all of T through R-deep slices
+        // of N; output-stationary tiles own R rows of T and reduce all
+        // of N. Both are C columns of M wide.
+        let (t_len, n_len) = if output_stationary { (rows, n) } else { (t, rows) };
+        let mut output = Matrix::<i64>::zeros(t, m);
+        let mut stats = RunStats::default();
+        for t0 in (0..t).step_by(t_len) {
+            for n0 in (0..n).step_by(n_len) {
+                for m0 in (0..m).step_by(cols) {
+                    let a_sub = a.padded_block(t0, n0, t_len, n_len);
+                    let b_sub = b.padded_block(n0, m0, n_len, cols);
+                    let tile = TileEngine::new(config)
+                        .unwrap()
+                        .execute_tile(&a_sub, &b_sub)
+                        .unwrap();
+                    for r in 0..t_len.min(t - t0) {
+                        for c in 0..cols.min(m - m0) {
+                            let sum = output[(t0 + r, m0 + c)].wrapping_add(tile.output[(r, c)]);
+                            output.set(t0 + r, m0 + c, sum);
+                        }
+                    }
+                    stats += tile.stats;
+                }
+            }
+        }
+
+        let pool = ArrayPool::new();
+        let run = Simulator::new(config)
+            .unwrap()
+            .threads(threads)
+            .run_gemm_pooled(&pool, &a, &b)
+            .unwrap();
+        prop_assert_eq!(&run.output, &output);
+        prop_assert_eq!(run.stats, stats);
+        prop_assert_eq!(&run.output, &multiply(&a, &b).unwrap());
     }
 
     /// Cooperative cancellation never leaks a pooled array and never

@@ -9,8 +9,9 @@
 //! today's [`SystolicArray`] across randomized geometries, collapse depths,
 //! stream lengths and operand sparsity, and assert bit-identical south
 //! outputs and [`RunStats`] — through `step_into` (the naive scan) every
-//! cycle, and through `run_cycles` split into chunks down to single cycles,
-//! which pins the analytic wavefront kernel cycle range by cycle range. The
+//! cycle, through `run_cycles` split into chunks down to single cycles,
+//! which pins the analytic wavefront kernel cycle range by cycle range,
+//! and through a `run_cycles` prefix handed over to `step_into`. The
 //! output-stationary backend has the analogous suite in
 //! `dataflow_equivalence.rs`, against the same module's
 //! `common::os::LegacyOsArray`.
@@ -147,6 +148,100 @@ fn ws_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
         for (seed, t) in ts.into_iter().enumerate() {
             assert_chunked_ws_tile(rows, cols, k, t, seed as u64, &chunks);
         }
+    }
+}
+
+#[test]
+fn step_into_after_a_partial_run_cycles_matches_the_reference() {
+    // A stream left on the analytic kernel after `prefix` cycles must
+    // hand `step_into` exactly the operand registers it stood for: the
+    // rest of the tile, stepped one cycle at a time, matches the reference
+    // output for output.
+    for (rows, cols, k, t, prefix) in [
+        (8u32, 8u32, 2u32, 6usize, 4u64),
+        (65, 65, 1, 3, 2),
+        (70, 66, 4, 5, 7),
+        (9, 7, 3, 10, 9),
+    ] {
+        let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
+        let mut rng = SplitMix64::new(u64::from(rows) * 100 + prefix);
+        let weights = Matrix::random(rows as usize, cols as usize, &mut rng, -60, 60);
+        let a = Matrix::random(t, rows as usize, &mut rng, -60, 60);
+        let feeder = InputFeeder::new(&a, config).unwrap();
+        let mut engine = SystolicArray::new(config).unwrap();
+        let mut reference = legacy::LegacyArray::new(config);
+        engine.load_weights(&weights).unwrap();
+        reference.load_weights(&weights);
+        let mut collector = OutputCollector::new(config, t);
+        let mut reference_collector = OutputCollector::new(config, t);
+
+        engine
+            .run_cycles(&feeder, 0, prefix, &mut collector)
+            .unwrap();
+        for cycle in 0..prefix {
+            let south = reference.step(&feeder.west_inputs(cycle));
+            reference_collector.collect(cycle, &south).unwrap();
+        }
+        assert_eq!(
+            engine.stats(),
+            reference.stats(),
+            "{config} t={t} after {prefix} cycles"
+        );
+
+        let mut south = vec![None; cols as usize];
+        for cycle in prefix..config.compute_cycles(t as u64) + 2 {
+            let west = feeder.west_inputs(cycle);
+            engine.step_into(&west, &mut south).unwrap();
+            let expected = reference.step(&west);
+            assert_eq!(south, expected, "{config} t={t} cycle {cycle}");
+            collector.collect(cycle, &south).unwrap();
+            reference_collector.collect(cycle, &expected).unwrap();
+        }
+        assert_eq!(engine.stats(), reference.stats(), "{config} t={t}");
+        let expected = reference_collector.into_output().unwrap();
+        assert_eq!(expected, multiply(&a, &weights).unwrap(), "{config} t={t}");
+        assert_eq!(collector.into_output().unwrap(), expected, "{config} t={t}");
+    }
+}
+
+#[test]
+fn run_cycles_continued_on_another_feeder_matches_the_reference() {
+    // A continuation the purity guard admits (same stream length, the
+    // next cycle) streams the edges of the feeder it is given, even when
+    // that feeder reads other operands than the call that started the
+    // stream.
+    for (rows, cols, k, t, prefix) in [(8u32, 8u32, 2u32, 6usize, 4u64), (70, 66, 4, 5, 7)] {
+        let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
+        let mut rng = SplitMix64::new(u64::from(rows) + prefix);
+        let weights = Matrix::random(rows as usize, cols as usize, &mut rng, -60, 60);
+        let first = Matrix::random(t, rows as usize, &mut rng, -60, 60);
+        let second = Matrix::random(t, rows as usize, &mut rng, -60, 60);
+        let feeders = [
+            InputFeeder::new(&first, config).unwrap(),
+            InputFeeder::new(&second, config).unwrap(),
+        ];
+        let mut engine = SystolicArray::new(config).unwrap();
+        let mut reference = legacy::LegacyArray::new(config);
+        engine.load_weights(&weights).unwrap();
+        reference.load_weights(&weights);
+        let mut collector = OutputCollector::new(config, t);
+        let mut reference_collector = OutputCollector::new(config, t);
+        let end = config.compute_cycles(t as u64);
+        for (feeder, (from, to)) in feeders.iter().zip([(0, prefix), (prefix, end)]) {
+            engine
+                .run_cycles(feeder, from, to - from, &mut collector)
+                .unwrap();
+            for cycle in from..to {
+                let south = reference.step(&feeder.west_inputs(cycle));
+                reference_collector.collect(cycle, &south).unwrap();
+            }
+            assert_eq!(engine.stats(), reference.stats(), "{config} after {to}");
+        }
+        assert_eq!(
+            collector.into_output().unwrap(),
+            reference_collector.into_output().unwrap(),
+            "{config} t={t}"
+        );
     }
 }
 
