@@ -3,8 +3,9 @@
 //! [`simcore_baseline`] times a fixed, deterministic set of hot-path
 //! workloads — the cycle-accurate tile kernels of both dataflows on
 //! drain-heavy, steady-state and full-size tiles, a whole tiled GEMM, the
-//! im2col lowering, the reference GEMM and the compact JSON rendering of
-//! the `/v1/plan` golden plan — and reports machine-readable records (bench name,
+//! im2col lowering, the reference GEMM, one round of the `/v1/simulate`
+//! benchmark mix and the compact JSON rendering of the `/v1/plan` golden
+//! plan — and reports machine-readable records (bench name,
 //! threads, iterations, ns/iter and, for the simulator benches, simulated
 //! cycles per wall-clock second). The `bench_baseline` binary wraps it;
 //! `scripts/bench_baseline.sh` regenerates the committed
@@ -24,8 +25,8 @@ use gemm::im2col::im2col;
 use gemm::rng::SplitMix64;
 use gemm::{multiply, ConvShape, Matrix, Tensor3};
 use sa_sim::{
-    ArrayConfig, Dataflow, InputFeeder, OutputCollector, SimError, Simulator, SystolicArray,
-    TileResult,
+    ArrayConfig, ArrayPool, Dataflow, InputFeeder, OutputCollector, SimError, Simulator,
+    SystolicArray, TileResult,
 };
 use serde::{Deserialize, Serialize};
 use std::hint::black_box;
@@ -83,6 +84,59 @@ pub const DRAIN_HEAVY_NAIVE: &str = "simcore/tile_32x32_drain_heavy/naive";
 /// The JSON-emission bench: `serde_json::to_string` of the `/v1/plan`
 /// golden plan.
 pub const ENCODE_PLAN: &str = "json/encode_plan_resnet34_128x128";
+/// The `/v1/simulate` mix bench: one round of the `simulate` benchmark
+/// workload through one [`ArrayPool`], with the constants of its
+/// generator.
+pub const SIMULATE_ROUND: &str = "simcore/simulate_round";
+
+/// One GEMM of the `simulate` round: its array, depth, dataflow and
+/// operands.
+struct RoundGemm {
+    model: ArrayFlexModel,
+    k: u32,
+    a: Matrix<i32>,
+    b: Matrix<i32>,
+}
+
+/// The GEMMs of one round of the `simulate` benchmark workload, with the
+/// same constants its generator uses: every array edge pair of 8, 16, 32
+/// and 64 at every depth 1 to 4 in both dataflows, GEMM dimensions drawn
+/// from 16..=64 by SplitMix64 seed `0x5eed_a11a`, plus three 128^3
+/// output-stationary GEMMs on a 64x64 array at depth 2. Operands are drawn
+/// in `-64..=63` from seed `i` for the round's `i`-th GEMM.
+fn simulate_round() -> Result<Vec<RoundGemm>, ArrayFlexError> {
+    const EDGES: [u32; 4] = [8, 16, 32, 64];
+    let mut shapes = SplitMix64::new(0x5eed_a11a);
+    let mut between = |low: u64, high: u64| low + shapes.next_u64() % (high - low + 1);
+    let mut specs = Vec::new();
+    for dataflow in Dataflow::ALL {
+        for rows in EDGES {
+            for cols in EDGES {
+                for k in 1..=4 {
+                    let (t, n, m) = (between(16, 64), between(16, 64), between(16, 64));
+                    specs.push((rows, cols, k, dataflow, t, n, m));
+                }
+            }
+        }
+    }
+    let largest = (64, 64, 2, Dataflow::OutputStationary, 128, 128, 128);
+    specs.extend([largest; 3]);
+    specs
+        .into_iter()
+        .enumerate()
+        .map(|(seed, (rows, cols, k, dataflow, t, n, m))| {
+            let mut rng = SplitMix64::new(seed as u64);
+            let a = Matrix::random(t as usize, n as usize, &mut rng, -64, 63);
+            let b = Matrix::random(n as usize, m as usize, &mut rng, -64, 63);
+            Ok(RoundGemm {
+                model: ArrayFlexModel::new(rows, cols)?.with_dataflow(dataflow),
+                k,
+                a,
+                b,
+            })
+        })
+        .collect()
+}
 
 /// Best-of-three-batches wall-clock nanoseconds per iteration of `f`.
 fn time_batches<F: FnMut()>(iters: u64, mut f: F) -> f64 {
@@ -323,7 +377,30 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record("gemm/multiply_96x96x96", iters, None, ns));
 
-    // 10. Compact JSON rendering of the `/v1/plan` golden response: the
+    // 10. One round of the `simulate` benchmark workload, as the
+    // `/v1/simulate` handler runs it: the pooled tile loop, the model's
+    // prediction and the reference multiply, single-threaded.
+    let round = simulate_round()?;
+    let pool = ArrayPool::new();
+    let run_round = || -> Result<u64, ArrayFlexError> {
+        let mut cycles = 0;
+        for gemm in &round {
+            let run = gemm
+                .model
+                .simulate_gemm_pooled(&pool, &gemm.a, &gemm.b, gemm.k, 1)?;
+            assert!(run.functionally_correct && run.cycles_match());
+            cycles += run.stats.total_cycles();
+        }
+        Ok(cycles)
+    };
+    let cycles = run_round()?;
+    let iters = scale(10);
+    let ns = time_batches(iters, || {
+        run_round().expect("simulate round");
+    });
+    benches.push(record(SIMULATE_ROUND, iters, Some(cycles), ns));
+
+    // 11. Compact JSON rendering of the `/v1/plan` golden response: the
     // ArrayFlex plan of ResNet-34 on a 128x128 array (10,431 bytes).
     let plan = ArrayFlexModel::new(128, 128)?
         .plan_arrayflex(&cnn::models::resnet34(), DepthwiseMapping::default())?;
@@ -535,7 +612,8 @@ mod tests {
     fn quick_baseline_runs_and_round_trips_through_json() {
         let report = simcore_baseline(true).unwrap();
         assert!(report.quick);
-        assert_eq!(report.benches.len(), 10);
+        assert_eq!(report.benches.len(), 11);
+        assert!(report.bench(SIMULATE_ROUND).is_some());
         validate_report(&report).unwrap();
         assert!(report.bench(DRAIN_HEAVY_FAST).is_some());
         assert!(report.bench("simcore/nope").is_none());
