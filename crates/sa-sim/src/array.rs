@@ -15,25 +15,37 @@
 //! Only the registers that physically exist are stored: with collapsing
 //! depth `k`, the horizontal (operand) pipeline has one register per
 //! (row, column block) and the vertical (partial-sum) pipeline one per
-//! (row block, column). The horizontal pipeline is a pure shift register,
-//! so no operand moves once it enters the west edge. Its registers live in
-//! one of two stores, laid out so that the operands one PE row sees in a
-//! cycle are one contiguous slice indexed by array column:
+//! (row block, column). Both pipelines are shift registers whose values
+//! never need to move, and each keeps its registers in one of two stores,
+//! laid out so that what one PE row (or row block) holds in a cycle is one
+//! contiguous slice indexed by array column:
 //!
 //! * while a feeder stream runs on the analytic kernel, in the tile's
-//!   **row streams** (`soa::RowStreams`, shared with the output-stationary
-//!   `A` pipeline): every row's whole skewed stream, built once at cycle 0
-//!   straight from the operand matrix, reversed in time and k-expanded, so
-//!   a cycle's registers are a window that slides one stage per cycle;
-//! * otherwise in k-expanded, mirrored **row lanes** (`soa::RowLanes`),
-//!   into which the naive scan stages each cycle's west edge, with
-//!   validity bits; column block `cb` reads the stage from `cb` cycles ago.
+//!   **streams**, built when the stream starts at cycle 0. The operands
+//!   are the **row streams** (`soa::RowStreams`, shared with the
+//!   output-stationary `A` pipeline): every row's whole skewed stream,
+//!   built straight from the operand matrix, reversed in time and
+//!   k-expanded, so a cycle's registers are a window that slides one
+//!   stage per cycle. The partial sums are the **partial-sum store**: row
+//!   block `rb` works in cycle `c` on output row `c - rb - floor(j/k)` of
+//!   column `j`, so the whole block reads and writes row `c - rb` of a
+//!   store of `T + ceil(C/k) - 1` rows, and register `(rb, j)` after
+//!   cycle `c` is entry `(c - rb, j)` of it;
+//! * otherwise in the naive scan's stores: k-expanded, mirrored **row
+//!   lanes** (`soa::RowLanes`), into which it stages each cycle's west
+//!   edge, with validity bits (column block `cb` reads the stage from `cb`
+//!   cycles ago), and a flat row-block-major, double-buffered partial-sum
+//!   file with packed `u64` validity bitsets (one word-aligned segment per
+//!   row block).
 //!
-//! Whenever a stream hands over to the naive scan, the registers its
-//! streams stand for are restaged into the row lanes first. Partial sums
-//! live in a flat row-block-major buffer with packed `u64` validity
-//! bitsets (one word-aligned segment per row block), and the stationary
-//! weights in one row-major buffer.
+//! The streams cover only the part of the tile the GEMM's operands reach:
+//! the rows the streamed operand reaches and the columns the weights
+//! reach. Every register past them provably holds zero (a padding operand,
+//! or the partial sum of a column of zero weights), so no cycle multiplies
+//! padding. Whenever a stream hands over to the naive scan, the registers
+//! its streams stand for are restaged into the naive scan's stores first,
+//! those zeros included. The stationary weights live in one row-major
+//! buffer.
 //!
 //! # Kernels
 //!
@@ -43,12 +55,13 @@
 //!   Under the feeder schedule, row block `rb` is fed by column block `cb`
 //!   exactly during cycles `rb + cb ..= rb + cb + T - 1`, always with its
 //!   full row range, so each active row block sweeps its rows over one
-//!   contiguous column range with one [`lanes::mac`] per block row, reading
-//!   its operands from the row streams. The kernel applies only while the
-//!   operands in flight are provably that schedule from a clean pipeline,
-//!   which a purity guard tracks: it records the stream length and the
-//!   next expected cycle, `reset_for_tile` and `load_weights` make it
-//!   clean again, and `step_into` poisons it;
+//!   contiguous column range with one [`lanes::mac`] per block row into
+//!   its row of the partial-sum store, reading its operands from the row
+//!   streams — the shape of the output-stationary kernel. The kernel
+//!   applies only while the operands in flight are provably that schedule
+//!   from a clean pipeline, which a purity guard tracks: it records the
+//!   stream length and the next expected cycle, `reset_for_tile` and
+//!   `load_weights` make it clean again, and `step_into` poisons it;
 //! * the **naive scan**, which stages the west edge into the row lanes and
 //!   evaluates the carry-save chain of every pipeline block of every
 //!   column. It runs for [`SystolicArray::step_into`], and `run_cycles`
@@ -71,6 +84,45 @@ use crate::soa::{
 };
 use crate::stats::RunStats;
 use gemm::{lanes, Matrix};
+
+/// The registers of one feeder stream the analytic wavefront kernel runs,
+/// built when the stream starts at cycle 0 and stored where no value
+/// moves, over the part of the tile the operands reach.
+#[derive(Debug, Clone)]
+struct Streams {
+    /// The operand registers: the row streams of the rows the streamed
+    /// operand reaches, with windows as wide as the weights reach.
+    west: RowStreams,
+    /// The partial-sum store, `T + ceil(C/k) - 1` rows of `cols` sums:
+    /// entry `(s, j)` is the partial sum of output row `s - floor(j/k)` of
+    /// column `j`, and register `(rb, j)` after cycle `c` is entry
+    /// `(c - rb, j)`.
+    sums: Vec<i64>,
+    /// The stream length (`T`).
+    t: u64,
+    /// The columns the weights reach: the width of the store.
+    cols: usize,
+}
+
+impl Streams {
+    /// All-zero registers of a `t`-long stream on `config`'s array whose
+    /// operands reach `rows` rows and `cols` columns into the tile.
+    fn new(config: ArrayConfig, t: u64, rows: usize, cols: usize) -> Self {
+        let waves = (t + u64::from(config.col_blocks())).saturating_sub(1) as usize;
+        Self {
+            west: RowStreams::new(config, t, rows, cols),
+            sums: vec![0; waves * cols],
+            t,
+            cols,
+        }
+    }
+
+    /// Row `s` of the partial-sum store, or nothing past its end.
+    fn sums_row(&self, s: u64) -> &[i64] {
+        let at = s as usize * self.cols;
+        self.sums.get(at..at + self.cols).unwrap_or_default()
+    }
+}
 
 /// Cycle-accurate weight-stationary systolic array with configurable
 /// transparent pipelining.
@@ -97,25 +149,29 @@ pub struct SystolicArray {
     /// Stationary weights, row-major (`row * cols + col`), so the
     /// wavefront kernel reads one contiguous lane of weights per block row.
     weights: Vec<i32>,
+    /// The columns the loaded weights reach (`C` for a whole weight
+    /// matrix): every weight past them is zero padding.
+    weight_cols: usize,
     /// Horizontal (operand) pipeline registers, one per (row, column
     /// block), with their validity, as the naive scan stages them: the
     /// west edge of cycle `c` is written once and column block `cb`
     /// *reads* the stage from `cb` cycles ago, so no operand moves.
     /// Invalid operands are always stored as zero — which is what keeps
-    /// the carry-save chains exact. Only the naive scan reads them, so a
-    /// clean pipeline clears them when the naive scan first runs.
+    /// the carry-save chains exact. Only the naive scan reads them and the
+    /// four vertical buffers below, so a clean pipeline clears them when
+    /// the naive scan first runs.
     h_lanes: RowLanes,
-    /// The horizontal pipeline registers while the purity guard tracks a
-    /// feeder stream: that stream's row streams, built when it started.
-    /// Dropped whenever the pipelines are cleared.
-    streams: Option<RowStreams>,
-    /// Vertical (partial-sum) pipeline registers, one per (row block,
-    /// column), row-block-major (`rb * cols + col`).
+    /// Both pipelines' registers while the purity guard tracks a feeder
+    /// stream: that stream's streams, built when it started. Dropped
+    /// whenever the pipelines are cleared.
+    streams: Option<Streams>,
+    /// Vertical (partial-sum) pipeline registers as the naive scan keeps
+    /// them, one per (row block, column), row-block-major
+    /// (`rb * cols + col`).
     v_regs: Vec<i64>,
     /// Double buffer for the vertical registers (scratch, swapped every
-    /// cycle so a cycle reads the previous block's *old* value). The
-    /// wavefront kernel rewrites only the slots of active blocks; stale
-    /// slots belong to invalid blocks and are never observable.
+    /// cycle so a cycle reads the previous block's *old* value); every
+    /// naive cycle rewrites every slot.
     v_next: Vec<i64>,
     /// Validity of `v_regs`: one word-aligned segment of `vw` words per
     /// row block, bit `col` within segment `rb`.
@@ -149,6 +205,7 @@ impl SystolicArray {
         Ok(Self {
             config,
             weights: vec![0; rows * cols],
+            weight_cols: cols,
             h_lanes: RowLanes::new(rows, cols, config.collapse_depth as usize),
             streams: None,
             v_regs: vec![0; row_blocks * cols],
@@ -226,15 +283,10 @@ impl SystolicArray {
         self.stats = RunStats::default();
     }
 
+    /// Drops a stream's registers; the naive scan's stores are cleared
+    /// when it next runs.
     fn clear_pipelines(&mut self) {
-        // Only a cycle leaves the guard anything but clean, so a clean
-        // pipeline holds nothing to clear.
-        if self.purity == StreamPurity::Clean {
-            return;
-        }
         self.streams = None;
-        self.v_regs.fill(0);
-        self.v_valid.fill(0);
         self.purity = StreamPurity::Clean;
     }
 
@@ -288,6 +340,7 @@ impl SystolicArray {
             weights.copy_row(row, 0, &mut self.weights[row * cols..(row + 1) * cols]);
             self.stats.load_cycles += 1;
         }
+        self.weight_cols = weights.real_cols();
         self.weights_loaded = true;
         Ok(())
     }
@@ -363,10 +416,11 @@ impl SystolicArray {
     }
 
     /// One cycle of the **analytic wavefront kernel** for a pure feeder
-    /// stream of length `t`, reading the operand registers from the
-    /// stream's row streams. Returns the MAC count of the cycle and the
-    /// column range that registered a result at the south edge, if any;
-    /// the results themselves stay in the last row block's registers.
+    /// stream, reading the operand registers from the stream's row streams
+    /// and accumulating into its partial-sum store. Returns the MAC count
+    /// of the cycle and the column range that registered a result at the
+    /// south edge, if any; the results themselves are the store's row
+    /// `cycle - (ceil(R/k) - 1)`.
     ///
     /// When every operand in flight followed one deterministic feeder
     /// schedule from a clean pipeline (tracked by [`StreamPurity`]), the
@@ -374,25 +428,21 @@ impl SystolicArray {
     /// by column block `cb` exactly during cycles `rb + cb ..= rb + cb + T - 1`,
     /// and the feeder's batched skew guarantees the window always covers
     /// the block's rows completely. That lets the cycle iterate **per row
-    /// block** over its contiguous active column range — one contiguous
-    /// `i64` partial-sum panel in `v_next` seeded from the previous row
-    /// block's lane, then one [`lanes::mac`] per block row over it, the
-    /// row's contiguous row-major weight lane and its stream window, and
-    /// one validity range-set per row block.
-    fn cycle_wavefront(
-        &mut self,
-        streams: &RowStreams,
-        t: u64,
-        cycle: u64,
-    ) -> (u64, Option<(u32, u32)>) {
+    /// block** over its contiguous active column range: the block's
+    /// partial sums are one contiguous slice of store row `cycle - rb`,
+    /// and each block row runs one [`lanes::mac`] over it, the row's
+    /// contiguous row-major weight lane and its stream window. Only the
+    /// rows and columns the operands reach multiply; the statistics and
+    /// the produced range cover the whole tile.
+    fn cycle_wavefront(&self, streams: &mut Streams, cycle: u64) -> (u64, Option<(u32, u32)>) {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let k = self.config.collapse_depth as usize;
         let row_blocks = self.config.row_blocks() as usize;
         let col_blocks = self.config.col_blocks() as usize;
+        let (reached_rows, width) = (streams.west.rows(), streams.cols);
 
-        self.v_valid_next.fill(0);
-        let t = t as i64;
+        let t = streams.t as i64;
         let c = i64::try_from(cycle).expect("cycle fits i64");
         let cb_max = col_blocks as i64 - 1;
         let rb_lo = (c - cb_max - (t - 1)).max(0);
@@ -410,53 +460,77 @@ impl SystolicArray {
             let r0 = rb * k;
             let r1 = ((rb + 1) * k).min(rows);
             macs += ((r1 - r0) * (col_hi - col_lo + 1)) as u64;
-            // Within one wavefront the validity of the incoming partial
-            // sum always matches the validity of this block's operands.
-            debug_assert!(
-                rb == 0 || (col_lo..=col_hi).all(|col| self.incoming_valid(rb, col)),
-                "misaligned wavefront at row block {rb}"
-            );
-            let panel = &mut self.v_next[rb * cols + col_lo..=rb * cols + col_hi];
-            if rb == 0 {
-                panel.fill(0);
-            } else {
-                let src = (rb - 1) * cols;
-                panel.copy_from_slice(&self.v_regs[src + col_lo..=src + col_hi]);
-            }
-            for row in r0..r1 {
-                lanes::mac(
-                    panel,
-                    &self.weights[row * cols + col_lo..=row * cols + col_hi],
-                    &streams.window(row, cycle)[col_lo..=col_hi],
-                );
-            }
-            set_range(
-                &mut self.v_valid_next[rb * self.vw..(rb + 1) * self.vw],
-                col_lo,
-                col_hi,
-            );
             if rb == row_blocks - 1 {
                 produced = Some((col_lo as u32, col_hi as u32));
             }
+            let col_end = (col_hi + 1).min(width);
+            if col_lo >= col_end {
+                continue;
+            }
+            let at = (c as usize - rb) * width;
+            let sums = &mut streams.sums[at + col_lo..at + col_end];
+            for row in r0..r1.min(reached_rows) {
+                lanes::mac(
+                    sums,
+                    &self.weights[row * cols + col_lo..row * cols + col_end],
+                    &streams.west.window(row, cycle)[col_lo..col_end],
+                );
+            }
         }
-        std::mem::swap(&mut self.v_regs, &mut self.v_next);
-        std::mem::swap(&mut self.v_valid, &mut self.v_valid_next);
         (macs, produced)
     }
 
     /// Leaves the analytic kernel for good until the pipelines are
-    /// cleared, handing the horizontal registers to the row lanes the
-    /// naive scan reads: restaged exactly as a tracked stream's row
-    /// streams hold them, or cleared on a clean pipeline.
+    /// cleared, handing both pipelines' registers to the stores the naive
+    /// scan reads: restaged exactly as a tracked stream's streams stand
+    /// for them, or cleared on a clean pipeline.
     fn settle(&mut self) {
         match (self.purity, self.streams.take()) {
             (StreamPurity::Tracked { next, .. }, Some(streams)) => {
-                streams.restage(&mut self.h_lanes, next);
+                streams.west.restage(&mut self.h_lanes, next);
+                self.restage_sums(&streams, next);
             }
-            (StreamPurity::Clean, _) => self.h_lanes.clear(),
+            (StreamPurity::Clean, _) => {
+                self.h_lanes.clear();
+                self.v_regs.fill(0);
+                self.v_valid.fill(0);
+            }
             _ => {}
         }
         self.purity = StreamPurity::Poisoned;
+    }
+
+    /// Writes the partial-sum registers a stream's store stands for after
+    /// cycles `0..next` into the naive scan's buffers. Register `(rb, j)`
+    /// is valid when its block's operands were valid in cycle `next - 1`,
+    /// that is when output row `next - 1 - rb - floor(j/k)` lies in
+    /// `0..T`; it then holds store entry `(next - 1 - rb, j)`, and zero in
+    /// the columns the weights do not reach. Every invalid register holds
+    /// zero, as in a naive scan of the same stream: its chain summed only
+    /// operands driven as zero.
+    fn restage_sums(&mut self, streams: &Streams, next: u64) {
+        let cols = self.config.cols as usize;
+        let k = self.config.collapse_depth as usize;
+        let cb_max = u64::from(self.config.col_blocks()) - 1;
+        self.v_regs.fill(0);
+        self.v_valid.fill(0);
+        for rb in 0..self.config.row_blocks() as usize {
+            let Some(s) = next.checked_sub(rb as u64 + 1) else {
+                break;
+            };
+            let (cb_lo, cb_hi) = ((s + 1).saturating_sub(streams.t), s.min(cb_max));
+            if cb_lo > cb_hi {
+                continue;
+            }
+            let lo = cb_lo as usize * k;
+            let hi = ((cb_hi as usize + 1) * k).min(cols) - 1;
+            set_range(&mut self.v_valid[rb * self.vw..(rb + 1) * self.vw], lo, hi);
+            let end = (hi + 1).min(streams.cols);
+            if lo < end {
+                self.v_regs[rb * cols + lo..rb * cols + end]
+                    .copy_from_slice(&streams.sums_row(s)[lo..end]);
+            }
+        }
     }
 
     /// One naive-scan cycle: stages the west edge, then evaluates the
@@ -579,11 +653,15 @@ impl SystolicArray {
     /// analytic wavefront kernel with the per-cycle overhead hoisted out
     /// of the loop:
     ///
-    /// * the west operands are never staged per cycle: the call that
-    ///   starts the stream builds its row streams once, straight from the
-    ///   streamed matrix, and each cycle reads its operand registers as a
-    ///   window of them (a call that continues the stream refills only
-    ///   the edges still to come, from its own feeder);
+    /// * no register moves: the call that starts the stream builds its
+    ///   row streams once, straight from the streamed matrix, each cycle
+    ///   reads its operand registers as a window of them (a call that
+    ///   continues the stream refills only the edges still to come, from
+    ///   its own feeder), and each row block accumulates its partial sums
+    ///   in place in the stream's partial-sum store;
+    /// * only the rows the streamed matrix reaches and the columns the
+    ///   weights reach are stored and multiplied: every other product is
+    ///   zero;
     /// * south results are harvested through
     ///   [`OutputCollector::collect_produced`] as one produced column
     ///   range;
@@ -595,8 +673,9 @@ impl SystolicArray {
     /// * the dimension and weights-loaded checks run once per call, not
     ///   once per cycle.
     ///
-    /// Any other call literally loops `step_into` and `collect`, starting
-    /// from the registers the stream left.
+    /// Any other call (or a continuation whose operand reaches rows the
+    /// stream's streams do not hold) literally loops `step_into` and
+    /// `collect`, starting from the registers the stream left.
     ///
     /// # Errors
     ///
@@ -638,8 +717,16 @@ impl SystolicArray {
         }
         let end = first_cycle.saturating_add(cycles);
         let t = feeder.stream_length();
+        // Row `n` streams column `n` of `A`: the rows past the columns `A`
+        // reaches stream zeros.
+        let a = feeder.operand();
+        let reached_rows = a.real_cols();
+        let covered = self
+            .streams
+            .as_ref()
+            .map_or(true, |s| s.west.covers(reached_rows, self.weight_cols));
 
-        if !self.purity.admits(t, first_cycle) {
+        if !(covered && self.purity.admits(t, first_cycle)) {
             // The in-flight data is not provably this feeder's
             // uninterrupted schedule: run the literal per-cycle loop.
             self.settle();
@@ -656,13 +743,13 @@ impl SystolicArray {
         let mut streams = self
             .streams
             .take()
-            .unwrap_or_else(|| RowStreams::new(self.config, t));
-        // Row `n` streams column `n` of `A`.
-        let a = feeder.operand();
-        streams.fill(first_cycle, |row, operands| a.copy_col(row, operands));
+            .unwrap_or_else(|| Streams::new(self.config, t, reached_rows, self.weight_cols));
+        streams
+            .west
+            .fill(first_cycle, |row, operands| a.copy_col(row, operands));
         self.purity = StreamPurity::Tracked { t, next: end };
-        let last_rb_base = (self.config.row_blocks() as usize - 1) * cols;
-        let drained_from = streams.drained_from();
+        let fill_latency = u64::from(self.config.row_blocks()) - 1;
+        let drained_from = streams.west.drained_from();
         let last_due = collector.last_due_cycle();
         for cycle in first_cycle..end {
             // Bulk dead-cycle skip: the west edge stays idle from here on,
@@ -672,14 +759,14 @@ impl SystolicArray {
                 self.record_dead_cycles(end - cycle);
                 break;
             }
-            let (macs, produced) = self.cycle_wavefront(&streams, t, cycle);
+            let (macs, produced) = self.cycle_wavefront(&mut streams, cycle);
             self.commit_cycle_stats(macs);
-            let result = collector.collect_produced(
-                cycle,
-                produced,
-                &self.v_regs[last_rb_base..last_rb_base + cols],
-            );
-            if let Err(e) = result {
+            // The last row block's registers are store row
+            // `cycle - fill_latency`, read only when a result is due.
+            let south = cycle
+                .checked_sub(fill_latency)
+                .map_or(&[][..], |s| streams.sums_row(s));
+            if let Err(e) = collector.collect_produced(cycle, produced, south) {
                 self.streams = Some(streams);
                 self.purity = StreamPurity::Tracked { t, next: cycle + 1 };
                 self.settle();
@@ -917,6 +1004,74 @@ mod tests {
                 bulk_collector.into_output().unwrap(),
                 collector.into_output().unwrap(),
                 "{rows}x{cols} k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_padded_tile_hands_over_to_step_into_mid_stream() {
+        // A 9x5 by 5x3 product on an 8x8 array at k = 2: the tile's blocks
+        // reach five rows and three columns into the array, so the streams
+        // hold neither the last three rows nor the last five columns. Left
+        // on the wavefront kernel after a prefix in fill, steady state or
+        // drain, the stream must hand `step_into` exactly the registers the
+        // naive scan holds on the `padded_block` copies, padding included.
+        use gemm::multiply;
+        use gemm::rng::SplitMix64;
+
+        let config = ArrayConfig::new(8, 8).with_collapse_depth(2);
+        let mut rng = SplitMix64::new(26);
+        let a = Matrix::random(9, 5, &mut rng, -60, 60);
+        let b = Matrix::random(5, 3, &mut rng, -60, 60);
+        let (a_pad, b_pad) = (a.padded_block(0, 0, 9, 8), b.padded_block(0, 0, 8, 8));
+        let feeder = InputFeeder::from_operand(TileOperand::block(&a, 0, 0, 9, 8), config).unwrap();
+        let padded_feeder = InputFeeder::new(&a_pad, config).unwrap();
+        let cycles = config.compute_cycles(9);
+        for prefix in [2, 7, 12] {
+            // Dirty every naive-scan register first, so that one the
+            // hand-over does not restage shows.
+            let mut array = SystolicArray::new(config).unwrap();
+            let dirty = Matrix::random(6, 8, &mut rng, -60, 60);
+            array
+                .load_weights(&Matrix::random(8, 8, &mut rng, -60, 60))
+                .unwrap();
+            let dirty_feeder = InputFeeder::new(&dirty, config).unwrap();
+            for cycle in 0..5 {
+                array.step(&dirty_feeder.west_inputs(cycle)).unwrap();
+            }
+            array.reset_for_tile();
+            array
+                .load_tile_weights(TileOperand::block(&b, 0, 0, 8, 8))
+                .unwrap();
+            let mut collector = OutputCollector::clipped(config, 9, 3);
+            array
+                .run_cycles(&feeder, 0, prefix, &mut collector)
+                .unwrap();
+
+            let mut reference = SystolicArray::new(config).unwrap();
+            reference.load_weights(&b_pad).unwrap();
+            let mut south = vec![None; 8];
+            for cycle in 0..prefix {
+                reference
+                    .step_into(&padded_feeder.west_inputs(cycle), &mut south)
+                    .unwrap();
+            }
+            assert_eq!(array.stats(), reference.stats(), "prefix {prefix}");
+
+            let mut expected = vec![None; 8];
+            for cycle in prefix..cycles + 2 {
+                let west = feeder.west_inputs(cycle);
+                assert_eq!(west, padded_feeder.west_inputs(cycle));
+                array.step_into(&west, &mut south).unwrap();
+                reference.step_into(&west, &mut expected).unwrap();
+                assert_eq!(south, expected, "prefix {prefix}, cycle {cycle}");
+                collector.collect(cycle, &south).unwrap();
+            }
+            assert_eq!(array.stats(), reference.stats(), "prefix {prefix}");
+            assert_eq!(
+                collector.into_output().unwrap(),
+                multiply(&a, &b).unwrap(),
+                "prefix {prefix}"
             );
         }
     }

@@ -22,7 +22,12 @@
 //! GEMM tile loop runs the same code on operand blocks read in place: each
 //! tile's `A_sub` and `B_sub` are the blocks of the whole `A` and `B` at
 //! the tile's origin, with zeros past the matrices' edges, so no tile
-//! copies its operands; `execute_tile` is the origin-zero case.
+//! copies its operands; `execute_tile` is the origin-zero case. A block
+//! knows how far into the tile its matrix reaches, and the arrays store,
+//! multiply and harvest only that part: past it every product is zero. So
+//! a partial tile at a GEMM's edge returns its product only over the rows
+//! and columns inside the output, while `execute_tile`'s whole operands
+//! reach the whole array.
 
 use crate::array::SystolicArray;
 use crate::config::{ArrayConfig, Dataflow};
@@ -114,7 +119,11 @@ impl TileEngine {
         self.execute_operands(TileOperand::whole(a_sub), TileOperand::whole(b_sub))
     }
 
-    /// [`TileEngine::execute_tile`] on operand blocks read in place.
+    /// [`TileEngine::execute_tile`] on operand blocks read in place. The
+    /// tile's output covers only the part of the tile the operands reach:
+    /// `T x` the columns of `B_sub` inside `B` (weight-stationary), or the
+    /// rows of `A_sub` inside `A` `x` those columns (output-stationary).
+    /// Past them every product is zero padding.
     pub(crate) fn execute_operands(
         &mut self,
         a_sub: TileOperand<'_>,
@@ -140,7 +149,7 @@ fn execute_ws_tile(
     array.load_tile_weights(b_sub)?;
     let feeder = InputFeeder::from_operand(a_sub, config)?;
     let t = a_sub.rows();
-    let mut collector = OutputCollector::new(config, t);
+    let mut collector = OutputCollector::clipped(config, t, b_sub.real_cols());
     array.run_cycles(&feeder, 0, config.compute_cycles(t as u64), &mut collector)?;
     let output = collector.into_output()?;
     let mut stats = array.stats();
@@ -161,7 +170,7 @@ fn execute_os_tile(
     let west = OsWestFeeder::from_operand(a_sub, config)?;
     let north = OsNorthFeeder::from_operand(b_sub, config)?;
     let n = west.stream_length();
-    let mut collector = OsCollector::new(config, n);
+    let mut collector = OsCollector::clipped(config, n, a_sub.real_rows(), b_sub.real_cols());
     array.run_cycles(&west, &north, 0, config.os_tile_cycles(n), &mut collector)?;
     let output = collector.into_output()?;
     let mut stats = array.stats();

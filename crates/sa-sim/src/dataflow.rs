@@ -103,7 +103,9 @@ impl<'a> InputFeeder<'a> {
 pub struct OutputCollector {
     config: ArrayConfig,
     t: usize,
-    /// The `T x C` result, row-major.
+    /// The columns kept: `C`, or the columns a tile's weights reach.
+    width: usize,
+    /// The `T x width` result, row-major.
     output: Vec<i64>,
     collected: usize,
 }
@@ -112,10 +114,18 @@ impl OutputCollector {
     /// Creates a collector for a stream of `t` rows of `A`.
     #[must_use]
     pub fn new(config: ArrayConfig, t: usize) -> Self {
+        Self::clipped(config, t, config.cols as usize)
+    }
+
+    /// A collector that keeps only the first `width` columns of the
+    /// result, for a tile whose weights reach no further: it checks the
+    /// schedule of every column, and its output is `T x width`.
+    pub(crate) fn clipped(config: ArrayConfig, t: usize, width: usize) -> Self {
         Self {
             config,
             t,
-            output: vec![0; t * config.cols as usize],
+            width,
+            output: vec![0; t * width],
             collected: 0,
         }
     }
@@ -147,7 +157,9 @@ impl OutputCollector {
             match (expected, value) {
                 (true, Some(v)) => {
                     let t = (cycle - start) as usize;
-                    self.output[t * south_outputs.len() + m] = *v;
+                    if m < self.width {
+                        self.output[t * self.width + m] = *v;
+                    }
                     self.collected += 1;
                 }
                 (false, None) => {}
@@ -222,12 +234,13 @@ impl OutputCollector {
 
     /// Records the south-edge values of one cycle in dense form: the
     /// array reports the contiguous column range it registered results
-    /// for (`produced`) and hands over its last-row register lane
-    /// (`values`, one `i64` per column, only the produced range
-    /// meaningful). The schedule cross-check of
+    /// for (`produced`) and hands over its last-row registers (`values`,
+    /// one `i64` per kept column, only the produced range meaningful and
+    /// read only when a result is due). The schedule cross-check of
     /// [`OutputCollector::collect`] collapses to one O(1) range
-    /// comparison, and each due result is written straight into its
-    /// output element — the harvest form
+    /// comparison over all `C` columns, and each due result of a kept
+    /// column is written straight into its output element — the harvest
+    /// form
     /// [`SystolicArray::run_cycles`](crate::SystolicArray::run_cycles)
     /// uses.
     ///
@@ -235,20 +248,14 @@ impl OutputCollector {
     ///
     /// Returns [`SimError::DimensionMismatch`] if the produced range does
     /// not match the schedule (the same violations
-    /// [`OutputCollector::collect`] detects) or `values` does not have one
-    /// slot per column.
+    /// [`OutputCollector::collect`] detects) or, when a result is due,
+    /// `values` does not have one slot per kept column.
     pub fn collect_produced(
         &mut self,
         cycle: u64,
         produced: Option<(u32, u32)>,
         values: &[i64],
     ) -> Result<(), SimError> {
-        let cols = self.config.cols as usize;
-        if values.len() != cols {
-            return Err(SimError::DimensionMismatch {
-                reason: format!("expected {cols} south values, got {}", values.len()),
-            });
-        }
         let due = self.due_range(cycle);
         if produced != due {
             return Err(SimError::DimensionMismatch {
@@ -260,19 +267,27 @@ impl OutputCollector {
         let Some((first, last)) = due else {
             return Ok(());
         };
+        if values.len() != self.width {
+            return Err(SimError::DimensionMismatch {
+                reason: format!("expected {} south values, got {}", self.width, values.len()),
+            });
+        }
         // The due range is block-aligned, and column block `cb` registers
-        // output row `cycle - fill_latency - cb`: walking the range from
-        // its last column, the row moves down one per block.
+        // output row `cycle - fill_latency - cb`: walking the kept columns
+        // from the last one, the row moves down one per block.
         let k = self.config.collapse_depth as usize;
         let (first, last) = (first as usize, last as usize);
-        let fill_latency = u64::from(self.config.row_blocks()) - 1;
-        let mut row = (cycle - fill_latency) as usize - last / k;
-        let mut left = last % k + 1;
-        for (col, &value) in values[first..=last].iter().enumerate().rev() {
-            self.output[row * cols + first + col] = value;
-            left -= 1;
-            if left == 0 {
-                (row, left) = (row + 1, k);
+        let kept = (last + 1).min(self.width);
+        if first < kept {
+            let fill_latency = u64::from(self.config.row_blocks()) - 1;
+            let mut row = (cycle - fill_latency) as usize - (kept - 1) / k;
+            let mut left = (kept - 1) % k + 1;
+            for (col, &value) in values[first..kept].iter().enumerate().rev() {
+                self.output[row * self.width + first + col] = value;
+                left -= 1;
+                if left == 0 {
+                    (row, left) = (row + 1, k);
+                }
             }
         }
         self.collected += last - first + 1;
@@ -285,7 +300,8 @@ impl OutputCollector {
         self.collected == self.t * self.config.cols as usize
     }
 
-    /// Consumes the collector and returns the collected `T x C` result.
+    /// Consumes the collector and returns the collected `T x C` result
+    /// (`T x width` for a clipped collector).
     ///
     /// # Errors
     ///
@@ -301,11 +317,7 @@ impl OutputCollector {
                 ),
             });
         }
-        Ok(Matrix::from_vec(
-            self.t,
-            self.config.cols as usize,
-            self.output,
-        )?)
+        Ok(Matrix::from_vec(self.t, self.width, self.output)?)
     }
 }
 

@@ -22,7 +22,7 @@
 //!   matrices: `A` as per-row streams (`soa::RowStreams`, shared with the
 //!   weight-stationary operand pipeline), reversed in time and
 //!   k-expanded, so a row's registers are a window that slides one stage
-//!   per cycle; `B` as a `(c_max + 1) x C` matrix whose row `s` is the
+//!   per cycle; `B` as a `(c_max + 1)`-row matrix whose row `s` is the
 //!   north edge of cycle `s`, so row block `rb` reads row `c - rb`;
 //! * otherwise in the stores the naive scan stages each cycle's edges
 //!   into: `A` in k-expanded, mirrored lanes (`soa::RowLanes`), `B` in a
@@ -31,8 +31,12 @@
 //!   bitset per stage for `A` (bit = row) and one flag per stage and
 //!   column for `B`. Invalid operands are stored as zero.
 //!
-//! Whenever a stream hands over to the naive scan, the registers its
-//! streams stand for are restaged into the lanes and the ring first.
+//! The streams cover only the part of the tile the operands reach: the
+//! rows `A` reaches and the columns `B` reaches. Every operand past them
+//! is zero padding, so those PEs' accumulators provably stay zero and no
+//! cycle multiplies them. Whenever a stream hands over to the naive scan,
+//! the registers its streams stand for are restaged into the lanes and
+//! the ring first, the padding's zeros included.
 //!
 //! # Kernels
 //!
@@ -123,26 +127,30 @@ impl StageRing {
 }
 
 /// The operand streams of one tile the analytic wavefront kernel runs,
-/// built when the stream starts at cycle 0.
+/// built when the stream starts at cycle 0, over the part of the tile the
+/// operands reach.
 #[derive(Debug, Clone)]
 struct Streams {
-    /// The `A` pipeline: one stream per array row.
+    /// The `A` pipeline: one stream per array row `A` reaches, with
+    /// windows as wide as `B` reaches.
     west: RowStreams,
-    /// The `B` pipeline: row `s` (`C` operands) is the north edge of cycle
-    /// `s`, where column `j` carries `B[s - floor(j/k)][j]` and zero where
-    /// idle, for every cycle up to the last multiply-accumulate.
+    /// The `B` pipeline: row `s` (`cols` operands) is the north edge of
+    /// cycle `s` over the columns `B` reaches, where column `j` carries
+    /// `B[s - floor(j/k)][j]` and zero where idle, for every cycle up to
+    /// the last multiply-accumulate.
     north: Vec<i32>,
     /// The reduction length (`N`).
     n: u64,
+    /// The columns `B` reaches.
     cols: usize,
     k: usize,
 }
 
 impl Streams {
-    /// All-zero streams of an `n`-long reduction on `config`'s array.
-    fn new(config: ArrayConfig, n: u64) -> Self {
-        let west = RowStreams::new(config, n);
-        let cols = config.cols as usize;
+    /// All-zero streams of an `n`-long reduction on `config`'s array whose
+    /// operands reach `rows` rows and `cols` columns into the tile.
+    fn new(config: ArrayConfig, n: u64, rows: usize, cols: usize) -> Self {
+        let west = RowStreams::new(config, n, rows, cols);
         Self {
             north: vec![0; (west.last_mac_cycle() as usize + 1) * cols],
             west,
@@ -184,18 +192,23 @@ impl Streams {
         &self.north[at..at + self.cols]
     }
 
-    /// Writes the registers the streams hold after cycles `0..next` into
-    /// the naive scan's stores: the last `ceil(C/k)` west edges into the
-    /// `A` lanes and the last `ceil(R/k)` north edges into the `B` ring,
-    /// each restaged in order on cleared stores.
+    /// Writes the registers the streams stand for after cycles `0..next`
+    /// into the naive scan's stores: the last `ceil(C/k)` west edges into
+    /// the `A` lanes and the last `ceil(R/k)` north edges into the `B`
+    /// ring, each restaged in order on cleared stores, with zero operands
+    /// past the rows and columns the streams hold.
     fn restage(&self, a_lanes: &mut RowLanes, b_ring: &mut StageRing, next: u64) {
         self.west.restage(a_lanes, next);
         b_ring.clear();
-        let mut edge = vec![None; self.cols];
+        let mut edge = vec![None; b_ring.lanes];
         for cycle in next.saturating_sub(b_ring.cursor.slots as u64)..next {
             // A valid edge of `cycle` lies within the streams: `cycle <= c_max`.
             skewed_edge_into(cycle, self.n, self.k, &mut edge, |col, _| {
-                self.north_stage(0, cycle)[col]
+                if col < self.cols {
+                    self.north_stage(0, cycle)[col]
+                } else {
+                    0
+                }
             });
             b_ring.stage_options(&edge);
         }
@@ -373,14 +386,15 @@ impl OutputStationaryArray {
     /// previous call on a stream of the same length stopped), each cycle
     /// runs the analytic wavefront kernel with the per-cycle overhead
     /// hoisted: the call that starts the stream builds both operand
-    /// streams once, straight from the operand matrices (a call that
-    /// continues the stream refills only the edges still to come, from
-    /// its own feeders), the configuration checks run once per call, and
-    /// trailing **dead
+    /// streams once, straight from the operand matrices and only over the
+    /// rows `A` and the columns `B` reach (a call that continues the
+    /// stream refills only the edges still to come, from its own feeders),
+    /// the configuration checks run once per call, and trailing **dead
     /// cycles** — both edges idle, both pipelines drained, nothing due —
     /// fold into O(1) statistics bookkeeping via
-    /// [`RunStats::record_dead_cycles`]. Any other call loops `step` and
-    /// the drain, starting from the registers the stream left.
+    /// [`RunStats::record_dead_cycles`]. Any other call (or a continuation
+    /// whose operands reach further than the streams hold) loops `step`
+    /// and the drain, starting from the registers the stream left.
     ///
     /// # Errors
     ///
@@ -425,8 +439,13 @@ impl OutputStationaryArray {
             });
         }
         let end = first_cycle.saturating_add(cycles);
+        let (rows, cols) = (west.operand().real_rows(), north.operand().real_cols());
+        let covered = self
+            .streams
+            .as_ref()
+            .map_or(true, |s| s.west.covers(rows, cols));
 
-        if !self.purity.admits(n, first_cycle) {
+        if !(covered && self.purity.admits(n, first_cycle)) {
             // The in-flight data is not provably this schedule: step the
             // naive scan through the feeders' edges.
             self.settle();
@@ -444,7 +463,7 @@ impl OutputStationaryArray {
         let mut streams = self
             .streams
             .take()
-            .unwrap_or_else(|| Streams::new(self.config, n));
+            .unwrap_or_else(|| Streams::new(self.config, n, rows, cols));
         streams.fill(first_cycle, west, north);
         self.purity = StreamPurity::Tracked { t: n, next: end };
         let drained_from = streams.west.drained_from();
@@ -497,12 +516,15 @@ impl OutputStationaryArray {
     /// Block pair `(rb, cb)` is active exactly when
     /// `cycle - n + 1 <= rb + cb <= cycle`, so each active row block owns
     /// one contiguous, block-aligned column range, and every row of the
-    /// block runs one fused multiply-accumulate over it: its accumulator
-    /// row, its `A` stream window and the block's `B` stream row.
+    /// block `A` reaches runs one fused multiply-accumulate over the
+    /// columns `B` reaches in it: its accumulator row, its `A` stream
+    /// window and the block's `B` stream row. The MAC count covers the
+    /// whole tile.
     fn compute_wavefront(&mut self, streams: &Streams, n: u64, cycle: u64) -> u64 {
         let rows = self.config.rows as usize;
         let cols = self.config.cols as usize;
         let k = self.config.collapse_depth as usize;
+        let (reached_rows, width) = (streams.west.rows(), streams.cols);
         let rb_max = u64::from(self.config.row_blocks()) - 1;
         let cb_max = u64::from(self.config.col_blocks()) - 1;
         // The smallest active `rb + cb`.
@@ -515,16 +537,20 @@ impl OutputStationaryArray {
             let col0 = lo.saturating_sub(rb) as usize * k;
             let col1 = ((cb_max.min(cycle - rb) as usize + 1) * k).min(cols);
             let rb = rb as usize;
-            let b = &streams.north_stage(rb, cycle)[col0..col1];
             let row1 = ((rb + 1) * k).min(rows);
-            for row in rb * k..row1 {
+            macs += ((row1 - rb * k) * (col1 - col0)) as u64;
+            let end = col1.min(width);
+            if col0 >= end {
+                continue;
+            }
+            let b = &streams.north_stage(rb, cycle)[col0..end];
+            for row in rb * k..row1.min(reached_rows) {
                 lanes::mac(
-                    &mut self.acc[row * cols + col0..row * cols + col1],
-                    &streams.west.window(row, cycle)[col0..col1],
+                    &mut self.acc[row * cols + col0..row * cols + end],
+                    &streams.west.window(row, cycle)[col0..end],
                     b,
                 );
             }
-            macs += ((row1 - rb * k) * (col1 - col0)) as u64;
         }
         macs
     }
@@ -672,6 +698,69 @@ mod tests {
         let second = run(&mut array);
         assert_eq!(first, second);
         assert_eq!(first.0, multiply(&a, &b).unwrap());
+    }
+
+    #[test]
+    fn a_padded_tile_hands_over_to_step_mid_stream() {
+        // A 3x7 by 7x2 product on an 8x8 array at k = 3: the tile's blocks
+        // reach three rows and two columns into the array, so the streams
+        // hold neither the last five rows nor the last six columns. Left
+        // on the wavefront kernel after a prefix in fill, steady state or
+        // drain, the stream must hand `step` exactly the registers the
+        // naive scan holds on the `padded_block` copies, padding included:
+        // every accumulator and every statistic matches cycle for cycle.
+        use crate::soa::TileOperand;
+        use gemm::rng::SplitMix64;
+
+        let config = os_config(8, 8, 3);
+        let mut rng = SplitMix64::new(27);
+        let a = Matrix::random(3, 7, &mut rng, -60, 60);
+        let b = Matrix::random(7, 2, &mut rng, -60, 60);
+        let (a_pad, b_pad) = (a.padded_block(0, 0, 8, 7), b.padded_block(0, 0, 7, 8));
+        let west = OsWestFeeder::from_operand(TileOperand::block(&a, 0, 0, 8, 7), config).unwrap();
+        let north =
+            OsNorthFeeder::from_operand(TileOperand::block(&b, 0, 0, 7, 8), config).unwrap();
+        let padded_west = OsWestFeeder::new(&a_pad, config).unwrap();
+        let padded_north = OsNorthFeeder::new(&b_pad, config).unwrap();
+        let edges = |west: &OsWestFeeder<'_>, north: &OsNorthFeeder<'_>, cycle| {
+            let (mut w, mut n) = (vec![None; 8], vec![None; 8]);
+            west.west_inputs_into(cycle, &mut w);
+            north.north_inputs_into(cycle, &mut n);
+            (w, n)
+        };
+        let cycles = config.os_tile_cycles(7);
+        for prefix in [2, 5, 9, 14] {
+            let mut array = OutputStationaryArray::new(config).unwrap();
+            let mut collector = OsCollector::clipped(config, 7, 3, 2);
+            array
+                .run_cycles(&west, &north, 0, prefix, &mut collector)
+                .unwrap();
+            let mut reference = OutputStationaryArray::new(config).unwrap();
+            for cycle in 0..prefix {
+                let (w, n) = edges(&padded_west, &padded_north, cycle);
+                reference.step(&w, &n).unwrap();
+            }
+            assert_eq!(array.accumulators(), reference.accumulators());
+            assert_eq!(array.stats(), reference.stats(), "prefix {prefix}");
+
+            for cycle in prefix..cycles {
+                let (w, n) = edges(&west, &north, cycle);
+                let padded = edges(&padded_west, &padded_north, cycle);
+                assert_eq!((&w, &n), (&padded.0, &padded.1));
+                array.step(&w, &n).unwrap();
+                reference.step(&w, &n).unwrap();
+                assert_eq!(
+                    array.accumulators(),
+                    reference.accumulators(),
+                    "prefix {prefix}, cycle {cycle}"
+                );
+            }
+            assert_eq!(array.stats(), reference.stats(), "prefix {prefix}");
+            let product = multiply(&a, &b).unwrap();
+            for (i, j) in (0..3).flat_map(|i| (0..2).map(move |j| (i, j))) {
+                assert_eq!(array.accumulators()[i * 8 + j], product[(i, j)]);
+            }
+        }
     }
 
     #[test]

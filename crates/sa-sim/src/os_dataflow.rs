@@ -179,7 +179,11 @@ pub struct OsCollector {
     config: ArrayConfig,
     /// Length of the reduction stream the tile executes (`N`).
     n: u64,
-    /// The `R x C` result, row-major like the accumulators.
+    /// The rows and columns kept: `R x C`, or the part of a tile its
+    /// operands reach.
+    rows: usize,
+    cols: usize,
+    /// The `rows x cols` result, row-major like the accumulators.
     output: Vec<i64>,
     collected: usize,
 }
@@ -188,10 +192,20 @@ impl OsCollector {
     /// Creates a collector for a tile reducing over `n` operand pairs.
     #[must_use]
     pub fn new(config: ArrayConfig, n: u64) -> Self {
+        Self::clipped(config, n, config.rows as usize, config.cols as usize)
+    }
+
+    /// A collector that keeps only the first `rows` rows and `cols`
+    /// columns of the result, for a tile whose operands reach no further:
+    /// it checks the drain schedule of every PE, and its output is
+    /// `rows x cols`.
+    pub(crate) fn clipped(config: ArrayConfig, n: u64, rows: usize, cols: usize) -> Self {
         Self {
             config,
             n,
-            output: vec![0; config.pe_count() as usize],
+            rows,
+            cols,
+            output: vec![0; rows * cols],
             collected: 0,
         }
     }
@@ -288,17 +302,20 @@ impl OsCollector {
         };
         // The due range is block-aligned, and column block `cb` emits row
         // `R - 1 - (cycle - N - ceil(R/k) + 1 - cb)`: walking the range,
-        // the row moves down one per block.
+        // the row moves down one per block. Only kept elements are copied.
         let k = self.config.collapse_depth as usize;
         let (first, last) = (first as usize, last as usize);
         let age = (cycle + 1 - self.n - u64::from(self.config.row_blocks())) as usize;
-        let mut at = (self.config.rows as usize - 1 + first / k - age) * cols;
+        let mut row = self.config.rows as usize - 1 + first / k - age;
         let mut left = k;
-        for col in first..=last {
-            self.output[at + col] = accumulators[at + col];
+        for col in first..(last + 1).min(self.cols) {
+            if row >= self.rows {
+                break;
+            }
+            self.output[row * self.cols + col] = accumulators[row * cols + col];
             left -= 1;
             if left == 0 {
-                (at, left) = (at + cols, k);
+                (row, left) = (row + 1, k);
             }
         }
         self.collected += last - first + 1;
@@ -311,7 +328,8 @@ impl OsCollector {
         self.collected == self.config.pe_count() as usize
     }
 
-    /// Consumes the collector and returns the collected `R x C` result.
+    /// Consumes the collector and returns the collected `R x C` result
+    /// (`rows x cols` for a clipped collector).
     ///
     /// # Errors
     ///
@@ -327,11 +345,7 @@ impl OsCollector {
                 ),
             });
         }
-        Ok(Matrix::from_vec(
-            self.config.rows as usize,
-            self.config.cols as usize,
-            self.output,
-        )?)
+        Ok(Matrix::from_vec(self.rows, self.cols, self.output)?)
     }
 }
 

@@ -1,4 +1,11 @@
 //! Whole-GEMM simulation: tiles, verification and statistics aggregation.
+//!
+//! [`Simulator::run_gemm_cancellable`] is the one loop over a GEMM's
+//! tiles. Each tile reads its operand blocks in place and returns its
+//! product over the part of the tile inside the output, so a GEMM whose
+//! dimensions are not multiples of the array edges simulates no
+//! multiply-accumulate on its tiles' zero padding, while every tile's
+//! [`RunStats`] still count the whole array-sized tile.
 
 use crate::backend::TileEngine;
 use crate::config::{ArrayConfig, Dataflow};
@@ -353,7 +360,8 @@ impl Simulator {
     /// copies its operands: each reads its blocks of `A` and `B` in place
     /// at its origin, with zeros past the matrices' edges, exactly the
     /// blocks `Matrix::padded_block` would copy out for
-    /// [`TileEngine::execute_tile`]. Each tile
+    /// [`TileEngine::execute_tile`], and simulates the padding past the
+    /// edges without multiplying it. Each tile
     /// checks its array out of `pool` and back in, so cancellation — which
     /// is only ever observed **between** tiles — cannot leak a pooled
     /// array, and the pool and simulator are immediately reusable
@@ -410,16 +418,17 @@ impl Simulator {
             pool.release(engine);
             result.map(|tile| (t0, m0, tile))
         })?;
-        // Each tile's product lands at its block's origin, clipped to the
-        // output. Weight-stationary partials of one column band add up;
-        // output-stationary blocks are disjoint, so their adds land on
-        // zeros. Wrapping adds commute, so the order of tiles is moot.
+        // Each tile's product covers the part of its block inside the
+        // output and lands at the block's origin. Weight-stationary
+        // partials of one column band add up; output-stationary blocks
+        // are disjoint, so their adds land on zeros. Wrapping adds
+        // commute, so the order of tiles is moot.
         let mut output = Matrix::<i64>::zeros(a.rows(), b.cols());
         for (t0, m0, tile) in &results {
-            let width = cols.min(b.cols() - m0);
-            for r in 0..t_len.min(a.rows() - t0) {
-                let src = &tile.output.row(r)[..width];
-                for (acc, &delta) in output.row_mut(t0 + r)[*m0..m0 + width].iter_mut().zip(src) {
+            let width = tile.output.cols();
+            for r in 0..tile.output.rows() {
+                let dst = &mut output.row_mut(t0 + r)[*m0..m0 + width];
+                for (acc, &delta) in dst.iter_mut().zip(tile.output.row(r)) {
                     *acc = acc.wrapping_add(delta);
                 }
             }

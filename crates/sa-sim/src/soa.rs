@@ -5,21 +5,22 @@
 //!
 //! * [`TileOperand`], a tile operand read in place from its matrix at the
 //!   tile's origin, with zeros past the matrix's edges, so no tile copies
-//!   its operands before it runs;
+//!   its operands before it runs, and which knows how far into the tile
+//!   its matrix reaches;
 //! * [`RowStreams`], the west-edge operand streams of a tile both arrays'
-//!   analytic wavefront kernels run: every row's whole skewed stream,
-//!   built once when the stream starts, so the operand registers one PE
-//!   row holds in a cycle are one contiguous window indexed by array
-//!   column;
+//!   analytic wavefront kernels run: the whole skewed stream of every row
+//!   the operands reach, built once when the stream starts, so the operand
+//!   registers one PE row holds in a cycle are one contiguous window
+//!   indexed by array column;
 //! * [`RowLanes`], the same west-to-east operand pipeline (one register per
 //!   (row, column block)) as the naive scan stages it cycle by cycle, and
 //!   the [`StageCursor`] ring position it (and the output-stationary `B`
 //!   pipeline) advances;
 //! * [`StreamPurity`]: both arrays run their analytic wavefront kernel only
 //!   while it holds;
-//! * the packed `u64` bitset helpers of the weight-stationary partial-sum
-//!   validity, which carry the word-boundary invariants its differential
-//!   tests exercise (geometries above 64 lanes).
+//! * the packed `u64` bitset helpers of the weight-stationary naive scan's
+//!   partial-sum validity, which carry the word-boundary invariants its
+//!   differential tests exercise (geometries above 64 lanes).
 
 use crate::config::ArrayConfig;
 use gemm::Matrix;
@@ -174,6 +175,17 @@ impl<'a> TileOperand<'a> {
         self.cols
     }
 
+    /// The block's rows inside the matrix: every row past them is zero.
+    pub(crate) fn real_rows(&self) -> usize {
+        self.matrix.rows().saturating_sub(self.row0).min(self.rows)
+    }
+
+    /// The block's columns inside the matrix: every column past them is
+    /// zero.
+    pub(crate) fn real_cols(&self) -> usize {
+        self.matrix.cols().saturating_sub(self.col0).min(self.cols)
+    }
+
     /// Element (`row`, `col`) of the block.
     pub(crate) fn get(&self, row: usize, col: usize) -> i32 {
         self.matrix
@@ -232,11 +244,16 @@ impl<'a> TileOperand<'a> {
 /// `0..C` at cycle `c` are then exactly the window starting at
 /// `(c_max - c) * k` — the registers themselves, stored where no operand
 /// ever moves.
+///
+/// Only the part of the tile the operands reach is stored: the first
+/// `rows` array rows, with windows `cols` columns wide. Every operand
+/// register past them holds zero padding, so the kernels skip those PEs
+/// and a restage stages zeros there.
 #[derive(Debug, Clone)]
 pub(crate) struct RowStreams {
-    /// Per row, `stride` operands.
+    /// Per stored row, `stride` operands.
     values: Vec<i32>,
-    /// Positions per row lane: `c_max * k + C`.
+    /// Positions per row lane: `c_max * k + max(cols, k)`.
     stride: usize,
     /// The stream length (`T` or `N`).
     len: u64,
@@ -244,31 +261,47 @@ pub(crate) struct RowStreams {
     /// `len + ceil(R/k) + ceil(C/k) - 3`.
     c_max: u64,
     k: usize,
+    /// The rows stored and the width of their windows.
+    rows: usize,
     cols: usize,
 }
 
 impl RowStreams {
-    /// All-zero streams of a `len`-long schedule on `config`'s array;
+    /// All-zero streams of a `len`-long schedule on `config`'s array,
+    /// holding its first `rows` rows with windows `cols` columns wide;
     /// [`RowStreams::fill`] writes the operands.
-    pub(crate) fn new(config: ArrayConfig, len: u64) -> Self {
-        let (rows, cols) = (config.rows as usize, config.cols as usize);
+    pub(crate) fn new(config: ArrayConfig, len: u64, rows: usize, cols: usize) -> Self {
         let k = config.collapse_depth as usize;
         let c_max = (len + u64::from(config.row_blocks()) + u64::from(config.col_blocks()))
             .saturating_sub(3);
-        let stride = c_max as usize * k + cols;
+        // The edge of cycle 0 needs all `k` of its copies, even when the
+        // windows are narrower.
+        let stride = c_max as usize * k + cols.max(k);
         Self {
             values: vec![0; rows * stride],
             stride,
             len,
             c_max,
             k,
+            rows,
             cols,
         }
     }
 
+    /// The rows stored.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the streams hold every operand an operand block reaching
+    /// `rows` rows and `cols` columns into the tile can carry.
+    pub(crate) fn covers(&self, rows: usize, cols: usize) -> bool {
+        rows <= self.rows && cols <= self.cols
+    }
+
     /// Writes the operands that enter the west edge at cycle `from` or
     /// later, where `stream(row, operands)` writes the `len` operands of
-    /// array row `row` in stream order. A stream starts with `from = 0`;
+    /// stored row `row` in stream order. A stream starts with `from = 0`;
     /// a call that continues it refills only the edges still to come, from
     /// its own feeder, exactly as staging that feeder's edges would.
     pub(crate) fn fill(&mut self, from: u64, stream: impl Fn(usize, &mut [i32])) {
@@ -305,23 +338,28 @@ impl RowStreams {
         }
     }
 
-    /// The operand registers of columns `0..C` of `row` at `cycle`
-    /// (`cycle <= c_max`).
+    /// The operand registers of the stored columns of stored row `row` at
+    /// `cycle` (`cycle <= c_max`).
     pub(crate) fn window(&self, row: usize, cycle: u64) -> &[i32] {
         let at = row * self.stride + (self.c_max - cycle) as usize * self.k;
         &self.values[at..at + self.cols]
     }
 
-    /// Writes the operand registers the streams hold after cycles
-    /// `0..next` into `lanes`: the edges of the last `ceil(C/k)` cycles,
-    /// restaged in order on cleared lanes.
+    /// Writes the operand registers the streams stand for after cycles
+    /// `0..next` into `lanes`, which span every array row: the edges of
+    /// the last `ceil(C/k)` cycles, restaged in order on cleared lanes,
+    /// with zero operands on the rows past the stored ones.
     pub(crate) fn restage(&self, lanes: &mut RowLanes, next: u64) {
         lanes.clear();
-        let mut edge = vec![None; self.values.len() / self.stride];
+        let mut edge = vec![None; lanes.rows()];
         for cycle in next.saturating_sub(lanes.cursor.slots as u64)..next {
             // A valid edge of `cycle` lies within the streams: `cycle <= c_max`.
             skewed_edge_into(cycle, self.len, self.k, &mut edge, |row, _| {
-                self.values[row * self.stride + (self.c_max - cycle) as usize * self.k]
+                if row < self.rows {
+                    self.values[row * self.stride + (self.c_max - cycle) as usize * self.k]
+                } else {
+                    0
+                }
             });
             lanes.stage_options(&edge);
         }
@@ -370,6 +408,11 @@ impl RowLanes {
         self.values.fill(0);
         self.valid.fill(0);
         self.cursor = StageCursor::new(self.cursor.slots);
+    }
+
+    /// The number of rows (lanes).
+    pub(crate) fn rows(&self) -> usize {
+        self.values.len() / (2 * self.cursor.slots * self.k)
     }
 
     /// Stages one edge given in `Option` form (`None` = no operand): its
@@ -519,7 +562,7 @@ mod tests {
             let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
             let (rows, cols, k) = (rows as usize, cols as usize, k as usize);
             let operand = |row: usize, t: usize| (100 * row + t + 1) as i32;
-            let mut streams = RowStreams::new(config, len);
+            let mut streams = RowStreams::new(config, len, rows, cols);
             streams.fill(0, |row, operands| {
                 for (t, slot) in operands.iter_mut().enumerate() {
                     *slot = operand(row, t);
@@ -575,8 +618,13 @@ mod tests {
             block.copy_col(col, &mut dst);
             assert_eq!(dst, [0, 1, 2].map(|row| expected[(row, col)]));
         }
+        // The block reaches two rows and two columns into the matrix.
+        assert_eq!((block.real_rows(), block.real_cols()), (2, 2));
+        let past = TileOperand::block(&matrix, 4, 5, 2, 2);
+        assert_eq!((past.real_rows(), past.real_cols()), (0, 0));
         let whole = TileOperand::whole(&matrix);
         assert_eq!((whole.rows(), whole.cols()), (3, 4));
+        assert_eq!((whole.real_rows(), whole.real_cols()), (3, 4));
         assert_eq!(whole.get(2, 3), 23);
     }
 
