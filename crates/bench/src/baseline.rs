@@ -2,8 +2,8 @@
 //!
 //! [`simcore_baseline`] times a fixed, deterministic set of hot-path
 //! workloads — the cycle-accurate tile kernels of both dataflows on
-//! drain-heavy, steady-state and full-size tiles, a whole tiled GEMM, the
-//! im2col lowering, the reference GEMM, one round of the `/v1/simulate`
+//! drain-heavy, steady-state and full-size tiles, a whole tiled GEMM, a
+//! skinny GEMM whose one tile is nearly all padding, the im2col lowering, the reference GEMM, one round of the `/v1/simulate`
 //! benchmark mix and the compact JSON rendering of the `/v1/plan` golden
 //! plan — and reports machine-readable records (bench name,
 //! threads, iterations, ns/iter and, for the simulator benches, simulated
@@ -84,6 +84,9 @@ pub const DRAIN_HEAVY_NAIVE: &str = "simcore/tile_32x32_drain_heavy/naive";
 /// The JSON-emission bench: `serde_json::to_string` of the `/v1/plan`
 /// golden plan.
 pub const ENCODE_PLAN: &str = "json/encode_plan_resnet34_128x128";
+/// The skinny-GEMM bench: a 4096x1x1 weight-stationary GEMM on a 64x64
+/// array at k = 4, one tile whose operands reach one PE row and column.
+pub const SKINNY_GEMM: &str = "simcore/gemm_4096x1x1_on_64x64_k4";
 /// The `/v1/simulate` mix bench: one round of the `simulate` benchmark
 /// workload through one [`ArrayPool`], with the constants of its
 /// generator.
@@ -357,7 +360,27 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
         ns,
     ));
 
-    // 8. The im2col lowering of a mid-network 3x3 convolution
+    // 8. A skinny GEMM: T = 4096 rows of A through one weight-stationary
+    // tile of a 64x64 array at k = 4 whose operands reach one PE row and
+    // one PE column, so nearly all of the tile is zero padding.
+    let a_skinny = Matrix::random(4096, 1, &mut rng, -50, 50);
+    let b_skinny = Matrix::random(1, 1, &mut rng, -50, 50);
+    let skinny_sim = Simulator::new(ArrayConfig::new(64, 64).with_collapse_depth(4))
+        .map_err(ArrayFlexError::from)?;
+    let cycles = skinny_sim
+        .run_gemm(&a_skinny, &b_skinny)
+        .map_err(ArrayFlexError::from)?
+        .stats
+        .total_cycles();
+    let iters = scale(20);
+    let ns = time_batches(iters, || {
+        skinny_sim
+            .run_gemm(&a_skinny, &b_skinny)
+            .expect("skinny GEMM");
+    });
+    benches.push(record(SKINNY_GEMM, iters, Some(cycles), ns));
+
+    // 9. The im2col lowering of a mid-network 3x3 convolution
     // (64 -> 64 channels on a 28x28 input: T = 784, N = 576).
     let shape = ConvShape::dense(64, 64, 3, 1, 1, 28);
     let input = Tensor3::random(64, 28, 28, &mut rng, -50, 50);
@@ -368,7 +391,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record("gemm/im2col_conv3x3_64c_28x28", iters, None, ns));
 
-    // 9. The reference GEMM the simulator is verified against.
+    // 10. The reference GEMM the simulator is verified against.
     let a_ref = Matrix::random(96, 96, &mut rng, -50, 50);
     let b_ref = Matrix::random(96, 96, &mut rng, -50, 50);
     let iters = scale(100);
@@ -377,7 +400,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record("gemm/multiply_96x96x96", iters, None, ns));
 
-    // 10. One round of the `simulate` benchmark workload, as the
+    // 11. One round of the `simulate` benchmark workload, as the
     // `/v1/simulate` handler runs it: the pooled tile loop, the model's
     // prediction and the reference multiply, single-threaded.
     let round = simulate_round()?;
@@ -400,7 +423,7 @@ pub fn simcore_baseline(quick: bool) -> Result<BaselineReport, ArrayFlexError> {
     });
     benches.push(record(SIMULATE_ROUND, iters, Some(cycles), ns));
 
-    // 11. Compact JSON rendering of the `/v1/plan` golden response: the
+    // 12. Compact JSON rendering of the `/v1/plan` golden response: the
     // ArrayFlex plan of ResNet-34 on a 128x128 array (10,431 bytes).
     let plan = ArrayFlexModel::new(128, 128)?
         .plan_arrayflex(&cnn::models::resnet34(), DepthwiseMapping::default())?;
@@ -612,8 +635,9 @@ mod tests {
     fn quick_baseline_runs_and_round_trips_through_json() {
         let report = simcore_baseline(true).unwrap();
         assert!(report.quick);
-        assert_eq!(report.benches.len(), 11);
+        assert_eq!(report.benches.len(), 12);
         assert!(report.bench(SIMULATE_ROUND).is_some());
+        assert!(report.bench(SKINNY_GEMM).is_some());
         validate_report(&report).unwrap();
         assert!(report.bench(DRAIN_HEAVY_FAST).is_some());
         assert!(report.bench("simcore/nope").is_none());
