@@ -21,9 +21,11 @@ if [[ ! -x "$SERVE_BIN" ]]; then
 fi
 
 LOG="$(mktemp)"
+PLAN="$(mktemp)"
 SERVER_PID=""
 cleanup() {
     [[ -n "$SERVER_PID" ]] && kill "$SERVER_PID" 2>/dev/null || true
+    rm -f "$LOG" "$PLAN"
 }
 trap cleanup EXIT
 
@@ -51,7 +53,6 @@ if [[ "$HEALTH" != '{"status":"ok"}' ]]; then
 fi
 echo "/healthz ok"
 
-PLAN="$(mktemp)"
 curl -sS -X POST "http://$ADDR/v1/plan" -d "$REQUEST" -o "$PLAN"
 if ! cmp -s "$PLAN" "$GOLDEN"; then
     echo "/v1/plan response differs from $GOLDEN:" >&2
