@@ -13,19 +13,20 @@
 //! ```
 //!
 //! Without `--addr`, an in-process server is spawned on an ephemeral
-//! loopback port (with `--server-threads N` workers), so the default
-//! invocation measures the full client-to-server round trip on one
-//! machine with zero setup. `--json` emits one document with a `plan` and
-//! a `simulate` report, each carrying RPS, p50/p90/p99/max request
-//! latency and separate connection-setup percentiles; in-process runs
-//! also report the server's plan-cache counters.
+//! loopback port with `--server-threads N` handler workers (default `0`:
+//! one per core, beside one event loop per core, as `serve` runs), so
+//! the default invocation measures the full client-to-server round trip
+//! on one machine with zero setup. `--json` emits one document with a
+//! `plan` and a `simulate` report, each carrying RPS, p50/p90/p99/max
+//! request latency and separate connection-setup percentiles; in-process
+//! runs also report the server's plan-cache counters.
 //!
 //! `--keep-alive` reuses one connection per client; `--pipeline N` also
 //! writes up to `N` requests back to back before reading responses.
 //!
 //! `--bench OUT.json` ignores the ad-hoc load flags and runs the fixed
 //! serving benchmark matrix (close / keep-alive / pipelined, per
-//! endpoint) against an in-process event-loop server, writing the
+//! endpoint) against the same in-process server, writing the
 //! committed-baseline document (`BENCH_serve.json` format). `--compare
 //! OLD NEW` gates a fresh report against a committed baseline exactly
 //! like `bench_baseline --compare`: non-zero exit if any bench regressed
@@ -41,7 +42,8 @@
 //!
 //! `--chaos` runs the deterministic fault-injection harness instead of a
 //! throughput load: an in-process server armed with
-//! `FaultConfig::with_seed(--seed)` and a tiny worker queue, hammered by
+//! `FaultConfig::with_seed(--seed)`, two handler workers whatever
+//! `--server-threads` says, and a tiny worker queue, hammered by
 //! `--clients` misbehaving clients (slowloris drips, aborted pipelines,
 //! mid-body hangups, shed-retry loops honoring `Retry-After`) whose
 //! schedules also derive from `--seed`. Every 200 is verified
@@ -63,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut requests = 1000usize;
     let mut sim_requests = 200usize;
     let mut clients = 4usize;
-    let mut server_threads = 4usize;
+    let mut server_threads = 0usize;
     let mut network = "resnet34".to_owned();
     let mut rows = 128u32;
     let mut cols = 128u32;

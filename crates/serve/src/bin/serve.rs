@@ -6,8 +6,10 @@
 //! ```
 //!
 //! The server is a keep-alive event loop: `--loops N` sets the number of
-//! event-loop threads (0 auto-detects) and `--threads N` sizes the
-//! handler worker pool behind them.
+//! event-loop threads and `--threads N` sizes the handler worker pool
+//! behind them. Both default to `0`, one per core
+//! (`available_parallelism()`); the second stdout line reports the
+//! resolved sizes as `loops=N workers=M`.
 //!
 //! `--cache N` bounds the plan cache at N plans (LRU eviction); `--log`
 //! emits one structured log line per request on stdout.
@@ -30,7 +32,7 @@
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; the chosen address is
 //! printed on the first line of stdout (`listening on http://...`), which
-//! the CI smoke test parses.
+//! the smoke scripts parse.
 
 use arrayflex_serve::http::{serve, ServerConfig};
 
@@ -83,6 +85,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut handle = serve(config)?;
     println!("listening on http://{}", handle.addr());
+    let metrics = handle.state().metrics();
+    println!(
+        "loops={} workers={}",
+        metrics.event_loops(),
+        metrics.handler_workers()
+    );
     println!(
         "routes: GET /healthz | GET /metrics | POST /v1/plan | POST /v1/sweep | \
          POST /v1/simulate | POST /v1/jobs | GET /v1/jobs/{{id}}[/result] | \

@@ -215,6 +215,7 @@ pub(crate) fn start(
     listener.set_nonblocking(true)?;
     let nloops = resolve_threads(config.event_loops);
     let nworkers = resolve_threads(config.threads);
+    state.metrics().note_pool_sizes(nloops, nworkers);
     let queue_depth = Arc::new(AtomicUsize::new(0));
     let faults = config.faults.clone().map(|fc| {
         let plan = Arc::new(FaultPlan::new(fc));
@@ -247,11 +248,16 @@ pub(crate) fn start(
             std::thread::Builder::new()
                 .name(format!("serve-worker-{worker}"))
                 .spawn(move || loop {
-                    // Holding the lock only across `recv` keeps workers
-                    // independent; the channel closing (all loops gone)
-                    // ends the worker. Poison-tolerant: a panic between
-                    // `recv` and the catch_unwind below must not take the
-                    // whole pool down with it.
+                    // An idle worker holds this lock while it blocks in
+                    // `recv`, and the other idle workers queue on the
+                    // lock, so each job goes, in effect, to the worker
+                    // that has been idle longest. With more workers than
+                    // cores, jobs rotate through cache-cold threads
+                    // (DESIGN.md §6), which is why the default is one
+                    // worker per core. The channel closing (all loops
+                    // gone) ends the worker. Poison-tolerant: a panic
+                    // between `recv` and the catch_unwind below must not
+                    // take the whole pool down with it.
                     let job = match job_rx.lock().unwrap_or_else(|e| e.into_inner()).recv() {
                         Ok(job) => job,
                         Err(_) => break,

@@ -25,7 +25,10 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Worker threads serving requests (`0` auto-detects, minimum 1).
+    /// Handler worker threads the event loops hand parsed requests to
+    /// (`0`, the default, starts one per core: `available_parallelism()`,
+    /// minimum 1). More workers than cores only rotate jobs through
+    /// cache-cold threads (DESIGN.md §6).
     pub threads: usize,
     /// Total capacity of the plan cache.
     pub cache_capacity: usize,
@@ -37,9 +40,10 @@ pub struct ServerConfig {
     /// Emit one structured log line per served request on stdout
     /// (`ts=… route=… status=… latency_us=… cache=… key=…`).
     pub log_requests: bool,
-    /// Event-loop threads (`0` auto-detects, minimum 1).
-    /// [`ServerConfig::threads`] then sizes the handler worker pool the
-    /// loops hand parsed requests to.
+    /// Event-loop threads (`0`, the default, starts one per core:
+    /// `available_parallelism()`, minimum 1). Each loop frames its own
+    /// connections; [`ServerConfig::threads`] sizes the handler worker
+    /// pool behind them.
     pub event_loops: usize,
     /// Bound on the worker job queue (parsed requests dispatched but not
     /// yet picked up). At or beyond this depth new worker-bound requests
@@ -92,12 +96,12 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_owned(),
-            threads: 4,
+            threads: 0,
             cache_capacity: 128,
             max_body_bytes: 1024 * 1024,
             read_timeout: Duration::from_secs(30),
             log_requests: false,
-            event_loops: 1,
+            event_loops: 0,
             queue_limit: 1024,
             request_deadline: None,
             job_dir: None,

@@ -38,6 +38,8 @@ pub struct Metrics {
     latency_sum_us: AtomicU64,
     latency_count: AtomicU64,
     open_connections: AtomicU64,
+    event_loops: AtomicU64,
+    handler_workers: AtomicU64,
     accept_queue: AtomicU64,
     idle_closed: AtomicU64,
     rendered_hits: AtomicU64,
@@ -116,6 +118,26 @@ impl Metrics {
     #[must_use]
     pub fn open_connections(&self) -> u64 {
         self.open_connections.load(Ordering::Relaxed)
+    }
+
+    /// Records the resolved thread pool sizes the server started with.
+    pub fn note_pool_sizes(&self, event_loops: usize, handler_workers: usize) {
+        self.event_loops
+            .store(event_loops as u64, Ordering::Relaxed);
+        self.handler_workers
+            .store(handler_workers as u64, Ordering::Relaxed);
+    }
+
+    /// Event-loop threads the server runs (0 before it starts).
+    #[must_use]
+    pub fn event_loops(&self) -> u64 {
+        self.event_loops.load(Ordering::Relaxed)
+    }
+
+    /// Handler worker threads the server runs (0 before it starts).
+    #[must_use]
+    pub fn handler_workers(&self) -> u64 {
+        self.handler_workers.load(Ordering::Relaxed)
     }
 
     /// Records a connection queued from the acceptor toward an event loop.
@@ -437,6 +459,18 @@ impl Metrics {
             "arrayflex_serve_open_connections {}",
             self.open_connections.load(Ordering::Relaxed)
         );
+        out.push_str(
+            "# HELP arrayflex_serve_event_loops Event-loop threads framing connections.\n",
+        );
+        out.push_str("# TYPE arrayflex_serve_event_loops gauge\n");
+        let _ = writeln!(out, "arrayflex_serve_event_loops {}", self.event_loops());
+        out.push_str("# HELP arrayflex_serve_handler_workers Handler worker threads the event loops hand requests to.\n");
+        out.push_str("# TYPE arrayflex_serve_handler_workers gauge\n");
+        let _ = writeln!(
+            out,
+            "arrayflex_serve_handler_workers {}",
+            self.handler_workers()
+        );
         out.push_str("# HELP arrayflex_serve_accept_queue_depth Accepted connections awaiting their event loop.\n");
         out.push_str("# TYPE arrayflex_serve_accept_queue_depth gauge\n");
         let _ = writeln!(
@@ -686,6 +720,7 @@ mod tests {
     fn prometheus_rendering_is_well_formed() {
         let metrics = Metrics::new();
         metrics.observe("/v1/plan", 200, Duration::from_micros(120));
+        metrics.note_pool_sizes(2, 3);
         let cache = PlanCache::new(4);
         let text = metrics.render_prometheus(&cache);
         assert!(
@@ -719,6 +754,12 @@ mod tests {
         assert!(text.contains("arrayflex_serve_panics_total 0"));
         assert!(text.contains("arrayflex_serve_deadline_expired_total 0"));
         assert!(text.contains("arrayflex_serve_accept_backoff_total 0"));
+        for sample in [
+            "arrayflex_serve_event_loops gauge\narrayflex_serve_event_loops 2\n",
+            "arrayflex_serve_handler_workers gauge\narrayflex_serve_handler_workers 3\n",
+        ] {
+            assert!(text.contains(&format!("# TYPE {sample}")), "{sample}");
+        }
         // Exactly one lane-kernel sample, naming the dispatched body.
         let kernels: Vec<&str> = text
             .lines()
@@ -731,12 +772,25 @@ mod tests {
                 gemm::lanes::kernel()
             )]
         );
-        // Every non-comment line is `name{labels} value` or `name value`.
+        // Every non-comment line is `name{labels} value` or `name value`,
+        // of a family announced by a HELP and a TYPE line.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let mut parts = line.rsplitn(2, ' ');
             let value = parts.next().unwrap();
             assert!(value.parse::<f64>().is_ok(), "bad value in line: {line}");
-            assert!(parts.next().is_some(), "bad line: {line}");
+            let series = parts.next().expect("a series before the value");
+            let name = series.split('{').next().unwrap();
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix))
+                .filter(|family| text.contains(&format!("# TYPE {family} histogram\n")))
+                .unwrap_or(name);
+            for kind in ["HELP", "TYPE"] {
+                assert!(
+                    text.contains(&format!("# {kind} {family} ")),
+                    "no {kind} line for {line}"
+                );
+            }
         }
     }
 }

@@ -40,6 +40,19 @@ fn healthz_and_metrics_respond() {
 }
 
 #[test]
+fn default_pools_run_one_event_loop_and_one_worker_per_core() {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let handle = spawn_default();
+    let metrics = client::get(handle.addr(), "/metrics").unwrap();
+    let text = metrics.text().unwrap();
+    for gauge in ["event_loops", "handler_workers"] {
+        let sample = format!("arrayflex_serve_{gauge} {cores}\n");
+        assert!(text.contains(&sample), "want {sample:?} in {text}");
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn plan_over_the_wire_is_byte_identical_to_the_library() {
     let handle = spawn_default();
     let response = client::post_json(handle.addr(), "/v1/plan", PLAN_BODY).unwrap();
