@@ -160,9 +160,9 @@ fn time_batches<F: FnMut()>(iters: u64, mut f: F) -> f64 {
 /// Runs one weight-stationary tile (`A_sub` is `T x R`, `B_sub` is
 /// `R x C`) as the literal per-cycle loop — `step_into` plus `collect`
 /// every cycle — on a caller-owned array, reset for the tile. This is the
-/// loop `SystolicArray::run_cycles` runs for a stream its wavefront guard
-/// rejects, so timing it against `Simulator::run_tile` measures the naive
-/// scan against the wavefront kernel on identical hardware.
+/// loop `SystolicArray::run_cycles` runs for every call that is not one
+/// whole stream, so timing it against `Simulator::run_tile` measures the
+/// naive scan against the wavefront kernel on identical hardware.
 ///
 /// # Errors
 ///

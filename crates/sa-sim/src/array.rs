@@ -20,15 +20,15 @@
 //! laid out so that what one PE row (or row block) holds in a cycle is one
 //! contiguous slice indexed by array column:
 //!
-//! * while a feeder stream runs on the analytic kernel, in the tile's
-//!   **streams**, built when the stream starts at cycle 0. The operands
-//!   are the **row streams** (`soa::RowStreams`, shared with the
-//!   output-stationary `A` pipeline): every row's whole skewed stream,
-//!   built straight from the operand matrix, reversed in time and
-//!   k-expanded, so a cycle's registers are a window that slides one
-//!   stage per cycle. The partial sums are the **partial-sum store**: row
-//!   block `rb` works in cycle `c` on output row `c - rb - floor(j/k)` of
-//!   column `j`, so the whole block reads and writes row `c - rb` of a
+//! * while a whole feeder stream runs on the analytic kernel, in its
+//!   **streams**, built when it starts at cycle 0 and dropped when it
+//!   ends. The operands are the **row streams** (`soa::RowStreams`,
+//!   shared with the output-stationary `A` pipeline): every row's whole
+//!   skewed stream, built straight from the operand matrix, reversed in
+//!   time and k-expanded, so a cycle's registers are a window that slides
+//!   one stage per cycle. The partial sums are the **partial-sum store**:
+//!   row block `rb` works in cycle `c` on output row `c - rb - floor(j/k)`
+//!   of column `j`, so the whole block reads and writes row `c - rb` of a
 //!   store of `T + ceil(C/k) - 1` rows, and register `(rb, j)` after
 //!   cycle `c` is entry `(c - rb, j)` of it;
 //! * otherwise in the naive scan's stores: k-expanded, mirrored **row
@@ -42,10 +42,10 @@
 //! the rows the streamed operand reaches and the columns the weights
 //! reach. Every register past them provably holds zero (a padding operand,
 //! or the partial sum of a column of zero weights), so no cycle multiplies
-//! padding. Whenever a stream hands over to the naive scan, the registers
-//! its streams stand for are restaged into the naive scan's stores first,
-//! those zeros included. The stationary weights live in one row-major
-//! buffer.
+//! padding. A whole stream leaves no valid operand and no non-zero partial
+//! sum that a later cycle reads, so after one, as after a reset, the naive
+//! scan starts from cleared stores. The stationary weights live in one
+//! row-major buffer.
 //!
 //! # Kernels
 //!
@@ -57,16 +57,15 @@
 //!   full row range, so each active row block sweeps its rows over one
 //!   contiguous column range with one [`lanes::mac`] per block row into
 //!   its row of the partial-sum store, reading its operands from the row
-//!   streams — the shape of the output-stationary kernel. The kernel
-//!   applies only while the operands in flight are provably that schedule
-//!   from a clean pipeline, which a purity guard tracks: it records the
-//!   stream length and the next expected cycle, `reset_for_tile` and
-//!   `load_weights` make it clean again, and `step_into` poisons it;
+//!   streams — the shape of the output-stationary kernel. It runs whole
+//!   streams only: a `run_cycles` call from cycle 0 with nothing in flight
+//!   (after construction, `reset_for_tile`, `load_weights` or another
+//!   whole stream) through the stream's last multiply-accumulate, on a
+//!   collector whose last due cycle is that one;
 //! * the **naive scan**, which stages the west edge into the row lanes and
 //!   evaluates the carry-save chain of every pipeline block of every
-//!   column. It runs for [`SystolicArray::step_into`], and `run_cycles`
-//!   calls the guard rejects (a different stream length, a skipped or
-//!   repeated cycle, anything after `step_into`) loop over `step_into`.
+//!   column. It runs for [`SystolicArray::step_into`], and every other
+//!   `run_cycles` call loops over `step_into`.
 //!
 //! Both kernels leave bit-identical outputs and statistics, which the
 //! differential suites check cycle for cycle against an array-of-structs
@@ -79,14 +78,12 @@ use crate::config::ArrayConfig;
 use crate::dataflow::{InputFeeder, OutputCollector};
 use crate::error::SimError;
 use crate::pe::ProcessingElement;
-use crate::soa::{
-    get_bit, set_bit, set_range, words_for, RowLanes, RowStreams, StreamPurity, TileOperand,
-};
+use crate::soa::{get_bit, set_bit, words_for, RowLanes, RowStreams, StreamPurity, TileOperand};
 use crate::stats::RunStats;
 use gemm::{lanes, Matrix};
 
-/// The registers of one feeder stream the analytic wavefront kernel runs,
-/// built when the stream starts at cycle 0 and stored where no value
+/// The registers of one whole feeder stream the analytic wavefront kernel
+/// runs, built when the stream starts at cycle 0 and stored where no value
 /// moves, over the part of the tile the operands reach.
 #[derive(Debug, Clone)]
 struct Streams {
@@ -117,10 +114,10 @@ impl Streams {
         }
     }
 
-    /// Row `s` of the partial-sum store, or nothing past its end.
+    /// Row `s` of the partial-sum store.
     fn sums_row(&self, s: u64) -> &[i64] {
         let at = s as usize * self.cols;
-        self.sums.get(at..at + self.cols).unwrap_or_default()
+        &self.sums[at..at + self.cols]
     }
 }
 
@@ -158,13 +155,8 @@ pub struct SystolicArray {
     /// *reads* the stage from `cb` cycles ago, so no operand moves.
     /// Invalid operands are always stored as zero — which is what keeps
     /// the carry-save chains exact. Only the naive scan reads them and the
-    /// four vertical buffers below, so a clean pipeline clears them when
-    /// the naive scan first runs.
+    /// four vertical buffers below, so it clears them when it starts.
     h_lanes: RowLanes,
-    /// Both pipelines' registers while the purity guard tracks a feeder
-    /// stream: that stream's streams, built when it started. Dropped
-    /// whenever the pipelines are cleared.
-    streams: Option<Streams>,
     /// Vertical (partial-sum) pipeline registers as the naive scan keeps
     /// them, one per (row block, column), row-block-major
     /// (`rb * cols + col`).
@@ -178,11 +170,10 @@ pub struct SystolicArray {
     v_valid: Vec<u64>,
     /// Double buffer for `v_valid`.
     v_valid_next: Vec<u64>,
-    /// Whether the data currently in flight is provably a pure, gap-free
-    /// feeder stream from a clean pipeline — the precondition for the
-    /// analytic wavefront kernel of [`SystolicArray::run_cycles`], whose
-    /// active-window math assumes the deterministic schedule was followed
-    /// from cycle 0.
+    /// What the pipelines hold: whether anything is in flight, which
+    /// [`SystolicArray::run_cycles`] needs to know before it runs the
+    /// analytic wavefront kernel, and whether the naive scan's stores hold
+    /// the registers.
     purity: StreamPurity,
     /// Words per vertical validity segment: `ceil(cols / 64)`.
     vw: usize,
@@ -207,7 +198,6 @@ impl SystolicArray {
             weights: vec![0; rows * cols],
             weight_cols: cols,
             h_lanes: RowLanes::new(rows, cols, config.collapse_depth as usize),
-            streams: None,
             v_regs: vec![0; row_blocks * cols],
             v_next: vec![0; row_blocks * cols],
             v_valid: vec![0; row_blocks * vw],
@@ -278,16 +268,10 @@ impl SystolicArray {
     /// tiles of a GEMM through this method instead of constructing and
     /// dropping one per tile.
     pub fn reset_for_tile(&mut self) {
-        self.clear_pipelines();
+        // The naive scan clears its stores when it next starts.
+        self.purity = StreamPurity::Clean;
         self.weights_loaded = false;
         self.stats = RunStats::default();
-    }
-
-    /// Drops a stream's registers; the naive scan's stores are cleared
-    /// when it next runs.
-    fn clear_pipelines(&mut self) {
-        self.streams = None;
-        self.purity = StreamPurity::Clean;
     }
 
     /// Whether row block `rb` (> 0) receives a valid partial sum at `col`
@@ -332,7 +316,7 @@ impl SystolicArray {
                 ),
             });
         }
-        self.clear_pipelines();
+        self.purity = StreamPurity::Clean;
         for row in 0..rows {
             // One row of weights enters the array per cycle; the
             // configuration bits ride along and are implied by the block
@@ -357,10 +341,8 @@ impl SystolicArray {
     /// filling or draining).
     ///
     /// The cycle runs the naive scan, and the arbitrary operands it stages
-    /// keep later [`SystolicArray::run_cycles`] calls on the per-cycle
-    /// fallback until the pipelines are cleared. A stream `run_cycles` left
-    /// on the analytic kernel continues from exactly the registers it
-    /// left.
+    /// keep later [`SystolicArray::run_cycles`] calls on the naive scan
+    /// until the pipelines are cleared.
     ///
     /// # Errors
     ///
@@ -394,7 +376,7 @@ impl SystolicArray {
             });
         }
 
-        self.settle();
+        self.start_naive();
         let macs = self.cycle_naive(west_inputs, south_outputs);
         self.commit_cycle_stats(macs);
         Ok(())
@@ -422,9 +404,8 @@ impl SystolicArray {
     /// south edge, if any; the results themselves are the store's row
     /// `cycle - (ceil(R/k) - 1)`.
     ///
-    /// When every operand in flight followed one deterministic feeder
-    /// schedule from a clean pipeline (tracked by [`StreamPurity`]), the
-    /// active window of every row block is closed-form: block `rb` is fed
+    /// On a whole feeder stream from an empty pipeline, the active window
+    /// of every row block is closed-form: block `rb` is fed
     /// by column block `cb` exactly during cycles `rb + cb ..= rb + cb + T - 1`,
     /// and the feeder's batched skew guarantees the window always covers
     /// the block's rows completely. That lets the cycle iterate **per row
@@ -480,56 +461,14 @@ impl SystolicArray {
         (macs, produced)
     }
 
-    /// Leaves the analytic kernel for good until the pipelines are
-    /// cleared, handing both pipelines' registers to the stores the naive
-    /// scan reads: restaged exactly as a tracked stream's streams stand
-    /// for them, or cleared on a clean pipeline.
-    fn settle(&mut self) {
-        match (self.purity, self.streams.take()) {
-            (StreamPurity::Tracked { next, .. }, Some(streams)) => {
-                streams.west.restage(&mut self.h_lanes, next);
-                self.restage_sums(&streams, next);
-            }
-            (StreamPurity::Clean, _) => {
-                self.h_lanes.clear();
-                self.v_regs.fill(0);
-                self.v_valid.fill(0);
-            }
-            _ => {}
-        }
-        self.purity = StreamPurity::Poisoned;
-    }
-
-    /// Writes the partial-sum registers a stream's store stands for after
-    /// cycles `0..next` into the naive scan's buffers. Register `(rb, j)`
-    /// is valid when its block's operands were valid in cycle `next - 1`,
-    /// that is when output row `next - 1 - rb - floor(j/k)` lies in
-    /// `0..T`; it then holds store entry `(next - 1 - rb, j)`, and zero in
-    /// the columns the weights do not reach. Every invalid register holds
-    /// zero, as in a naive scan of the same stream: its chain summed only
-    /// operands driven as zero.
-    fn restage_sums(&mut self, streams: &Streams, next: u64) {
-        let cols = self.config.cols as usize;
-        let k = self.config.collapse_depth as usize;
-        let cb_max = u64::from(self.config.col_blocks()) - 1;
-        self.v_regs.fill(0);
-        self.v_valid.fill(0);
-        for rb in 0..self.config.row_blocks() as usize {
-            let Some(s) = next.checked_sub(rb as u64 + 1) else {
-                break;
-            };
-            let (cb_lo, cb_hi) = ((s + 1).saturating_sub(streams.t), s.min(cb_max));
-            if cb_lo > cb_hi {
-                continue;
-            }
-            let lo = cb_lo as usize * k;
-            let hi = ((cb_hi as usize + 1) * k).min(cols) - 1;
-            set_range(&mut self.v_valid[rb * self.vw..(rb + 1) * self.vw], lo, hi);
-            let end = (hi + 1).min(streams.cols);
-            if lo < end {
-                self.v_regs[rb * cols + lo..rb * cols + end]
-                    .copy_from_slice(&streams.sums_row(s)[lo..end]);
-            }
+    /// Hands the registers to the naive scan's stores: nothing is in
+    /// flight unless the naive scan ran last, so they start cleared.
+    fn start_naive(&mut self) {
+        if self.purity != StreamPurity::Stepped {
+            self.h_lanes.clear();
+            self.v_regs.fill(0);
+            self.v_valid.fill(0);
+            self.purity = StreamPurity::Stepped;
         }
     }
 
@@ -646,36 +585,33 @@ impl SystolicArray {
     /// [`OutputCollector::collect`] as the south edge (property-tested bit
     /// identical, including [`RunStats`]).
     ///
-    /// When the call continues the feeder's schedule from a clean pipeline
-    /// (cycle 0 after construction, [`SystolicArray::load_weights`] or
-    /// [`SystolicArray::reset_for_tile`], or exactly where the previous
-    /// call on a stream of the same length stopped), each cycle runs the
-    /// analytic wavefront kernel with the per-cycle overhead hoisted out
-    /// of the loop:
+    /// When the call runs one whole feeder stream — from cycle 0 with
+    /// nothing in flight (after construction,
+    /// [`SystolicArray::load_weights`], [`SystolicArray::reset_for_tile`]
+    /// or another whole stream) through the stream's last
+    /// multiply-accumulate, on a collector whose last due cycle is that
+    /// one — each cycle runs the analytic wavefront kernel with the
+    /// per-cycle overhead hoisted out of the loop:
     ///
-    /// * no register moves: the call that starts the stream builds its
-    ///   row streams once, straight from the streamed matrix, each cycle
-    ///   reads its operand registers as a window of them (a call that
-    ///   continues the stream refills only the edges still to come, from
-    ///   its own feeder), and each row block accumulates its partial sums
-    ///   in place in the stream's partial-sum store;
+    /// * no register moves: the call builds the stream's row streams once,
+    ///   straight from the streamed matrix, each cycle reads its operand
+    ///   registers as a window of them, and each row block accumulates its
+    ///   partial sums in place in the stream's partial-sum store;
     /// * only the rows the streamed matrix reaches and the columns the
     ///   weights reach are stored and multiplied: every other product is
     ///   zero;
     /// * south results are harvested through
     ///   [`OutputCollector::collect_produced`] as one produced column
     ///   range;
-    /// * trailing **dead cycles** — the feeder has no more data, the
-    ///   horizontal pipeline is drained and the collector expects
-    ///   nothing — are folded into O(1) statistics bookkeeping via
-    ///   [`RunStats::record_dead_cycles`] instead of being stepped one by
-    ///   one;
+    /// * the cycles after the last multiply-accumulate are **dead** — the
+    ///   feeder has no more data, no valid operand is in flight and the
+    ///   collector expects nothing — and fold into O(1) statistics
+    ///   bookkeeping via [`RunStats::record_dead_cycles`] instead of being
+    ///   stepped one by one;
     /// * the dimension and weights-loaded checks run once per call, not
     ///   once per cycle.
     ///
-    /// Any other call (or a continuation whose operand reaches rows the
-    /// stream's streams do not hold) literally loops `step_into` and
-    /// `collect`, starting from the registers the stream left.
+    /// Any other call literally loops `step_into` and `collect`.
     ///
     /// # Errors
     ///
@@ -717,19 +653,17 @@ impl SystolicArray {
         }
         let end = first_cycle.saturating_add(cycles);
         let t = feeder.stream_length();
-        // Row `n` streams column `n` of `A`: the rows past the columns `A`
-        // reaches stream zeros.
-        let a = feeder.operand();
-        let reached_rows = a.real_cols();
-        let covered = self
-            .streams
-            .as_ref()
-            .map_or(true, |s| s.west.covers(reached_rows, self.weight_cols));
-
-        if !(covered && self.purity.admits(t, first_cycle)) {
-            // The in-flight data is not provably this feeder's
-            // uninterrupted schedule: run the literal per-cycle loop.
-            self.settle();
+        // The wavefront kernel runs whole streams only: from cycle 0 with
+        // nothing in flight through the last multiply-accumulate, on a
+        // collector due to harvest that cycle last. Every other call, one
+        // on a collector of another stream length included, steps the
+        // naive scan and collects cycle by cycle.
+        let stream_end = self.config.compute_cycles(t);
+        if first_cycle != 0
+            || end < stream_end
+            || self.purity == StreamPurity::Stepped
+            || collector.last_due_cycle().map(|due| due + 1) != Some(stream_end)
+        {
             let mut west = vec![None; rows];
             let mut south = vec![None; cols];
             for cycle in first_cycle..end {
@@ -740,25 +674,14 @@ impl SystolicArray {
             return Ok(());
         }
 
-        let mut streams = self
-            .streams
-            .take()
-            .unwrap_or_else(|| Streams::new(self.config, t, reached_rows, self.weight_cols));
-        streams
-            .west
-            .fill(first_cycle, |row, operands| a.copy_col(row, operands));
-        self.purity = StreamPurity::Tracked { t, next: end };
+        // Row `n` streams column `n` of `A`: the rows past the columns `A`
+        // reaches stream zeros.
+        let a = feeder.operand();
+        let mut streams = Streams::new(self.config, t, a.real_cols(), self.weight_cols);
+        streams.west.fill(|row, operands| a.copy_col(row, operands));
+        self.purity = StreamPurity::Drained;
         let fill_latency = u64::from(self.config.row_blocks()) - 1;
-        let drained_from = streams.west.drained_from();
-        let last_due = collector.last_due_cycle();
-        for cycle in first_cycle..end {
-            // Bulk dead-cycle skip: the west edge stays idle from here on,
-            // nothing is in flight and nothing is due — every remaining
-            // cycle is pure bookkeeping.
-            if cycle >= drained_from && last_due.map_or(true, |due| cycle > due) {
-                self.record_dead_cycles(end - cycle);
-                break;
-            }
+        for cycle in 0..stream_end {
             let (macs, produced) = self.cycle_wavefront(&mut streams, cycle);
             self.commit_cycle_stats(macs);
             // The last row block's registers are store row
@@ -766,14 +689,12 @@ impl SystolicArray {
             let south = cycle
                 .checked_sub(fill_latency)
                 .map_or(&[][..], |s| streams.sums_row(s));
-            if let Err(e) = collector.collect_produced(cycle, produced, south) {
-                self.streams = Some(streams);
-                self.purity = StreamPurity::Tracked { t, next: cycle + 1 };
-                self.settle();
-                return Err(e);
-            }
+            collector.collect_produced(cycle, produced, south)?;
         }
-        self.streams = Some(streams);
+        // Bulk dead-cycle skip: nothing is in flight or due after the last
+        // multiply-accumulate, so every remaining cycle is pure
+        // bookkeeping.
+        self.record_dead_cycles(end - stream_end);
         Ok(())
     }
 
@@ -1009,13 +930,14 @@ mod tests {
     }
 
     #[test]
-    fn a_padded_tile_hands_over_to_step_into_mid_stream() {
+    fn a_padded_tile_continues_in_step_into_after_run_cycles() {
         // A 9x5 by 5x3 product on an 8x8 array at k = 2: the tile's blocks
-        // reach five rows and three columns into the array, so the streams
-        // hold neither the last three rows nor the last five columns. Left
-        // on the wavefront kernel after a prefix in fill, steady state or
-        // drain, the stream must hand `step_into` exactly the registers the
-        // naive scan holds on the `padded_block` copies, padding included.
+        // reach five rows and three columns into the array, so a whole
+        // stream's streams hold neither the last three rows nor the last
+        // five columns. After a `run_cycles` prefix in fill, steady state
+        // or drain, or the whole stream, `step_into` must go on from
+        // exactly the registers the naive scan holds on the `padded_block`
+        // copies, padding included.
         use gemm::multiply;
         use gemm::rng::SplitMix64;
 
@@ -1027,9 +949,9 @@ mod tests {
         let feeder = InputFeeder::from_operand(TileOperand::block(&a, 0, 0, 9, 8), config).unwrap();
         let padded_feeder = InputFeeder::new(&a_pad, config).unwrap();
         let cycles = config.compute_cycles(9);
-        for prefix in [2, 7, 12] {
-            // Dirty every naive-scan register first, so that one the
-            // hand-over does not restage shows.
+        for prefix in [2, 7, 12, cycles] {
+            // Dirty every naive-scan register first, so that one the naive
+            // scan does not clear when it starts shows.
             let mut array = SystolicArray::new(config).unwrap();
             let dirty = Matrix::random(6, 8, &mut rng, -60, 60);
             array

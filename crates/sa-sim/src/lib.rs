@@ -14,11 +14,12 @@
 //!   bit-exactly, and
 //! * reports the register clock/gating activity that feeds the power model.
 //!
-//! Each array model has two kernels: the analytic wavefront kernel every
-//! simulated tile runs, and a per-cycle naive scan that serves manual
-//! stepping ([`SystolicArray::step_into`], [`trace_tile`]) and any operand
-//! stream the wavefront kernel cannot prove follows its feeder schedule.
-//! The two are bit-identical in outputs and [`RunStats`].
+//! Each array model has two kernels: the analytic wavefront kernel, which
+//! runs every simulated tile as one whole stream from cycle 0, and a
+//! per-cycle naive scan that serves manual stepping
+//! ([`SystolicArray::step_into`], [`trace_tile`]) and every other
+//! `run_cycles` call. The two are bit-identical in outputs and
+//! [`RunStats`].
 //!
 //! # Modules
 //!

@@ -17,13 +17,14 @@
 //! stores, each laid out so that what one PE row sees this cycle is a
 //! contiguous slice indexed by array column:
 //!
-//! * while a feeder stream runs on the analytic kernel, in the tile's
+//! * while a whole feeder stream runs on the analytic kernel, in its
 //!   **streams**, built once at cycle 0 straight from the operand
-//!   matrices: `A` as per-row streams (`soa::RowStreams`, shared with the
-//!   weight-stationary operand pipeline), reversed in time and
-//!   k-expanded, so a row's registers are a window that slides one stage
-//!   per cycle; `B` as a `(c_max + 1)`-row matrix whose row `s` is the
-//!   north edge of cycle `s`, so row block `rb` reads row `c - rb`;
+//!   matrices and dropped when it ends: `A` as per-row streams
+//!   (`soa::RowStreams`, shared with the weight-stationary operand
+//!   pipeline), reversed in time and k-expanded, so a row's registers are
+//!   a window that slides one stage per cycle; `B` as a `(c_max + 1)`-row
+//!   matrix whose row `s` is the north edge of cycle `s`, so row block
+//!   `rb` reads row `c - rb`;
 //! * otherwise in the stores the naive scan stages each cycle's edges
 //!   into: `A` in k-expanded, mirrored lanes (`soa::RowLanes`), `B` in a
 //!   **ring of edge stages** (`ceil(R/k)` slots of `C` operands), row
@@ -34,9 +35,9 @@
 //! The streams cover only the part of the tile the operands reach: the
 //! rows `A` reaches and the columns `B` reaches. Every operand past them
 //! is zero padding, so those PEs' accumulators provably stay zero and no
-//! cycle multiplies them. Whenever a stream hands over to the naive scan,
-//! the registers its streams stand for are restaged into the lanes and
-//! the ring first, the padding's zeros included.
+//! cycle multiplies them. A whole stream leaves no valid operand in
+//! flight, so after one, as after a reset, the naive scan starts from
+//! cleared lanes and ring.
 //!
 //! # Kernels
 //!
@@ -52,16 +53,14 @@
 //!   `c - N + 1 <= rb + cb <= c`. So each active row block sweeps its rows
 //!   over one contiguous column range with one [`lanes::mac`]
 //!   (`acc += a * b`) over contiguous accumulator, `A`-stream and
-//!   `B`-stream slices. The kernel applies only while the operands in
-//!   flight are provably that schedule from a clean pipeline, which a
-//!   purity guard tracks: it records the stream length and the next
-//!   expected cycle, `reset_for_tile` makes it clean again, and `step`
-//!   poisons it;
+//!   `B`-stream slices. It runs whole streams only: a `run_cycles` call
+//!   from cycle 0 with nothing in flight (after construction,
+//!   `reset_for_tile` or another whole stream) through the stream's last
+//!   multiply-accumulate;
 //! * the **naive scan**, which stages both edges and checks both
 //!   operands' validity at every PE. It runs for
-//!   [`OutputStationaryArray::step`], and `run_cycles` calls the guard
-//!   rejects (a different stream length, a skipped or repeated cycle,
-//!   anything after `step`) loop over `step`.
+//!   [`OutputStationaryArray::step`], and every other `run_cycles` call
+//!   loops over `step`.
 //!
 //! Both kernels leave bit-identical accumulators and statistics, which the
 //! differential suites check cycle for cycle against an array-of-structs
@@ -70,7 +69,7 @@
 use crate::config::{ArrayConfig, Dataflow};
 use crate::error::SimError;
 use crate::os_dataflow::{OsCollector, OsNorthFeeder, OsWestFeeder};
-use crate::soa::{skewed_edge_into, RowLanes, RowStreams, StageCursor, StreamPurity};
+use crate::soa::{RowLanes, RowStreams, StageCursor, StreamPurity};
 use crate::stats::RunStats;
 use gemm::lanes;
 
@@ -126,9 +125,9 @@ impl StageRing {
     }
 }
 
-/// The operand streams of one tile the analytic wavefront kernel runs,
-/// built when the stream starts at cycle 0, over the part of the tile the
-/// operands reach.
+/// The operand streams of one whole feeder stream the analytic wavefront
+/// kernel runs, built when the stream starts at cycle 0, over the part of
+/// the tile the operands reach.
 #[derive(Debug, Clone)]
 struct Streams {
     /// The `A` pipeline: one stream per array row `A` reaches, with
@@ -160,22 +159,18 @@ impl Streams {
         }
     }
 
-    /// Writes the operands that enter either edge at cycle `from` or
-    /// later, read from the feeders (see [`RowStreams::fill`]).
-    fn fill(&mut self, from: u64, west: &OsWestFeeder<'_>, north: &OsNorthFeeder<'_>) {
+    /// Writes the operands of both edges, read from the feeders.
+    fn fill(&mut self, west: &OsWestFeeder<'_>, north: &OsNorthFeeder<'_>) {
         // Row `i` streams row `i` of `A`.
         let a = west.operand();
-        self.west
-            .fill(from, |row, operands| a.copy_row(row, 0, operands));
+        self.west.fill(|row, operands| a.copy_row(row, 0, operands));
         let (b, cols, k) = (north.operand(), self.cols, self.k);
         let mut b_row = vec![0; cols];
         for i in 0..self.n as usize {
             // Column block `cb` of row `i` of `B` enters at cycle `i + cb`.
-            let first_block = (from as usize).saturating_sub(i);
-            let first = (first_block * k).min(cols);
-            b.copy_row(i, first, &mut b_row[first..]);
-            let (mut at, mut left) = ((i + first_block) * cols, k);
-            for (col, &operand) in b_row.iter().enumerate().skip(first) {
+            b.copy_row(i, 0, &mut b_row);
+            let (mut at, mut left) = (i * cols, k);
+            for (col, &operand) in b_row.iter().enumerate() {
                 self.north[at + col] = operand;
                 left -= 1;
                 if left == 0 {
@@ -190,28 +185,6 @@ impl Streams {
     fn north_stage(&self, rb: usize, cycle: u64) -> &[i32] {
         let at = (cycle as usize - rb) * self.cols;
         &self.north[at..at + self.cols]
-    }
-
-    /// Writes the registers the streams stand for after cycles `0..next`
-    /// into the naive scan's stores: the last `ceil(C/k)` west edges into
-    /// the `A` lanes and the last `ceil(R/k)` north edges into the `B`
-    /// ring, each restaged in order on cleared stores, with zero operands
-    /// past the rows and columns the streams hold.
-    fn restage(&self, a_lanes: &mut RowLanes, b_ring: &mut StageRing, next: u64) {
-        self.west.restage(a_lanes, next);
-        b_ring.clear();
-        let mut edge = vec![None; b_ring.lanes];
-        for cycle in next.saturating_sub(b_ring.cursor.slots as u64)..next {
-            // A valid edge of `cycle` lies within the streams: `cycle <= c_max`.
-            skewed_edge_into(cycle, self.n, self.k, &mut edge, |col, _| {
-                if col < self.cols {
-                    self.north_stage(0, cycle)[col]
-                } else {
-                    0
-                }
-            });
-            b_ring.stage_options(&edge);
-        }
     }
 }
 
@@ -245,17 +218,16 @@ pub struct OutputStationaryArray {
     /// east.
     a_lanes: RowLanes,
     /// `B` operand pipeline as the naive scan stages it, north, shifting
-    /// south. Only the naive scan reads either store, so a clean pipeline
-    /// clears them when the naive scan first runs.
+    /// south. Only the naive scan reads either store, so it clears them
+    /// when it starts.
     b_ring: StageRing,
-    /// Both operand pipelines' registers while the purity guard tracks a
-    /// feeder stream: that stream's streams, built when it started.
-    /// Dropped whenever the pipelines are cleared.
-    streams: Option<Streams>,
     /// Resident accumulators, one per PE, row-major (`row * cols + col`).
     acc: Vec<i64>,
-    /// Whether the operands in flight are one feeder schedule from a clean
-    /// pipeline — the precondition of the analytic wavefront kernel.
+    /// What the pipelines hold: whether anything is in flight, which
+    /// [`OutputStationaryArray::run_cycles`] needs to know before it runs
+    /// the analytic wavefront kernel, whether the naive scan's stores hold
+    /// the operand registers, and whether any cycle touched the
+    /// accumulators.
     purity: StreamPurity,
     stats: RunStats,
 }
@@ -284,7 +256,6 @@ impl OutputStationaryArray {
             config,
             a_lanes: RowLanes::new(rows, cols, k),
             b_ring: StageRing::new(config.row_blocks() as usize, cols),
-            streams: None,
             acc: vec![0; rows * cols],
             purity: StreamPurity::Clean,
             stats: RunStats::default(),
@@ -318,10 +289,10 @@ impl OutputStationaryArray {
     /// constructed [`OutputStationaryArray::new`] of the same
     /// configuration.
     pub fn reset_for_tile(&mut self) {
-        // Only a cycle leaves the guard anything but clean, so a clean
-        // pipeline holds nothing to clear.
+        // Only a cycle leaves the pipelines anything but clean, so a clean
+        // array holds nothing to clear; the naive scan clears its stores
+        // when it next starts.
         if self.purity != StreamPurity::Clean {
-            self.streams = None;
             self.acc.fill(0);
             self.purity = StreamPurity::Clean;
         }
@@ -338,9 +309,7 @@ impl OutputStationaryArray {
     ///
     /// The cycle runs the naive scan, and the arbitrary operands it stages
     /// keep later `run_cycles` calls on the naive scan until the next
-    /// [`OutputStationaryArray::reset_for_tile`]. A stream `run_cycles`
-    /// left on the analytic kernel continues from exactly the registers it
-    /// left.
+    /// [`OutputStationaryArray::reset_for_tile`].
     ///
     /// # Errors
     ///
@@ -363,7 +332,7 @@ impl OutputStationaryArray {
                 reason: format!("expected {cols} north inputs, got {}", north_inputs.len()),
             });
         }
-        self.settle();
+        self.start_naive();
         self.a_lanes.stage_options(west_inputs);
         self.b_ring.stage_options(north_inputs);
         let macs = self.compute_naive();
@@ -380,21 +349,18 @@ impl OutputStationaryArray {
     /// [`OutputStationaryArray::step`] with the two feeders' scheduled
     /// edges, plus the collector draining the due accumulators each cycle.
     ///
-    /// When the call continues the feeders' schedule from a clean pipeline
-    /// (cycle 0 after construction or
-    /// [`OutputStationaryArray::reset_for_tile`], or exactly where the
-    /// previous call on a stream of the same length stopped), each cycle
-    /// runs the analytic wavefront kernel with the per-cycle overhead
-    /// hoisted: the call that starts the stream builds both operand
-    /// streams once, straight from the operand matrices and only over the
-    /// rows `A` and the columns `B` reach (a call that continues the
-    /// stream refills only the edges still to come, from its own feeders),
-    /// the configuration checks run once per call, and trailing **dead
+    /// When the call runs one whole feeder stream — from cycle 0 with
+    /// nothing in flight (after construction,
+    /// [`OutputStationaryArray::reset_for_tile`] or another whole stream)
+    /// through the stream's last multiply-accumulate — each cycle runs the
+    /// analytic wavefront kernel with the per-cycle overhead hoisted: the
+    /// call builds both operand streams once, straight from the operand
+    /// matrices and only over the rows `A` and the columns `B` reach, the
+    /// configuration checks run once per call, and trailing **dead
     /// cycles** — both edges idle, both pipelines drained, nothing due —
     /// fold into O(1) statistics bookkeeping via
-    /// [`RunStats::record_dead_cycles`]. Any other call (or a continuation
-    /// whose operands reach further than the streams hold) loops `step`
-    /// and the drain, starting from the registers the stream left.
+    /// [`RunStats::record_dead_cycles`]. Any other call loops `step` and
+    /// the drain.
     ///
     /// # Errors
     ///
@@ -439,16 +405,12 @@ impl OutputStationaryArray {
             });
         }
         let end = first_cycle.saturating_add(cycles);
-        let (rows, cols) = (west.operand().real_rows(), north.operand().real_cols());
-        let covered = self
-            .streams
-            .as_ref()
-            .map_or(true, |s| s.west.covers(rows, cols));
-
-        if !(covered && self.purity.admits(n, first_cycle)) {
-            // The in-flight data is not provably this schedule: step the
-            // naive scan through the feeders' edges.
-            self.settle();
+        // The wavefront kernel runs whole streams only: from cycle 0 with
+        // nothing in flight through the last multiply-accumulate.
+        if first_cycle != 0
+            || end < self.config.compute_cycles(n)
+            || self.purity == StreamPurity::Stepped
+        {
             let mut west_edge = vec![None; self.config.rows as usize];
             let mut north_edge = vec![None; self.config.cols as usize];
             for cycle in first_cycle..end {
@@ -460,57 +422,36 @@ impl OutputStationaryArray {
             return Ok(());
         }
 
-        let mut streams = self
-            .streams
-            .take()
-            .unwrap_or_else(|| Streams::new(self.config, n, rows, cols));
-        streams.fill(first_cycle, west, north);
-        self.purity = StreamPurity::Tracked { t: n, next: end };
-        let drained_from = streams.west.drained_from();
-        let last_due = collector.last_due_cycle();
-        for cycle in first_cycle..end {
-            // Bulk dead-cycle skip: both edges stay idle from here on,
-            // nothing is in flight and nothing is due — every remaining
-            // cycle is pure bookkeeping.
-            if cycle >= drained_from && last_due.map_or(true, |due| cycle > due) {
-                self.record_dead_cycles(end - cycle);
-                break;
-            }
+        let (rows, cols) = (west.operand().real_rows(), north.operand().real_cols());
+        let mut streams = Streams::new(self.config, n, rows, cols);
+        streams.fill(west, north);
+        self.purity = StreamPurity::Drained;
+        // Bulk dead-cycle skip: after the last due element (which follows
+        // the last multiply-accumulate) both edges stay idle, nothing is in
+        // flight and nothing is due, so every remaining cycle is pure
+        // bookkeeping.
+        let live = end.min(collector.last_due_cycle().map_or(0, |due| due + 1));
+        for cycle in 0..live {
             let macs = self.compute_wavefront(&streams, n, cycle);
             self.commit_cycle_stats(macs);
-            if let Err(e) = collector.collect_due(cycle, &self.acc) {
-                self.streams = Some(streams);
-                self.purity = StreamPurity::Tracked {
-                    t: n,
-                    next: cycle + 1,
-                };
-                self.settle();
-                return Err(e);
-            }
+            collector.collect_due(cycle, &self.acc)?;
         }
-        self.streams = Some(streams);
+        self.record_dead_cycles(end - live);
         Ok(())
     }
 
-    /// Leaves the analytic kernel for good until the next reset, handing
-    /// the operand registers to the lanes and the ring the naive scan
-    /// reads: restaged exactly as a tracked stream's streams hold them, or
-    /// cleared on a clean pipeline.
-    fn settle(&mut self) {
-        match (self.purity, self.streams.take()) {
-            (StreamPurity::Tracked { next, .. }, Some(streams)) => {
-                streams.restage(&mut self.a_lanes, &mut self.b_ring, next);
-            }
-            (StreamPurity::Clean, _) => {
-                self.a_lanes.clear();
-                self.b_ring.clear();
-            }
-            _ => {}
+    /// Hands the operand registers to the lanes and the ring the naive
+    /// scan stages: nothing is in flight unless the naive scan ran last,
+    /// so they start cleared.
+    fn start_naive(&mut self) {
+        if self.purity != StreamPurity::Stepped {
+            self.a_lanes.clear();
+            self.b_ring.clear();
+            self.purity = StreamPurity::Stepped;
         }
-        self.purity = StreamPurity::Poisoned;
     }
 
-    /// The analytic wavefront kernel: one cycle of a pure feeder stream of
+    /// The analytic wavefront kernel: one cycle of a whole feeder stream of
     /// length `n`, returning the MAC count.
     ///
     /// Block pair `(rb, cb)` is active exactly when
@@ -701,14 +642,15 @@ mod tests {
     }
 
     #[test]
-    fn a_padded_tile_hands_over_to_step_mid_stream() {
+    fn a_padded_tile_continues_in_step_after_run_cycles() {
         // A 3x7 by 7x2 product on an 8x8 array at k = 3: the tile's blocks
-        // reach three rows and two columns into the array, so the streams
-        // hold neither the last five rows nor the last six columns. Left
-        // on the wavefront kernel after a prefix in fill, steady state or
-        // drain, the stream must hand `step` exactly the registers the
-        // naive scan holds on the `padded_block` copies, padding included:
-        // every accumulator and every statistic matches cycle for cycle.
+        // reach three rows and two columns into the array, so a whole
+        // stream's streams hold neither the last five rows nor the last
+        // six columns. After a `run_cycles` prefix in fill or steady state,
+        // or the whole stream and part of the drain, `step` must go on
+        // from exactly the registers the naive scan holds on the
+        // `padded_block` copies, padding included: every accumulator and
+        // every statistic matches cycle for cycle.
         use crate::soa::TileOperand;
         use gemm::rng::SplitMix64;
 

@@ -16,8 +16,9 @@
 //!   (row, column block)) as the naive scan stages it cycle by cycle, and
 //!   the [`StageCursor`] ring position it (and the output-stationary `B`
 //!   pipeline) advances;
-//! * [`StreamPurity`]: both arrays run their analytic wavefront kernel only
-//!   while it holds;
+//! * [`StreamPurity`], what the pipelines hold: both arrays run their
+//!   analytic wavefront kernel only on a whole stream with nothing in
+//!   flight;
 //! * the packed `u64` bitset helpers of the weight-stationary naive scan's
 //!   partial-sum validity, which carry the word-boundary invariants its
 //!   differential tests exercise (geometries above 64 lanes).
@@ -38,23 +39,6 @@ pub(crate) fn get_bit(words: &[u64], index: usize) -> bool {
 
 pub(crate) fn set_bit(words: &mut [u64], index: usize) {
     words[index / WORD_BITS] |= 1u64 << (index % WORD_BITS);
-}
-
-/// Sets every bit in `start..=last` (inclusive).
-pub(crate) fn set_range(words: &mut [u64], start: usize, last: usize) {
-    let (first_word, first_bit) = (start / WORD_BITS, start % WORD_BITS);
-    let (last_word, last_bit) = (last / WORD_BITS, last % WORD_BITS);
-    let low_mask = u64::MAX << first_bit;
-    let high_mask = u64::MAX >> (WORD_BITS - 1 - last_bit);
-    if first_word == last_word {
-        words[first_word] |= low_mask & high_mask;
-        return;
-    }
-    words[first_word] |= low_mask;
-    for word in &mut words[first_word + 1..last_word] {
-        *word = u64::MAX;
-    }
-    words[last_word] |= high_mask;
 }
 
 /// Ring position and drain state of one operand pipeline whose stages are
@@ -247,8 +231,7 @@ impl<'a> TileOperand<'a> {
 ///
 /// Only the part of the tile the operands reach is stored: the first
 /// `rows` array rows, with windows `cols` columns wide. Every operand
-/// register past them holds zero padding, so the kernels skip those PEs
-/// and a restage stages zeros there.
+/// register past them holds zero padding, so the kernels skip those PEs.
 #[derive(Debug, Clone)]
 pub(crate) struct RowStreams {
     /// Per stored row, `stride` operands.
@@ -293,29 +276,18 @@ impl RowStreams {
         self.rows
     }
 
-    /// Whether the streams hold every operand an operand block reaching
-    /// `rows` rows and `cols` columns into the tile can carry.
-    pub(crate) fn covers(&self, rows: usize, cols: usize) -> bool {
-        rows <= self.rows && cols <= self.cols
-    }
-
-    /// Writes the operands that enter the west edge at cycle `from` or
-    /// later, where `stream(row, operands)` writes the `len` operands of
-    /// stored row `row` in stream order. A stream starts with `from = 0`;
-    /// a call that continues it refills only the edges still to come, from
-    /// its own feeder, exactly as staging that feeder's edges would.
-    pub(crate) fn fill(&mut self, from: u64, stream: impl Fn(usize, &mut [i32])) {
+    /// Writes the operands, where `stream(row, operands)` writes the `len`
+    /// operands of stored row `row` in stream order.
+    pub(crate) fn fill(&mut self, stream: impl Fn(usize, &mut [i32])) {
         let (k, c_max) = (self.k, self.c_max as usize);
         let mut operands = vec![0; self.len as usize];
         for (row, lane) in self.values.chunks_exact_mut(self.stride).enumerate() {
             stream(row, &mut operands);
             // Operand `t` enters at cycle `t + row / k`, so the stream
             // fills the lane backwards from position `(c_max - row/k) * k`.
-            let skew = row / k;
-            let end = (c_max + 1).saturating_sub(skew) * k;
+            let end = (c_max + 1).saturating_sub(row / k) * k;
             let lane = &mut lane[end.saturating_sub(operands.len() * k)..end];
-            let future = (from as usize).saturating_sub(skew);
-            for (copies, &operand) in lane.chunks_exact_mut(k).rev().zip(&operands).skip(future) {
+            for (copies, &operand) in lane.chunks_exact_mut(k).rev().zip(&operands) {
                 copies.fill(operand);
             }
         }
@@ -326,43 +298,11 @@ impl RowStreams {
         self.c_max
     }
 
-    /// The first cycle from which no operand is in flight: the last
-    /// non-idle edge entered `ceil(C/k)` cycles earlier (and the
-    /// output-stationary north edge's `ceil(R/k)` stages drain on the same
-    /// cycle).
-    pub(crate) fn drained_from(&self) -> u64 {
-        if self.len == 0 {
-            0
-        } else {
-            self.c_max + 2
-        }
-    }
-
     /// The operand registers of the stored columns of stored row `row` at
     /// `cycle` (`cycle <= c_max`).
     pub(crate) fn window(&self, row: usize, cycle: u64) -> &[i32] {
         let at = row * self.stride + (self.c_max - cycle) as usize * self.k;
         &self.values[at..at + self.cols]
-    }
-
-    /// Writes the operand registers the streams stand for after cycles
-    /// `0..next` into `lanes`, which span every array row: the edges of
-    /// the last `ceil(C/k)` cycles, restaged in order on cleared lanes,
-    /// with zero operands on the rows past the stored ones.
-    pub(crate) fn restage(&self, lanes: &mut RowLanes, next: u64) {
-        lanes.clear();
-        let mut edge = vec![None; lanes.rows()];
-        for cycle in next.saturating_sub(lanes.cursor.slots as u64)..next {
-            // A valid edge of `cycle` lies within the streams: `cycle <= c_max`.
-            skewed_edge_into(cycle, self.len, self.k, &mut edge, |row, _| {
-                if row < self.rows {
-                    self.values[row * self.stride + (self.c_max - cycle) as usize * self.k]
-                } else {
-                    0
-                }
-            });
-            lanes.stage_options(&edge);
-        }
     }
 }
 
@@ -408,11 +348,6 @@ impl RowLanes {
         self.values.fill(0);
         self.valid.fill(0);
         self.cursor = StageCursor::new(self.cursor.slots);
-    }
-
-    /// The number of rows (lanes).
-    pub(crate) fn rows(&self) -> usize {
-        self.values.len() / (2 * self.cursor.slots * self.k)
     }
 
     /// Stages one edge given in `Option` form (`None` = no operand): its
@@ -461,60 +396,24 @@ impl RowLanes {
     }
 }
 
-/// Whether the operands currently in flight are provably the prefix of one
-/// deterministic feeder schedule — the precondition of the analytic
-/// wavefront kernels of both arrays' `run_cycles`, whose active-window math
-/// assumes that schedule was followed from cycle 0.
+/// What the pipelines hold since they were last cleared. The analytic
+/// wavefront kernels run only whole streams, from cycle 0 with nothing in
+/// flight, and the naive scan starts from cleared stores unless it ran
+/// last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StreamPurity {
-    /// The pipelines are empty; any schedule may start at cycle 0.
+    /// Nothing ran since the pipelines were cleared.
     Clean,
-    /// Cycles `0..next` of a feeder stream of length `t` have been fed,
-    /// nothing else. The operand registers live in the array's streams.
-    Tracked {
-        /// The stream length the in-flight schedule was generated from.
-        t: u64,
-        /// The next cycle index the schedule expects.
-        next: u64,
-    },
-    /// Arbitrary edge inputs were fed; only the naive scan may run until
-    /// the pipelines are cleared.
-    Poisoned,
-}
-
-impl StreamPurity {
-    /// Whether a run of cycles from `first_cycle` of a feeder stream of
-    /// length `t` continues the tracked schedule, so the analytic kernel
-    /// applies.
-    pub(crate) fn admits(self, t: u64, first_cycle: u64) -> bool {
-        match self {
-            Self::Clean => first_cycle == 0,
-            Self::Tracked { t: tracked, next } => tracked == t && first_cycle == next,
-            Self::Poisoned => false,
-        }
-    }
+    /// Only whole streams ran, on the wavefront kernel: no valid operand
+    /// and no non-zero partial sum a later cycle reads is in flight.
+    Drained,
+    /// The naive scan ran: its stores hold the registers.
+    Stepped,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bitset_range_sets_cover_word_boundaries() {
-        let mut words = vec![0u64; 3];
-        set_range(&mut words, 3, 3);
-        assert_eq!(words[0], 1 << 3);
-        words.fill(0);
-        set_range(&mut words, 60, 70);
-        for bit in 0..192 {
-            assert_eq!(get_bit(&words, bit), (60..=70).contains(&bit), "bit {bit}");
-        }
-        words.fill(0);
-        set_range(&mut words, 10, 140);
-        for bit in 0..192 {
-            assert_eq!(get_bit(&words, bit), (10..=140).contains(&bit), "bit {bit}");
-        }
-    }
 
     #[test]
     fn row_lanes_show_each_column_the_stage_of_its_block_age() {
@@ -555,48 +454,32 @@ mod tests {
 
     #[test]
     fn row_streams_hold_the_registers_the_staged_lanes_hold() {
-        // Every cycle of a stream, the window of each row equals the
-        // operands the row lanes show after staging the same edges one
-        // by one, and restaging at that cycle rebuilds those lanes.
+        // Every cycle of a stream up to its last multiply-accumulate, the
+        // window of each row equals the operands the row lanes show after
+        // staging the same edges one by one.
         for (rows, cols, k, len) in [(5u32, 7u32, 2u32, 4u64), (3, 3, 1, 1), (6, 4, 3, 9)] {
             let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
             let (rows, cols, k) = (rows as usize, cols as usize, k as usize);
             let operand = |row: usize, t: usize| (100 * row + t + 1) as i32;
             let mut streams = RowStreams::new(config, len, rows, cols);
-            streams.fill(0, |row, operands| {
+            streams.fill(|row, operands| {
                 for (t, slot) in operands.iter_mut().enumerate() {
                     *slot = operand(row, t);
                 }
             });
             let mut staged = RowLanes::new(rows, cols, k);
             let mut edge = vec![None; rows];
-            for cycle in 0..streams.drained_from() + 2 {
+            for cycle in 0..=streams.last_mac_cycle() {
                 skewed_edge_into(cycle, len, k, &mut edge, operand);
                 staged.stage_options(&edge);
-                if cycle <= streams.last_mac_cycle() {
-                    for row in 0..rows {
-                        assert_eq!(
-                            streams.window(row, cycle),
-                            staged.operands(row, cols),
-                            "{config} cycle {cycle} row {row}"
-                        );
-                    }
-                }
-                let mut restaged = RowLanes::new(rows, cols, k);
-                streams.restage(&mut restaged, cycle + 1);
-                assert_eq!(
-                    restaged.cursor.is_drained(),
-                    staged.cursor.is_drained(),
-                    "{config} cycle {cycle}"
-                );
                 for row in 0..rows {
-                    assert_eq!(restaged.operands(row, cols), staged.operands(row, cols));
-                    for cb in 0..cols.div_ceil(k) {
-                        assert_eq!(restaged.is_valid(row, cb), staged.is_valid(row, cb));
-                    }
+                    assert_eq!(
+                        streams.window(row, cycle),
+                        staged.operands(row, cols),
+                        "{config} cycle {cycle} row {row}"
+                    );
                 }
             }
-            assert!(staged.cursor.is_drained(), "{config}");
         }
     }
 
@@ -626,19 +509,5 @@ mod tests {
         assert_eq!((whole.rows(), whole.cols()), (3, 4));
         assert_eq!((whole.real_rows(), whole.real_cols()), (3, 4));
         assert_eq!(whole.get(2, 3), 23);
-    }
-
-    #[test]
-    fn stream_purity_admits_only_uninterrupted_continuations() {
-        assert!(StreamPurity::Clean.admits(5, 0));
-        assert!(StreamPurity::Tracked { t: 5, next: 3 }.admits(5, 3));
-        // A different stream length, a skipped or repeated cycle, and a
-        // poisoned pipeline are all rejected.
-        assert!(!StreamPurity::Tracked { t: 5, next: 9 }.admits(6, 9));
-        assert!(!StreamPurity::Tracked { t: 5, next: 9 }.admits(5, 10));
-        assert!(!StreamPurity::Tracked { t: 5, next: 9 }.admits(5, 0));
-        assert!(!StreamPurity::Poisoned.admits(5, 0));
-        // A clean pipeline only admits a schedule from its first cycle.
-        assert!(!StreamPurity::Clean.admits(5, 1));
     }
 }

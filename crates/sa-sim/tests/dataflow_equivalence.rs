@@ -12,13 +12,13 @@
 //!   across randomized geometries, collapse depths, reduction lengths and
 //!   operand sparsity — including streams with mid-stream holes and
 //!   geometries wider than 64 lanes;
-//! * after every chunk of [`OutputStationaryArray::run_cycles`] split at
-//!   random points down to single cycles, which pins the analytic
-//!   wavefront kernel cycle range by cycle range rather than by its drained
-//!   output alone — plus the schedules the wavefront kernel must refuse
-//!   (`step` first, a skipped resume cycle, a different stream length, a
-//!   repeated run without a reset), which fall back to the naive scan, and
-//!   a continuation it admits on other operands.
+//! * after every call of [`OutputStationaryArray::run_cycles`], run whole
+//!   (the analytic wavefront kernel) or split at random points down to
+//!   single cycles (the naive scan) — plus the schedules that are no whole
+//!   stream (`step` first, a skipped resume cycle, a different stream
+//!   length, a continuation on other operands, a chunked repeated run
+//!   without a reset), and whole streams run back to back without a reset
+//!   and then stepped.
 //!
 //! On top of the reference, every full tile is checked against the
 //! dataflow-independent oracle: [`multiply`] of the same operands, which
@@ -295,7 +295,9 @@ fn holey_os_streams_match_on_word_boundary_geometries() {
 fn os_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
     // Wide and ragged geometries, each with a reduction shorter than the
     // block counts (the wavefront never fills the array) and one longer
-    // (a steady state where every block pair is active).
+    // (a steady state where every block pair is active). Each tile runs
+    // once whole, on the wavefront kernel, and once in chunks, on the
+    // naive scan.
     let chunks = [1, 1, 3, 1, 7, 2, 1, 13];
     for (rows, cols, k, ns) in [
         (65u32, 65u32, 1u32, [3usize, 70]),
@@ -304,7 +306,9 @@ fn os_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
         (96, 8, 8, [4, 14]),
     ] {
         for (seed, n) in ns.into_iter().enumerate() {
-            assert_chunked_tile(os_config(rows, cols, k), n, seed as u64, 3, &chunks);
+            let config = os_config(rows, cols, k);
+            assert_chunked_tile(config, n, seed as u64, 3, &[u64::MAX]);
+            assert_chunked_tile(config, n, seed as u64, 3, &chunks);
         }
     }
 }
@@ -364,9 +368,9 @@ fn os_run_cycles_with_a_different_stream_length_matches_the_reference() {
 
 #[test]
 fn os_run_cycles_continued_on_other_operands_matches_the_reference() {
-    // A continuation the purity guard admits (same reduction length, the
-    // next cycle) streams the edges of the feeders it is given, even when
-    // they read other operands than the call that started the stream.
+    // A call that continues a stream (same reduction length, the next
+    // cycle) streams the edges of the feeders it is given, even when they
+    // read other operands than the call that started the stream.
     for (rows, cols, k, n) in [(9u32, 7u32, 2u32, 6usize), (70, 66, 4, 5)] {
         let config = os_config(rows, cols, k);
         let (a, b) = random_tile(config, n, 37, 20);
@@ -392,6 +396,29 @@ fn os_second_run_without_reset_matches_the_reference() {
         // A second tile from cycle 0 on top of the first one's state.
         let mut collector = OsCollector::new(config, n as u64);
         lockstep.run_chunked((&other_a, &other_b), &mut collector, (0, end), &[1, 6]);
+    }
+}
+
+#[test]
+fn os_whole_streams_without_a_reset_then_steps_match_the_reference() {
+    // A whole stream leaves nothing in flight: a second whole stream of
+    // another length from cycle 0, with no reset, runs the wavefront
+    // kernel again on top of the first one's accumulators, and cycles
+    // stepped after it start the naive scan from a cleared pipeline.
+    for (rows, cols, k, n) in [(9u32, 7u32, 2u32, 6usize), (66, 70, 33, 5), (70, 66, 4, 2)] {
+        let config = os_config(rows, cols, k);
+        let mut lockstep = Lockstep::new(config);
+        for (seed, n) in [(39, n), (40, n + 3)] {
+            let (a, b) = random_tile(config, n, seed, 20);
+            let mut collector = OsCollector::new(config, n as u64);
+            let cycles = config.os_tile_cycles(n as u64);
+            lockstep.run((&a, &b), &mut collector, 0, cycles);
+            assert!(collector.is_complete(), "{config} n={n}");
+        }
+        let (a, b) = random_tile(config, n, 41, 20);
+        for cycle in 0..config.os_tile_cycles(n as u64) {
+            lockstep.step((&a, &b), cycle);
+        }
     }
 }
 

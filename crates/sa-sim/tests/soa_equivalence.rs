@@ -9,9 +9,10 @@
 //! today's [`SystolicArray`] across randomized geometries, collapse depths,
 //! stream lengths and operand sparsity, and assert bit-identical south
 //! outputs and [`RunStats`] — through `step_into` (the naive scan) every
-//! cycle, through `run_cycles` split into chunks down to single cycles,
-//! which pins the analytic wavefront kernel cycle range by cycle range,
-//! and through a `run_cycles` prefix handed over to `step_into`. The
+//! cycle, through `run_cycles` over whole streams (the analytic wavefront
+//! kernel) and split into chunks down to single cycles, through a
+//! `run_cycles` prefix continued in `step_into`, and through whole streams
+//! run back to back without a reset and then stepped. The
 //! output-stationary backend has the analogous suite in
 //! `dataflow_equivalence.rs`, against the same module's
 //! `common::os::LegacyOsArray`.
@@ -136,7 +137,9 @@ fn assert_chunked_ws_tile(rows: u32, cols: u32, k: u32, t: usize, seed: u64, chu
 fn ws_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
     // Wide and ragged geometries, each with a stream shorter than the
     // block counts (the wavefront never fills the array) and one longer
-    // (a steady state where every block is active).
+    // (a steady state where every block is active). Each tile runs once
+    // whole, on the wavefront kernel, and once in chunks, on the naive
+    // scan.
     let chunks = [1, 1, 3, 1, 7, 2, 1, 13];
     for (rows, cols, k, ts) in [
         (65u32, 65u32, 1u32, [3usize, 70]),
@@ -146,6 +149,7 @@ fn ws_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
         (8, 96, 8, [5, 14]),
     ] {
         for (seed, t) in ts.into_iter().enumerate() {
+            assert_chunked_ws_tile(rows, cols, k, t, seed as u64, &[u64::MAX]);
             assert_chunked_ws_tile(rows, cols, k, t, seed as u64, &chunks);
         }
     }
@@ -153,10 +157,9 @@ fn ws_run_cycles_matches_the_reference_per_chunk_on_fixed_geometries() {
 
 #[test]
 fn step_into_after_a_partial_run_cycles_matches_the_reference() {
-    // A stream left on the analytic kernel after `prefix` cycles must
-    // hand `step_into` exactly the operand registers it stood for: the
-    // rest of the tile, stepped one cycle at a time, matches the reference
-    // output for output.
+    // After a `run_cycles` prefix of `prefix` cycles, the rest of the
+    // tile, stepped one cycle at a time, matches the reference output for
+    // output.
     for (rows, cols, k, t, prefix) in [
         (8u32, 8u32, 2u32, 6usize, 4u64),
         (65, 65, 1, 3, 2),
@@ -206,10 +209,9 @@ fn step_into_after_a_partial_run_cycles_matches_the_reference() {
 
 #[test]
 fn run_cycles_continued_on_another_feeder_matches_the_reference() {
-    // A continuation the purity guard admits (same stream length, the
-    // next cycle) streams the edges of the feeder it is given, even when
-    // that feeder reads other operands than the call that started the
-    // stream.
+    // A call that continues a stream (same stream length, the next
+    // cycle) streams the edges of the feeder it is given, even when that
+    // feeder reads other operands than the call that started the stream.
     for (rows, cols, k, t, prefix) in [(8u32, 8u32, 2u32, 6usize, 4u64), (70, 66, 4, 5, 7)] {
         let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
         let mut rng = SplitMix64::new(u64::from(rows) + prefix);
@@ -242,6 +244,50 @@ fn run_cycles_continued_on_another_feeder_matches_the_reference() {
             reference_collector.into_output().unwrap(),
             "{config} t={t}"
         );
+    }
+}
+
+#[test]
+fn whole_streams_without_a_reset_then_steps_match_the_reference() {
+    // A whole stream leaves nothing in flight: a second whole stream of
+    // another length from cycle 0, with no reset, runs the wavefront
+    // kernel again, and cycles stepped after it start the naive scan from
+    // cleared stores.
+    for (rows, cols, k, t) in [(8u32, 8u32, 2u32, 6usize), (70, 66, 4, 5), (9, 7, 3, 2)] {
+        let config = ArrayConfig::new(rows, cols).with_collapse_depth(k);
+        let mut rng = SplitMix64::new(u64::from(rows) * 7 + u64::from(k));
+        let weights = Matrix::random(rows as usize, cols as usize, &mut rng, -60, 60);
+        let mut engine = SystolicArray::new(config).unwrap();
+        let mut reference = legacy::LegacyArray::new(config);
+        engine.load_weights(&weights).unwrap();
+        reference.load_weights(&weights);
+        for t in [t, t + 3] {
+            let a = Matrix::random(t, rows as usize, &mut rng, -60, 60);
+            let feeder = InputFeeder::new(&a, config).unwrap();
+            let mut collector = OutputCollector::new(config, t);
+            let mut reference_collector = OutputCollector::new(config, t);
+            let cycles = config.compute_cycles(t as u64);
+            engine
+                .run_cycles(&feeder, 0, cycles, &mut collector)
+                .unwrap();
+            for cycle in 0..cycles {
+                let south = reference.step(&feeder.west_inputs(cycle));
+                reference_collector.collect(cycle, &south).unwrap();
+            }
+            assert_eq!(engine.stats(), reference.stats(), "{config} t={t}");
+            let expected = reference_collector.into_output().unwrap();
+            assert_eq!(expected, multiply(&a, &weights).unwrap(), "{config} t={t}");
+            assert_eq!(collector.into_output().unwrap(), expected, "{config} t={t}");
+        }
+        let a = Matrix::random(t, rows as usize, &mut rng, -60, 60);
+        let feeder = InputFeeder::new(&a, config).unwrap();
+        let mut south = vec![None; cols as usize];
+        for cycle in 0..config.compute_cycles(t as u64) + 2 {
+            let west = feeder.west_inputs(cycle);
+            engine.step_into(&west, &mut south).unwrap();
+            assert_eq!(south, reference.step(&west), "{config} cycle {cycle}");
+        }
+        assert_eq!(engine.stats(), reference.stats(), "{config} t={t}");
     }
 }
 
@@ -310,8 +356,8 @@ proptest! {
 
     /// `run_cycles(n)` — west staging, evaluation, harvesting and error
     /// checks hoisted into the multi-cycle entry point, including the
-    /// analytic wavefront kernel, the dead-cycle skip and mid-tile
-    /// continuation across chunked calls — is bit-identical to `n`
+    /// analytic wavefront kernel of a whole stream, the dead-cycle skip
+    /// and chunked calls on the naive scan — is bit-identical to `n`
     /// individual `step_into` cycles with per-cycle collection.
     #[test]
     fn run_cycles_equals_repeated_step_into(
@@ -400,8 +446,8 @@ proptest! {
     }
 
     /// Mixing manual `step_into` cycles with a `run_cycles` tail (which
-    /// the purity guard rejects, so it must take the per-cycle fallback,
-    /// not the analytic kernel) still matches the pure per-cycle loop.
+    /// is no whole stream, so it must loop the naive scan, not run the
+    /// analytic kernel) still matches the pure per-cycle loop.
     #[test]
     fn run_cycles_after_manual_steps_matches(
         rows in 1u32..=10,
@@ -512,9 +558,9 @@ fn assert_holey_equivalent(rows: u32, cols: u32, k: u32, t: usize, seed: u64, ho
     );
 }
 
-/// Runs one tile through `run_cycles` — optionally split into `chunks`
-/// consecutive calls, which exercises the analytic kernel's continuation
-/// tracking — and returns the collected output plus the final stats.
+/// Runs one tile through `run_cycles` — whole on the analytic kernel, or
+/// split into `chunks` consecutive calls on the naive scan — and returns
+/// the collected output plus the final stats.
 fn run_tile_via_run_cycles(
     config: ArrayConfig,
     weights: &Matrix<i32>,
