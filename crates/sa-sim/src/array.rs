@@ -74,7 +74,7 @@
 //! statistics bookkeeping.
 
 use crate::carry_save::CarrySaveValue;
-use crate::config::ArrayConfig;
+use crate::config::{ArrayConfig, Dataflow};
 use crate::dataflow::{InputFeeder, OutputCollector};
 use crate::error::SimError;
 use crate::pe::ProcessingElement;
@@ -186,9 +186,18 @@ impl SystolicArray {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if the configuration is invalid.
+    /// Returns [`SimError::InvalidConfig`] if the configuration is invalid
+    /// or not marked [`Dataflow::WeightStationary`].
     pub fn new(config: ArrayConfig) -> Result<Self, SimError> {
         config.validate()?;
+        if config.dataflow != Dataflow::WeightStationary {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "SystolicArray requires a weight-stationary configuration, got {}",
+                    config.dataflow
+                ),
+            });
+        }
         let rows = config.rows as usize;
         let cols = config.cols as usize;
         let row_blocks = config.row_blocks() as usize;

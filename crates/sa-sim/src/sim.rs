@@ -741,6 +741,26 @@ mod tests {
     }
 
     #[test]
+    fn no_checkin_files_a_ws_engine_under_an_os_configuration() {
+        // `SystolicArray::new` rejects an output-stationary configuration,
+        // so an OS request is only ever handed an OS engine.
+        let os = ArrayConfig::new(4, 4)
+            .with_collapse_depth(2)
+            .with_dataflow(Dataflow::OutputStationary);
+        assert!(matches!(
+            SystolicArray::new(os),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        let pool = ArrayPool::new();
+        pool.release(TileEngine::new(os).unwrap());
+        assert_eq!(
+            pool.acquire(os).unwrap().dataflow(),
+            Dataflow::OutputStationary
+        );
+        assert!(pool.is_empty());
+    }
+
+    #[test]
     fn os_gemm_matches_the_reference_and_the_analytical_model() {
         let (a, b) = random_pair(7, 20, 13, 31);
         let dims = GemmDims::new(13, 20, 7);

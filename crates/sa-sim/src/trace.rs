@@ -93,20 +93,23 @@ impl TileTrace {
     }
 }
 
-/// Runs one tile cycle-accurately while recording a [`TileTrace`].
+/// Runs one weight-stationary tile cycle-accurately while recording a
+/// [`TileTrace`].
 ///
 /// Produces exactly the same output matrix and statistics as
 /// [`Simulator::run_tile`](crate::Simulator::run_tile).
 ///
 /// # Errors
 ///
-/// Returns the same errors as [`Simulator::run_tile`](crate::Simulator::run_tile).
+/// Returns the same errors as
+/// [`Simulator::run_tile`](crate::Simulator::run_tile), and
+/// [`SimError::InvalidConfig`] if `config` is not
+/// [`Dataflow::WeightStationary`](crate::Dataflow::WeightStationary).
 pub fn trace_tile(
     config: ArrayConfig,
     a_sub: &Matrix<i32>,
     b_sub: &Matrix<i32>,
 ) -> Result<(Matrix<i64>, RunStats, TileTrace), SimError> {
-    config.validate()?;
     let mut array = SystolicArray::new(config)?;
     array.load_weights(b_sub)?;
     let feeder = InputFeeder::new(a_sub, config)?;
@@ -185,6 +188,21 @@ mod tests {
         assert_eq!(text.lines().count(), trace.len() + 2);
         assert!(text.contains('#'));
         assert!(text.contains('/'));
+    }
+
+    #[test]
+    fn output_stationary_configurations_are_rejected() {
+        // The trace steps the weight-stationary array, whose statistics
+        // are not an output-stationary tile's.
+        let config = ArrayConfig::new(4, 4)
+            .with_collapse_depth(2)
+            .with_dataflow(crate::Dataflow::OutputStationary);
+        for (a, b) in [operands(4, 4, 4), operands(4, 6, 4)] {
+            assert!(matches!(
+                trace_tile(config, &a, &b),
+                Err(SimError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]
